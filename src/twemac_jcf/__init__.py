@@ -13,11 +13,10 @@ from .channel import (
     sample_state,
     validate_dist,
 )
-from .de_core import DeResult, RegularConfig, de_regular
-from .de_coupled import CoupledEnsemble, CoupledResult, de_coupled, nominal_rate
+from .de_coupled import Caps, DeOutcome, Ensemble, de_coupled, nominal_rate
 from .message_types import MessageType, chk_combine, chk_fold, knows_xor, var_combine, var_fold
 from .rates import RateBundle, mi_enumerate, rate_bounds
-from .threshold import Caps, CoupledSystem, RegularSystem, find_threshold, is_decodable, sweep
+from .threshold import find_threshold, is_decodable, sweep
 
 __all__ = [
     "ChannelFamily",
@@ -27,11 +26,9 @@ __all__ = [
     "puncture",
     "sample_state",
     "validate_dist",
-    "DeResult",
-    "RegularConfig",
-    "de_regular",
-    "CoupledEnsemble",
-    "CoupledResult",
+    "Caps",
+    "DeOutcome",
+    "Ensemble",
     "de_coupled",
     "nominal_rate",
     "MessageType",
@@ -43,9 +40,6 @@ __all__ = [
     "RateBundle",
     "mi_enumerate",
     "rate_bounds",
-    "Caps",
-    "CoupledSystem",
-    "RegularSystem",
     "find_threshold",
     "is_decodable",
     "sweep",

@@ -24,8 +24,16 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelError, get_family, puncture
-from .de_core import RegularConfig, SimplexError, de_regular
-from .de_coupled import CoupledEnsemble, de_coupled, nominal_rate
+from .de_core import SimplexError
+from .de_coupled import (
+    DEFAULT_COUPLED_LMAX,
+    DEFAULT_REGULAR_LMAX,
+    DEFAULT_SUCCESS_TARGET,
+    Caps,
+    Ensemble,
+    de_coupled,
+    nominal_rate,
+)
 from .rates import rate_bounds
 from .simulate import (
     Observation,
@@ -36,13 +44,7 @@ from .simulate import (
     peel_decode,
     sample_states,
 )
-from .threshold import (
-    Caps,
-    CoupledSystem,
-    RegularSystem,
-    find_threshold,
-    sweep,
-)
+from .threshold import find_threshold, sweep
 
 EXIT_NUMERICAL = 3
 
@@ -55,7 +57,7 @@ def _env_float(name: str, default: Optional[float]) -> Optional[float]:
 def _caps(args) -> Caps:
     return Caps(
         l_max=getattr(args, "lmax", None),
-        success_target=_env_float("TWEMAC_SUCCESS_TARGET", 1.0 - 1e-5),
+        success_target=_env_float("TWEMAC_SUCCESS_TARGET", DEFAULT_SUCCESS_TARGET),
         prune=not getattr(args, "no_prune", False),
     )
 
@@ -100,28 +102,34 @@ def _family(args):
     return get_family(args.channel, getattr(args, "channel_config", None))
 
 
-def cmd_rates(args) -> int:
-    family = _family(args)
+def _coupled(d_v: int, d_c: int, L: int, w: int) -> Ensemble:
+    """The ensemble of a coupled subcommand, which needs a chain (L >= 1)."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    return Ensemble(d_v, d_c, L, w)
+
+
+RATE_COLUMNS = ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"]
+
+
+def _rate_rows(family, n: int) -> List[dict]:
+    """Rate bounds on an n-point eps grid over [0, 1], one row per point."""
     rows = []
-    for eps in np.linspace(0.0, 1.0, args.grid):
+    for eps in np.linspace(0.0, 1.0, n):
         rb = rate_bounds(family.eval(float(eps)))
-        rows.append(
-            {
-                "eps": float(eps),
-                "r_df": rb.r_df,
-                "r_df_prime": rb.r_df_prime,
-                "r_cf": rb.r_cf,
-                "r_jcf_target": rb.r_jcf_target,
-            }
-        )
-    _emit(args, _meta(args), ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"], rows)
+        rows.append({"eps": float(eps), **{c: getattr(rb, c) for c in RATE_COLUMNS[1:]}})
+    return rows
+
+
+def cmd_rates(args) -> int:
+    _emit(args, _meta(args), RATE_COLUMNS, _rate_rows(_family(args), args.grid))
     return 0
 
 
 def cmd_de_regular(args) -> int:
     family = _family(args)
-    cfg = RegularConfig(d_v=args.dv, d_c=args.dc, l_max=args.lmax)
-    res = de_regular(cfg, family.eval(args.eps), trace=args.trace is not None)
+    snapshot_iters = range(1, args.lmax + 1) if args.trace else ()
+    res = de_coupled(Ensemble(args.dv, args.dc), family.eval(args.eps), _caps(args), snapshot_iters)
     if args.trace:
         cols = (
             ["iter"]
@@ -132,42 +140,34 @@ def cmd_de_regular(args) -> int:
         rows = [
             {
                 "iter": it,
-                **{f"pvc{i + 1}": float(pvc[i]) for i in range(5)},
-                **{f"pcv{i + 1}": float(pcv[i]) for i in range(5)},
-                "p_dec": p_dec,
+                **{f"pvc{i + 1}": float(snap.pvc[0, i]) for i in range(5)},
+                **{f"pcv{i + 1}": float(snap.pcv[0, i]) for i in range(5)},
+                "p_dec": float(snap.p_dec[0]),
             }
-            for it, pvc, pcv, p_dec in res.trace
+            for it, snap in sorted(res.snapshots.items())
         ]
         _emit(args, _meta(args), cols, rows, path=args.trace)
     _emit(
         args,
         _meta(args),
         ["p_dec", "iterations", "status"],
-        [{"p_dec": res.p_dec, "iterations": res.iterations_used, "status": res.converged}],
+        [{"p_dec": res.min_p_dec, "iterations": res.iterations_used, "status": res.converged}],
     )
     return 0
 
 
 def cmd_de_coupled(args) -> int:
     family = _family(args)
-    e = CoupledEnsemble(d_v=args.dv, d_c=args.dc, L=args.L, w=args.w)
-    profile_iters = None
+    e = _coupled(args.dv, args.dc, args.L, args.w)
+    snapshot_iters = {2**k for k in range(0, 30) if 2**k <= args.lmax} if args.profile else ()
+    res = de_coupled(e, family.eval(args.eps), _caps(args), snapshot_iters)
     if args.profile:
-        profile_iters = {2**k for k in range(0, 30) if 2**k <= args.lmax}
-    res = de_coupled(
-        e,
-        family.eval(args.eps),
-        l_max=args.lmax,
-        prune=not args.no_prune,
-        profile_iters=profile_iters,
-    )
-    if args.profile:
-        iters = sorted(res.profile)
+        iters = sorted(res.snapshots)
         cols = ["position"] + [f"p_dec_iter_{k}" for k in iters]
         rows = [
             {
                 "position": pos - e.L,
-                **{f"p_dec_iter_{k}": float(res.profile[k][pos]) for k in iters},
+                **{f"p_dec_iter_{k}": float(res.snapshots[k].p_dec[pos]) for k in iters},
             }
             for pos in range(e.n_var_positions)
         ]
@@ -188,21 +188,13 @@ def cmd_de_coupled(args) -> int:
     return 0
 
 
-def _parse_system(args):
-    if args.regular is not None:
-        dv, dc = args.regular
-        return RegularSystem(int(dv), int(dc))
-    dv, dc, L, w = args.coupled
-    return CoupledSystem(CoupledEnsemble(int(dv), int(dc), int(L), int(w)))
-
-
 def cmd_threshold(args) -> int:
     family = _family(args)
-    system = _parse_system(args)
+    e = Ensemble(*args.regular) if args.regular is not None else _coupled(*args.coupled)
     res = find_threshold(
-        system,
+        e,
         family,
-        tol=_tol(args, isinstance(system, CoupledSystem)),
+        tol=_tol(args, e.coupled),
         caps=_caps(args),
         p_pi=args.p_pi,
         verify_scan=args.verify_scan,
@@ -234,13 +226,10 @@ def _parse_dv_list(spec: str) -> List[int]:
 
 def cmd_figure6(args) -> int:
     family = _family(args)
-    systems = [
-        CoupledSystem(CoupledEnsemble(dv, args.dc, args.L, args.w))
-        for dv in _parse_dv_list(args.dv)
-    ]
+    ensembles = [_coupled(dv, args.dc, args.L, args.w) for dv in _parse_dv_list(args.dv)]
     p_grid = [float(x) for x in args.p_pi.split(",")]
     rows_out = []
-    for row in sweep(systems, family, p_grid, tol=_tol(args, True), caps=_caps(args), jobs=args.jobs):
+    for row in sweep(ensembles, family, p_grid, tol=_tol(args, True), caps=_caps(args), jobs=args.jobs):
         rows_out.append(asdict(row))
     cols = [
         "d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi",
@@ -249,26 +238,8 @@ def cmd_figure6(args) -> int:
     _emit(args, _meta(args), cols, rows_out)
 
     # analytic overlay curves on an eps grid
-    curve_rows = []
-    for eps in np.linspace(0.0, 1.0, args.curve_grid):
-        rb = rate_bounds(family.eval(float(eps)))
-        curve_rows.append(
-            {
-                "eps": float(eps),
-                "r_df": rb.r_df,
-                "r_df_prime": rb.r_df_prime,
-                "r_cf": rb.r_cf,
-                "r_jcf_target": rb.r_jcf_target,
-            }
-        )
     curve_path = (args.out + ".curves.csv") if args.out else None
-    _emit(
-        args,
-        _meta(args),
-        ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"],
-        curve_rows,
-        path=curve_path,
-    )
+    _emit(args, _meta(args), RATE_COLUMNS, _rate_rows(family, args.curve_grid), path=curve_path)
     return 0
 
 
@@ -277,15 +248,15 @@ def cmd_simulate(args) -> int:
     if args.L is not None:
         if args.M is None:
             raise SystemExit("--M is required for coupled simulation")
-        system = CoupledSystem(CoupledEnsemble(args.dv, args.dc, args.L, args.w))
+        e = _coupled(args.dv, args.dc, args.L, args.w)
         size = args.M
     else:
-        system = RegularSystem(args.dv, args.dc)
+        e = Ensemble(args.dv, args.dc)
         size = args.N
         if size is None:
             raise SystemExit("--N is required for regular simulation")
     stats = failure_rate(
-        system, family, args.eps, size, args.trials, args.seed, p_pi=args.p_pi
+        e, family, args.eps, size, args.trials, args.seed, p_pi=args.p_pi
     )
     _emit(
         args,
@@ -365,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dv", type=int, required=True)
     p.add_argument("--dc", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lmax", type=int, default=5000)
+    p.add_argument("--lmax", type=int, default=DEFAULT_REGULAR_LMAX)
     p.add_argument("--trace", help="per-iteration trace CSV path")
     p.set_defaults(func=cmd_de_regular)
 
@@ -376,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lmax", type=int, default=20000)
+    p.add_argument("--lmax", type=int, default=DEFAULT_COUPLED_LMAX)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--profile", help="per-position p_dec CSV path")
     p.set_defaults(func=cmd_de_coupled)

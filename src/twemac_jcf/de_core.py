@@ -1,26 +1,28 @@
-"""Type distribution evolution for (d_v, d_c)-regular LDPC ensembles.
+"""Closed-form node updates of the five-type density evolution.
 
-Messages on a randomly chosen edge have one of five types; an iteration
-is described by two 5x5 column-stochastic transition matrices built from
-the current message distributions (entry (i, j) = P(j -> i), summed over
-the operator-table preimages).  A variable node of degree d_v applies the
-check-message matrix d_v - 1 times to the channel distribution; a check
-node of degree d_c applies the variable-message matrix d_c - 2 times to
-one incoming distribution.
+Messages on a randomly chosen edge have one of five types, and both node
+updates combine iid messages under the knowledge lattice (types as in
+`message_types`).  Rows of shape (k, 5) hold one distribution each.
+
+Check node, the meet of n = d_c - 1 iid messages p: the output is type 5
+iff every input is, and type t in {2, 3, 4} iff every input lies in {t, 5}
+and not all are 5:
+
+    out5 = p5^n,   out_t = (p_t + p5)^n - p5^n,   out1 = the remainder.
+
+Variable node, the join of the channel message c with n iid messages q
+(n = d_v - 1 for the outgoing message, n = d_v for the decoder output):
+the output is type 1 iff every input is, and type t in {2, 3, 4} iff every
+input lies in {1, t} and not all are 1:
+
+    out1 = c1 q1^n,   out_t = (c1 + c_t)(q1 + q_t)^n - c1 q1^n,
+    out5 = the remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
 import numpy as np
 
-from .channel import validate_dist
-from .message_types import CHK_TABLE, VAR_TABLE
-
-DEFAULT_SUCCESS_TARGET = 1.0 - 1e-5
-DEFAULT_STALL_TOL = 1e-12
 RENORM_ATOL = 1e-9
 
 
@@ -28,164 +30,37 @@ class SimplexError(RuntimeError):
     """A distribution drifted off the probability simplex beyond tolerance."""
 
 
-def _indicator(table: np.ndarray) -> np.ndarray:
-    """T[i, j, k] = 1 iff table(k+1, j+1) == i+1, so M = T . p."""
-    t = np.zeros((5, 5, 5))
-    for j in range(5):
-        for k in range(5):
-            t[table[k, j] - 1, j, k] = 1.0
-    return t
+def chk_update(p: np.ndarray, n: int) -> np.ndarray:
+    """Distribution of the meet of n iid messages, one per row of p (k, 5)."""
+    all5 = p[:, 4:] ** n
+    out = np.empty_like(p)
+    out[:, 1:4] = (p[:, 1:4] + p[:, 4:]) ** n - all5
+    out[:, 4:] = all5
+    out[:, 0] = 1.0 - out[:, 1:].sum(axis=1)
+    return out
 
 
-VAR_INDICATOR = _indicator(VAR_TABLE)
-CHK_INDICATOR = _indicator(CHK_TABLE)
-
-
-def var_transition_matrix(pcv) -> np.ndarray:
-    """Variable-node transition matrix from a check-to-variable distribution."""
-    p = validate_dist(pcv)
-    return np.tensordot(VAR_INDICATOR, p, axes=([2], [0]))
-
-
-def chk_transition_matrix(pvc) -> np.ndarray:
-    """Check-node transition matrix from a variable-to-check distribution."""
-    p = validate_dist(pvc)
-    return np.tensordot(CHK_INDICATOR, p, axes=([2], [0]))
-
-
-def var_matrices(pcv_rows: np.ndarray) -> np.ndarray:
-    """Batched variable-node matrices; pcv_rows has shape (n, 5)."""
-    return np.einsum("ijk,nk->nij", VAR_INDICATOR, pcv_rows)
-
-
-def chk_matrices(pvc_rows: np.ndarray) -> np.ndarray:
-    """Batched check-node matrices; pvc_rows has shape (n, 5)."""
-    return np.einsum("ijk,nk->nij", CHK_INDICATOR, pvc_rows)
-
-
-def mat_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m**n by repeated squaring; works on (5,5) or batched (k,5,5)."""
-    if n < 0:
-        raise ValueError("negative matrix power")
-    eye = np.eye(5)
-    out = np.broadcast_to(eye, m.shape).copy()
-    base = m.copy()
-    while n:
-        if n & 1:
-            out = base @ out
-        base = base @ base
-        n >>= 1
+def var_update(c: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Distribution of the join of channel c (5,) with n iid messages, one
+    per row of q (k, 5)."""
+    none = c[0] * q[:, :1] ** n
+    out = np.empty_like(q)
+    out[:, :1] = none
+    out[:, 1:4] = (c[0] + c[1:4]) * (q[:, :1] + q[:, 1:4]) ** n - none
+    out[:, 4] = 1.0 - out[:, :4].sum(axis=1)
     return out
 
 
 def renormalize(p: np.ndarray, atol: float = RENORM_ATOL) -> np.ndarray:
     """Renormalize within tolerance; raise SimplexError on real drift.
 
-    Works on a single distribution or on rows of an (n, 5) array.
+    Works on a single distribution or on rows of an (n, 5) array.  The
+    kernels fill one entry per row as a remainder, so their rows always sum
+    to 1; a negative entry is what shows their drift.
     """
     s = p.sum(axis=-1, keepdims=True)
     if np.any(np.abs(s - 1.0) > atol):
         raise SimplexError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
+    if np.any(p < -atol):
+        raise SimplexError(f"distribution entry {np.min(p):.3e} below zero")
     return p / s
-
-
-@dataclass(frozen=True)
-class RegularConfig:
-    """Degrees and termination settings for a regular-ensemble evolution."""
-
-    d_v: int
-    d_c: int
-    l_max: int = 5000
-    success_target: float = DEFAULT_SUCCESS_TARGET
-    stall_tol: float = DEFAULT_STALL_TOL
-
-    def __post_init__(self):
-        if self.d_v < 1:
-            raise ValueError(f"d_v must be >= 1, got {self.d_v}")
-        if self.d_c < 2:
-            raise ValueError(f"d_c must be >= 2, got {self.d_c}")
-        if self.l_max < 1:
-            raise ValueError(f"l_max must be >= 1, got {self.l_max}")
-        if not 0.0 < self.success_target < 1.0:
-            raise ValueError(f"success_target must be in (0,1), got {self.success_target}")
-
-
-@dataclass
-class DeResult:
-    """Outcome of one evolution run."""
-
-    p_dec: float
-    iterations_used: int
-    converged: str  # 'success' | 'stall' | 'cap'
-    final_pvc: np.ndarray
-    final_pcv: np.ndarray
-    trace: Optional[List[Tuple[int, np.ndarray, np.ndarray, float]]] = None
-
-
-def var_update(pcv, pch, d_v: int) -> np.ndarray:
-    """One variable-node half-iteration: (M_var(pcv))^(d_v-1) . pch."""
-    if d_v < 1:
-        raise ValueError("d_v must be >= 1")
-    pch = validate_dist(pch)
-    if d_v == 1:
-        return pch.copy()
-    m = var_transition_matrix(pcv)
-    return renormalize(mat_power(m, d_v - 1) @ pch)
-
-
-def chk_update(pvc, d_c: int) -> np.ndarray:
-    """One check-node half-iteration: (M_chk(pvc))^(d_c-2) . pvc."""
-    if d_c < 2:
-        raise ValueError("d_c must be >= 2")
-    p = validate_dist(pvc)
-    if d_c == 2:
-        return p.copy()
-    m = chk_transition_matrix(p)
-    return renormalize(mat_power(m, d_c - 2) @ p)
-
-
-def decoder_output(pcv, pch, d_v: int) -> np.ndarray:
-    """Output distribution at a variable node: (M_var(pcv))^d_v . pch."""
-    m = var_transition_matrix(pcv)
-    return renormalize(mat_power(m, d_v) @ validate_dist(pch))
-
-
-def de_regular(cfg: RegularConfig, pch, trace: bool = False) -> DeResult:
-    """Run type distribution evolution for a (d_v, d_c)-regular ensemble.
-
-    Initialized with the channel distribution as the first variable-to-check
-    message; terminates on success (p_dec >= success_target), stall
-    (sup-norm change of the variable-to-check distribution < stall_tol),
-    or the iteration cap.  p_dec is the type-4 + type-5 mass of the
-    decoder output distribution.
-    """
-    pch = validate_dist(pch)
-    pvc = pch.copy()
-    pcv = pch.copy()  # placeholder until the first check half-iteration
-    records: Optional[list] = [] if trace else None
-    status = "cap"
-    it = 0
-    p_dec = 0.0
-    for it in range(1, cfg.l_max + 1):
-        pcv = chk_update(pvc, cfg.d_c)
-        new_pvc = var_update(pcv, pch, cfg.d_v)
-        p_out = decoder_output(pcv, pch, cfg.d_v)
-        p_dec = float(p_out[3] + p_out[4])
-        if records is not None:
-            records.append((it, new_pvc.copy(), pcv.copy(), p_dec))
-        delta = float(np.max(np.abs(new_pvc - pvc)))
-        pvc = new_pvc
-        if p_dec >= cfg.success_target:
-            status = "success"
-            break
-        if delta < cfg.stall_tol:
-            status = "stall"
-            break
-    return DeResult(
-        p_dec=p_dec,
-        iterations_used=it,
-        converged=status,
-        final_pvc=pvc,
-        final_pcv=pcv,
-        trace=records,
-    )

@@ -1,52 +1,65 @@
-"""Type distribution evolution for spatially coupled (d_v, d_c, L, w) ensembles.
+"""Type distribution evolution for (d_v, d_c, L, w) ensembles.
 
 Variable positions occupy -L..L; check positions -L..L+w-1.  Effective
 node inputs are width-w window averages of the per-position message
 distributions, with out-of-range variable positions reading as the type-5
 point mass (pseudo variable nodes fixed to the known all-zero pair).
 Window averages use fresh prefix sums each iteration.
+
+A regular (d_v, d_c) ensemble is the chain with L = 0 and w = 1: one
+position, no boundary.  One iteration applies the closed-form kernels of
+`de_core` to all position rows at once:
+
+    pcv[q]   = chk_update(window average of pvc at check q, d_c - 1)
+    pvc[i]   = var_update(pch, window average of pcv at variable i, d_v - 1)
+    p_dec[i] = types 4 + 5 of var_update(pch, the same average, d_v)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Collection, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channel import validate_dist
-from .de_core import (
-    DEFAULT_STALL_TOL,
-    DEFAULT_SUCCESS_TARGET,
-    chk_matrices,
-    mat_power,
-    renormalize,
-    var_matrices,
-)
+from .de_core import chk_update, renormalize, var_update
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 
+DEFAULT_SUCCESS_TARGET = 1.0 - 1e-5
+DEFAULT_STALL_TOL = 1e-12
+DEFAULT_REGULAR_LMAX = 5000
 DEFAULT_COUPLED_LMAX = 20000
 
 
 @dataclass(frozen=True)
-class CoupledEnsemble:
-    """A (d_v, d_c, L, w) spatially coupled regular ensemble."""
+class Ensemble:
+    """A (d_v, d_c, L, w) spatially coupled ensemble; L = 0, w = 1 is the
+    (d_v, d_c)-regular ensemble."""
 
     d_v: int
     d_c: int
-    L: int
-    w: int
+    L: int = 0
+    w: int = 1
 
     def __post_init__(self):
-        if self.d_v < 2:
-            raise ValueError(f"coupled ensemble needs d_v >= 2, got {self.d_v}")
+        min_dv = 2 if self.coupled else 1
+        if self.d_v < min_dv:
+            raise ValueError(f"d_v must be >= {min_dv} when L = {self.L}, got {self.d_v}")
         if self.d_c < 2:
             raise ValueError(f"d_c must be >= 2, got {self.d_c}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+        if self.L < 0:
+            raise ValueError(f"L must be >= 0, got {self.L}")
         if self.w < 1:
             raise ValueError(f"w must be >= 1, got {self.w}")
+        if not self.coupled and self.w != 1:
+            raise ValueError(f"the regular ensemble (L = 0) has w = 1, got w = {self.w}")
+
+    @property
+    def coupled(self) -> bool:
+        """True for a coupled chain, False for the regular ensemble."""
+        return self.L > 0
 
     @property
     def n_var_positions(self) -> int:
@@ -57,8 +70,24 @@ class CoupledEnsemble:
         return 2 * self.L + self.w
 
 
-def nominal_rate(e: CoupledEnsemble) -> float:
-    """Design rate of the coupled ensemble (may be negative for tiny L)."""
+@dataclass(frozen=True)
+class Caps:
+    """Termination settings of an evolution run."""
+
+    l_max: Optional[int] = None  # DEFAULT_COUPLED_LMAX or DEFAULT_REGULAR_LMAX when None
+    success_target: float = DEFAULT_SUCCESS_TARGET
+    stall_tol: float = DEFAULT_STALL_TOL
+    prune: bool = True
+
+    def l_max_for(self, e: Ensemble) -> int:
+        if self.l_max is not None:
+            return self.l_max
+        return DEFAULT_COUPLED_LMAX if e.coupled else DEFAULT_REGULAR_LMAX
+
+
+def nominal_rate(e: Ensemble) -> float:
+    """Design rate of the ensemble (may be negative for tiny L); exactly
+    1 - d_v/d_c for the regular ensemble."""
     ratio = e.d_v / e.d_c
     i = np.arange(e.w + 1)
     boundary = (e.w + 1 - 2 * np.sum((i / e.w) ** e.d_c)) / (2 * e.L + 1)
@@ -95,7 +124,7 @@ def eff_cv_window(pcv: np.ndarray, w: int, lo: int, hi: int) -> np.ndarray:
 
 
 def effective_dists(
-    pvc: np.ndarray, pcv: np.ndarray, e: CoupledEnsemble
+    pvc: np.ndarray, pcv: np.ndarray, e: Ensemble
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full-width window averages (eff_vc over all check positions, eff_cv
     over all variable positions)."""
@@ -103,9 +132,17 @@ def effective_dists(
     return eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
 
 
+class Snapshot(NamedTuple):
+    """Copies of the message rows and per-position p_dec after one iteration."""
+
+    pvc: np.ndarray
+    pcv: np.ndarray
+    p_dec: np.ndarray
+
+
 @dataclass
-class CoupledResult:
-    """Outcome of a coupled evolution run."""
+class DeOutcome:
+    """Outcome of an evolution run."""
 
     p_dec: np.ndarray  # per variable position, -L..L
     min_p_dec: float
@@ -113,38 +150,46 @@ class CoupledResult:
     converged: str  # 'success' | 'stall' | 'cap'
     final_pvc: np.ndarray
     final_pcv: np.ndarray
-    profile: Optional[Dict[int, np.ndarray]] = None
+    snapshots: Dict[int, Snapshot] = field(default_factory=dict)
 
 
 def de_coupled(
-    e: CoupledEnsemble,
+    e: Ensemble,
     pch,
-    l_max: int = DEFAULT_COUPLED_LMAX,
-    success_target: float = DEFAULT_SUCCESS_TARGET,
-    stall_tol: float = DEFAULT_STALL_TOL,
-    prune: bool = True,
-    profile_iters: Optional[Set[int]] = None,
-) -> CoupledResult:
-    """Run coupled type distribution evolution until success, stall, or cap.
+    caps: Caps = Caps(),
+    snapshot_iters: Collection[int] = (),
+) -> DeOutcome:
+    """Run type distribution evolution until success, stall, or cap.
 
-    Success means min-over-positions p_dec >= success_target.  With
-    prune=True, positions whose variable-to-check distribution is within
-    stall_tol of the type-5 point mass are frozen and excluded from the
-    update window (the decoded wave leaves large saturated regions behind).
+    The channel distribution is the first variable-to-check message.
+    Success means min-over-positions p_dec >= success_target, where p_dec
+    is the type-4 + type-5 mass of the decoder output; stall means the
+    sup-norm change of the variable-to-check rows fell below stall_tol.
+    With caps.prune, positions whose variable-to-check distribution is
+    within stall_tol of the type-5 point mass are frozen and excluded from
+    the update window (the decoded wave leaves large saturated regions
+    behind).  A snapshot is kept after each iteration in snapshot_iters
+    and, when snapshot_iters is non-empty, after the last one.
     """
     pch = validate_dist(pch)
+    l_max = caps.l_max_for(e)
+    if not e.coupled:  # coupled runs accept any cap and target
+        if l_max < 1:
+            raise ValueError(f"l_max must be >= 1, got {l_max}")
+        if not 0.0 < caps.success_target < 1.0:
+            raise ValueError(f"success_target must be in (0,1), got {caps.success_target}")
     nv, nc = e.n_var_positions, e.n_chk_positions
     pvc = np.tile(pch, (nv, 1))
     pcv = np.tile(pch, (nc, 1))
     p_dec = np.zeros(nv)
-    profile: Optional[Dict[int, np.ndarray]] = {} if profile_iters is not None else None
+    snapshots: Dict[int, Snapshot] = {}
 
     status = "cap"
     it = 0
     for it in range(1, l_max + 1):
         lo, hi = 0, nv - 1
-        if prune:
-            unsat = np.flatnonzero(np.max(np.abs(pvc - E5), axis=1) > stall_tol)
+        if caps.prune:
+            unsat = np.flatnonzero(np.max(np.abs(pvc - E5), axis=1) > caps.stall_tol)
             if unsat.size == 0:
                 p_dec[:] = 1.0
                 status = "success"
@@ -153,38 +198,32 @@ def de_coupled(
             hi = min(nv - 1, int(unsat[-1]) + e.w)
 
         # check half-iteration over check indices lo..hi+w-1
-        eff_vc = eff_vc_window(pvc, e.w, lo, hi)
-        m_vc = chk_matrices(eff_vc)
-        pcv[lo : hi + e.w] = renormalize(
-            np.squeeze(mat_power(m_vc, e.d_c - 2) @ eff_vc[:, :, None], axis=2)
-        )
+        pcv[lo : hi + e.w] = renormalize(chk_update(eff_vc_window(pvc, e.w, lo, hi), e.d_c - 1))
 
         # variable half-iteration and decoder output over indices lo..hi
         eff_cv = eff_cv_window(pcv, e.w, lo, hi)
-        m_cv = var_matrices(eff_cv)
-        m_pow = mat_power(m_cv, e.d_v - 1)
-        new_rows = renormalize(m_pow @ pch)
-        p_out = renormalize((m_pow @ m_cv) @ pch)
+        new_rows = renormalize(var_update(pch, eff_cv, e.d_v - 1))
+        p_out = renormalize(var_update(pch, eff_cv, e.d_v))
         p_dec[lo : hi + 1] = p_out[:, 3] + p_out[:, 4]
         delta = float(np.max(np.abs(new_rows - pvc[lo : hi + 1])))
         pvc[lo : hi + 1] = new_rows
 
-        if profile is not None and it in profile_iters:
-            profile[it] = p_dec.copy()
-        if float(p_dec.min()) >= success_target:
+        if it in snapshot_iters:
+            snapshots[it] = Snapshot(pvc.copy(), pcv.copy(), p_dec.copy())
+        if float(p_dec.min()) >= caps.success_target:
             status = "success"
             break
-        if delta < stall_tol:
+        if delta < caps.stall_tol:
             status = "stall"
             break
-    if profile is not None:
-        profile[it] = p_dec.copy()
-    return CoupledResult(
+    if snapshot_iters:
+        snapshots[it] = Snapshot(pvc.copy(), pcv.copy(), p_dec.copy())
+    return DeOutcome(
         p_dec=p_dec,
         min_p_dec=float(p_dec.min()),
         iterations_used=it,
         converged=status,
         final_pvc=pvc,
         final_pcv=pcv,
-        profile=profile,
+        snapshots=snapshots,
     )

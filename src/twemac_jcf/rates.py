@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import validate_dist
 
 MI_QUANTITIES = (
@@ -158,21 +156,3 @@ def mi_enumerate(pch, quantity: str) -> float:
         return _mi_conditional(p, lambda a, b: (a, b), lambda a, b: a ^ b)
     raise ValueError(f"unknown quantity {quantity!r}; expected one of {MI_QUANTITIES}")
 
-
-def rate_grid(family, n: int) -> np.ndarray:
-    """Structured array of rate bounds on an n-point eps grid."""
-    eps = np.linspace(0.0, 1.0, n)
-    rows = np.zeros(
-        n,
-        dtype=[
-            ("eps", float),
-            ("r_df", float),
-            ("r_df_prime", float),
-            ("r_cf", float),
-            ("r_jcf_target", float),
-        ],
-    )
-    for k, e in enumerate(eps):
-        rb = rate_bounds(family.eval(float(e)))
-        rows[k] = (e, rb.r_df, rb.r_df_prime, rb.r_cf, rb.r_jcf_target)
-    return rows

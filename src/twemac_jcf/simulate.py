@@ -21,8 +21,7 @@ from typing import List, Optional, Sequence, Set, Union
 import numpy as np
 
 from .channel import ChannelFamily, puncture, sample_states, validate_dist
-from .de_coupled import CoupledEnsemble
-from .threshold import CoupledSystem, RegularSystem, System
+from .de_coupled import Ensemble
 
 PSEUDO = -1  # pseudo-variable marker in check socket lists
 
@@ -127,7 +126,7 @@ def sample_regular_graph(
 
 
 def sample_coupled_graph(
-    e: CoupledEnsemble, m_per_pos: int, rng: np.random.Generator
+    e: Ensemble, m_per_pos: int, rng: np.random.Generator
 ) -> EtgInstance:
     """Sample a (d_v, d_c, L, w) protograph instance with M variables per position.
 
@@ -352,7 +351,7 @@ class FailureStats:
 
 
 def failure_rate(
-    system: System,
+    e: Ensemble,
     family: ChannelFamily,
     eps: float,
     size: int,
@@ -362,7 +361,7 @@ def failure_rate(
 ) -> FailureStats:
     """Average peel-decoding failure over sampled graphs and observations.
 
-    `size` is N for a regular system and M (variables per position) for a
+    `size` is N for a regular ensemble and M (variables per position) for a
     coupled one.  The all-zero codeword pair is assumed; for erasure-type
     channels decodability depends only on the type pattern.
     """
@@ -371,10 +370,10 @@ def failure_rate(
     block_fail = np.zeros(trials)
     n_vars = 0
     for t in range(trials):
-        if isinstance(system, RegularSystem):
-            g = sample_regular_graph(system.d_v, system.d_c, size, rng)
+        if e.coupled:
+            g = sample_coupled_graph(e, size, rng)
         else:
-            g = sample_coupled_graph(system.ensemble, size, rng)
+            g = sample_regular_graph(e.d_v, e.d_c, size, rng)
         n_vars = g.n_vars
         pch = family.eval(eps)
         if p_pi:

@@ -9,49 +9,16 @@ eps; a scan mode can verify this on a grid for unfamiliar channels.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .channel import ChannelFamily, puncture
-from .de_core import DEFAULT_STALL_TOL, DEFAULT_SUCCESS_TARGET, RegularConfig, de_regular
-from .de_coupled import DEFAULT_COUPLED_LMAX, CoupledEnsemble, de_coupled, nominal_rate
+from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 
-DEFAULT_REGULAR_LMAX = 5000
 DEFAULT_TOL_REGULAR = 1e-4
 DEFAULT_TOL_COUPLED = 1e-3
-
-
-@dataclass(frozen=True)
-class RegularSystem:
-    d_v: int
-    d_c: int
-
-
-@dataclass(frozen=True)
-class CoupledSystem:
-    ensemble: CoupledEnsemble
-
-
-System = Union[RegularSystem, CoupledSystem]
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Termination settings shared by both evolution kinds."""
-
-    l_max: Optional[int] = None  # per-kind default when None
-    success_target: float = DEFAULT_SUCCESS_TARGET
-    stall_tol: float = DEFAULT_STALL_TOL
-    prune: bool = True
-
-    def l_max_for(self, system: System) -> int:
-        if self.l_max is not None:
-            return self.l_max
-        return (
-            DEFAULT_REGULAR_LMAX
-            if isinstance(system, RegularSystem)
-            else DEFAULT_COUPLED_LMAX
-        )
 
 
 @dataclass
@@ -75,7 +42,7 @@ class ThresholdResult:
 
 
 def is_decodable(
-    system: System,
+    e: Ensemble,
     family: ChannelFamily,
     eps: float,
     caps: Caps = Caps(),
@@ -85,36 +52,17 @@ def is_decodable(
     pch = family.eval(eps)
     if p_pi:
         pch = puncture(pch, p_pi)
-    l_max = caps.l_max_for(system)
-    if isinstance(system, RegularSystem):
-        cfg = RegularConfig(
-            d_v=system.d_v,
-            d_c=system.d_c,
-            l_max=l_max,
-            success_target=caps.success_target,
-            stall_tol=caps.stall_tol,
-        )
-        res = de_regular(cfg, pch)
-        return EvalMeta(eps, res.converged == "success", res.iterations_used,
-                        res.converged, res.p_dec)
-    res = de_coupled(
-        system.ensemble,
-        pch,
-        l_max=l_max,
-        success_target=caps.success_target,
-        stall_tol=caps.stall_tol,
-        prune=caps.prune,
-    )
+    res = de_coupled(e, pch, caps)
     return EvalMeta(eps, res.converged == "success", res.iterations_used,
                     res.converged, res.min_p_dec)
 
 
-def default_tol(system: System) -> float:
-    return DEFAULT_TOL_REGULAR if isinstance(system, RegularSystem) else DEFAULT_TOL_COUPLED
+def default_tol(e: Ensemble) -> float:
+    return DEFAULT_TOL_COUPLED if e.coupled else DEFAULT_TOL_REGULAR
 
 
 def find_threshold(
-    system: System,
+    e: Ensemble,
     family: ChannelFamily,
     tol: Optional[float] = None,
     caps: Caps = Caps(),
@@ -124,21 +72,22 @@ def find_threshold(
     """Bisect for the largest decodable eps; bracket width <= 2*tol.
 
     With verify_scan=n, an n-point grid is evaluated first and a
-    non-monotone decodability pattern raises RuntimeError.
+    non-monotone decodability pattern raises RuntimeError; the bisection
+    reuses the grid's outcomes at eps 0 and 1.
     """
     if tol is None:
-        tol = default_tol(system)
+        tol = default_tol(e)
     evals: List[EvalMeta] = []
 
     def check(eps: float) -> bool:
-        meta = is_decodable(system, family, eps, caps, p_pi)
+        meta = is_decodable(e, family, eps, caps, p_pi)
         evals.append(meta)
         return meta.decodable
 
+    ends = {}
     if verify_scan:
-        import numpy as np
-
-        flags = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
+        grid = np.linspace(0.0, 1.0, verify_scan)
+        flags = [check(float(x)) for x in grid]
         # decodable must form a prefix of the grid
         seen_false = False
         for f in flags:
@@ -149,10 +98,14 @@ def find_threshold(
                     "decodability is not monotone in eps on the scan grid; "
                     "bisection would be unsound for this channel family"
                 )
+        ends = {float(grid[0]): flags[0], float(grid[-1]): flags[-1]}
 
-    if not check(0.0):
+    def check_end(eps: float) -> bool:
+        return ends[eps] if eps in ends else check(eps)
+
+    if not check_end(0.0):
         return ThresholdResult(0.0, 0.0, 0.0, tol, len(evals), evals, degenerate=True)
-    if check(1.0):
+    if check_end(1.0):
         return ThresholdResult(1.0, 1.0, 1.0, tol, len(evals), evals)
     lo, hi = 0.0, 1.0
     while hi - lo > 2 * tol:
@@ -168,8 +121,8 @@ def find_threshold(
 class SweepRow:
     d_v: int
     d_c: int
-    L: Optional[int]
-    w: Optional[int]
+    L: int
+    w: int
     p_pi: float
     nominal_rate: float
     rate_pi: float
@@ -179,26 +132,15 @@ class SweepRow:
     evals: int
 
 
-def _system_rate(system: System) -> float:
-    if isinstance(system, RegularSystem):
-        return 1.0 - system.d_v / system.d_c
-    return nominal_rate(system.ensemble)
-
-
 def _sweep_point(args) -> SweepRow:
-    system, family, p_pi, tol, caps = args
-    res = find_threshold(system, family, tol=tol, caps=caps, p_pi=p_pi)
-    rate = _system_rate(system)
-    if isinstance(system, RegularSystem):
-        d_v, d_c, L, w = system.d_v, system.d_c, None, None
-    else:
-        e = system.ensemble
-        d_v, d_c, L, w = e.d_v, e.d_c, e.L, e.w
+    e, family, p_pi, tol, caps = args
+    res = find_threshold(e, family, tol=tol, caps=caps, p_pi=p_pi)
+    rate = nominal_rate(e)
     return SweepRow(
-        d_v=d_v,
-        d_c=d_c,
-        L=L,
-        w=w,
+        d_v=e.d_v,
+        d_c=e.d_c,
+        L=e.L,
+        w=e.w,
         p_pi=p_pi,
         nominal_rate=rate,
         rate_pi=rate / (1 - p_pi),
@@ -210,17 +152,17 @@ def _sweep_point(args) -> SweepRow:
 
 
 def sweep(
-    systems: Sequence[System],
+    ensembles: Sequence[Ensemble],
     family: ChannelFamily,
     puncture_grid: Sequence[float] = (0.0,),
     tol: Optional[float] = None,
     caps: Caps = Caps(),
     jobs: int = 1,
 ) -> List[SweepRow]:
-    """Threshold and rate for every (system, p_pi) pair, in input order."""
+    """Threshold and rate for every (ensemble, p_pi) pair, in input order."""
     tasks = [
-        (system, family, float(p_pi), tol, caps)
-        for system in systems
+        (e, family, float(p_pi), tol, caps)
+        for e in ensembles
         for p_pi in puncture_grid
     ]
     if jobs > 1:

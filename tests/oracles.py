@@ -1,14 +1,21 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is derived by a different route than the package code:
-the operator tables come from a component-set lattice, the transition
-matrices from the explicit sparse layouts, erasure-only evolutions from
-scalar BEC recursions, and peeling from a slow sequential fold.
+Everything here is derived by a different route than the package code,
+and nothing here imports the package: the operator tables come from a
+component-set lattice, the node updates from powers of explicit 5x5
+transition matrices and from exhaustive lattice folds, erasure-only
+evolutions from scalar BEC recursions, and peeling from a slow sequential
+fold.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 import numpy as np
+
+PSEUDO = -1  # pseudo-variable marker in check socket lists
 
 # --- lattice construction of the operator tables ----------------------------
 # Knowledge states as closed subsets of the components {a, b, x}:
@@ -58,6 +65,31 @@ def explicit_chk_matrix(p) -> np.ndarray:
     m[2, 2] = p3 + p5
     m[3, 3] = p4 + p5
     return m
+
+
+def matrix_power_update(p, n: int, c=None) -> np.ndarray:
+    """Node update by matrix powers: with c None, the check update (meet of
+    n >= 1 iid messages p); else the variable update (join of channel c with
+    n iid messages p).  M[i, j] = P(combining type j with one message gives
+    type i)."""
+    p = np.asarray(p, dtype=float)
+    if c is None:
+        return np.linalg.matrix_power(explicit_chk_matrix(p), n - 1) @ p
+    return np.linalg.matrix_power(explicit_var_matrix(p), n) @ np.asarray(c, dtype=float)
+
+
+def folded_update(p, n: int, c=None) -> np.ndarray:
+    """The same update by summing over all 5**n input tuples, each folded
+    with the lattice operators: exact up to the summation order."""
+    op = lattice_chk if c is None else lattice_var
+    starts = [(None, 1.0)] if c is None else [(t, c[t - 1]) for t in range(1, 6)]
+    out = np.zeros(5)
+    for first, weight in starts:
+        for types in itertools.product(range(1, 6), repeat=n):
+            pr = weight * np.prod([p[t - 1] for t in types])
+            seq = types if first is None else (first,) + types
+            out[reduce(op, seq) - 1] += pr
+    return out
 
 
 # --- scalar BEC density evolution (xor-only channel reduction) ---------------
@@ -169,12 +201,16 @@ def scalar_coupled_threshold(d_v, d_c, L, w, tol=1e-4, **kw) -> float:
 def naive_peel(g, types, rng=None):
     """Sequential single-message update to the fixed point.
 
-    Uses the package fold operators on one randomly chosen edge at a time,
-    which exercises a completely different schedule from the flooding
-    implementation.
+    Folds messages with the lattice operators above, one randomly chosen
+    edge at a time, which exercises a completely different schedule from
+    the flooding implementation.
     """
-    from twemac_jcf.message_types import chk_fold, var_fold
-    from twemac_jcf.simulate import PSEUDO
+
+    def chk_fold(types):
+        return reduce(lattice_chk, types)
+
+    def var_fold(types):
+        return reduce(lattice_var, types)
 
     edges = []  # (check, socket_index, var)
     for c, sockets in enumerate(g.check_sockets):

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS, puncture
-from twemac_jcf.de_core import RegularConfig, de_regular
-from twemac_jcf.de_coupled import CoupledEnsemble, nominal_rate
+from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from twemac_jcf.message_types import chk_combine, var_combine
 from twemac_jcf.rates import MI_QUANTITIES, mi_enumerate, rate_bounds
 from twemac_jcf.simulate import (
@@ -26,12 +25,7 @@ from twemac_jcf.simulate import (
     peel_decode,
     sample_regular_graph,
 )
-from twemac_jcf.threshold import (
-    Caps,
-    CoupledSystem,
-    RegularSystem,
-    find_threshold,
-)
+from twemac_jcf.threshold import find_threshold
 
 from oracles import lattice_chk, lattice_var, scalar_bec_trajectory, scalar_coupled_threshold
 
@@ -103,16 +97,17 @@ def test_criterion_3_bec_reduction():
     worst = 0.0
     for d_v, d_c in ((3, 6), (4, 8)):
         eps, iters = 0.41, 60
-        res = de_regular(
-            RegularConfig(d_v, d_c, l_max=iters, success_target=np.nextafter(1.0, 0.0)),
+        res = de_coupled(
+            Ensemble(d_v, d_c),
             [eps, 0, 0, 1 - eps, 0],
-            trace=True,
+            Caps(l_max=iters, success_target=np.nextafter(1.0, 0.0)),
+            snapshot_iters=range(1, iters + 1),
         )
         traj = scalar_bec_trajectory(eps, d_v, d_c, iters)
-        for (it, pvc, pcv, _p), (x_vc, x_cv) in zip(res.trace, traj):
-            worst = max(worst, abs(pvc[0] - x_vc), abs(pcv[0] - x_cv))
+        for (it, snap), (x_vc, x_cv) in zip(sorted(res.snapshots.items()), traj):
+            worst = max(worst, abs(snap.pvc[0, 0] - x_vc), abs(snap.pcv[0, 0] - x_cv))
     ok &= worst <= 1e-12
-    res = find_threshold(RegularSystem(3, 6), BUILTINS["xor-only"], tol=1e-4)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-4)
     ok &= abs(res.eps_thresh - 0.4294) <= 0.0005
     _report(
         3,
@@ -123,7 +118,7 @@ def test_criterion_3_bec_reduction():
 
 
 def test_criterion_4_threshold_saturation():
-    sys_ = CoupledSystem(CoupledEnsemble(3, 6, 100, 5))
+    sys_ = Ensemble(3, 6, 100, 5)
     res = find_threshold(sys_, BUILTINS["xor-only"], tol=1e-3)
     oracle = scalar_coupled_threshold(3, 6, 100, 5, tol=1e-3)
     ok = abs(res.eps_thresh - 0.4881) <= 0.005 and abs(res.eps_thresh - oracle) <= 2e-3
@@ -145,8 +140,8 @@ def test_criterion_5_desk_scale_rate_thresholds():
     ok = True
     details = []
     for d_v in (3, 5, 7, 9):
-        e = CoupledEnsemble(d_v, 10, 200, 10)
-        res = find_threshold(CoupledSystem(e), fam, tol=1e-3)
+        e = Ensemble(d_v, 10, 200, 10)
+        res = find_threshold(e, fam, tol=1e-3)
         rate = nominal_rate(e)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= rate <= curve + 0.02
@@ -160,14 +155,14 @@ def test_criterion_5_desk_scale_rate_thresholds():
 
 def test_criterion_6_puncturing_coverage():
     fam = BUILTINS["primary"]
-    e = CoupledEnsemble(9, 10, 200, 10)
+    e = Ensemble(9, 10, 200, 10)
     # design rate of the underlying code; the O(1/L) coupling rate loss is
     # amplified by 1/(1 - p_pi) and would swamp the gap being measured here
     rate = 1.0 - e.d_v / e.d_c
     ok = True
     details = []
     for p_pi in (0.0, 0.2, 0.4, 0.6, 0.8):
-        res = find_threshold(CoupledSystem(e), fam, tol=1e-3, p_pi=p_pi)
+        res = find_threshold(e, fam, tol=1e-3, p_pi=p_pi)
         r_pi = rate / (1 - p_pi)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= r_pi <= curve + 0.02
@@ -235,13 +230,11 @@ def test_criterion_7_oracle_agreement():
 def test_criterion_8_concentration():
     fam = BUILTINS["xor-only"]
     eps = 0.40
-    stats = failure_rate(RegularSystem(3, 6), fam, eps, size=10**5, trials=20, seed=8)
+    stats = failure_rate(Ensemble(3, 6), fam, eps, size=10**5, trials=20, seed=8)
     # peeling runs to its fixed point, so compare against the evolution's
     # own fixed-point residual
-    res = de_regular(
-        RegularConfig(3, 6, success_target=np.nextafter(1.0, 0.0)), fam.eval(eps)
-    )
-    residual = 1.0 - res.p_dec
+    res = de_coupled(Ensemble(3, 6), fam.eval(eps), Caps(success_target=np.nextafter(1.0, 0.0)))
+    residual = 1.0 - res.min_p_dec
     ok = abs(stats.bit_rate - residual) <= 0.01
     _report(
         8,
@@ -255,13 +248,13 @@ def test_criterion_8_concentration():
 def test_criterion_9_paper_scale_smoke():
     # overnight job: paper-scale chain, punctured so R_pi is about 0.5
     fam = BUILTINS["primary"]
-    desk = CoupledEnsemble(9, 10, 200, 10)
-    paper = CoupledEnsemble(9, 10, 10000, 100)
+    desk = Ensemble(9, 10, 200, 10)
+    paper = Ensemble(9, 10, 10000, 100)
     p_pi_desk = 1.0 - nominal_rate(desk) / 0.5
     p_pi_paper = 1.0 - nominal_rate(paper) / 0.5
     caps = Caps(l_max=400000, prune=True)
-    res_desk = find_threshold(CoupledSystem(desk), fam, tol=1e-3, p_pi=p_pi_desk)
-    res_paper = find_threshold(CoupledSystem(paper), fam, tol=1e-3, p_pi=p_pi_paper, caps=caps)
+    res_desk = find_threshold(desk, fam, tol=1e-3, p_pi=p_pi_desk)
+    res_paper = find_threshold(paper, fam, tol=1e-3, p_pi=p_pi_paper, caps=caps)
     ok = abs(res_paper.eps_thresh - res_desk.eps_thresh) <= 0.01
     _report(
         9,

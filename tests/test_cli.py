@@ -62,9 +62,12 @@ def test_threshold_regular(capsys):
 
 
 def test_threshold_invalid_coupled_degree_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["threshold", "--coupled", "1", "6", "5", "3"])
-    assert exc.value.code == 2
+    # a chain needs d_v >= 2 and L >= 1; the regular ensemble needs d_v >= 1
+    for ensemble in (["--coupled", "1", "6", "5", "3"], ["--coupled", "3", "6", "0", "1"],
+                     ["--regular", "0", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", *ensemble])
+        assert exc.value.code == 2
 
 
 def test_reruns_byte_identical(capsys):
@@ -91,6 +94,18 @@ def test_de_regular_with_trace(tmp_path, capsys):
     assert int(trows[0]["iter"]) == 1
     decs = [float(r["p_dec"]) for r in trows]
     assert decs == sorted(decs)
+
+
+def test_success_target_env_applies_to_de_commands(capsys, monkeypatch):
+    argv = ["de-regular", "--dv", "3", "--dc", "6", "--eps", "0.4", "--channel", "xor-only"]
+    _, out = run_cli(argv, capsys)
+    default_iters = int(parse_csv(out)[1][0]["iterations"])
+    monkeypatch.setenv("TWEMAC_SUCCESS_TARGET", "0.5")
+    _, out = run_cli(argv, capsys)
+    meta, rows = parse_csv(out)
+    assert rows[0]["status"] == "success"
+    assert int(rows[0]["iterations"]) < default_iters
+    assert meta["lmax"] == "5000"
 
 
 def test_de_coupled_with_profile(tmp_path, capsys):

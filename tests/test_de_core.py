@@ -1,6 +1,13 @@
-"""Transition matrices and regular-ensemble type distribution evolution."""
+"""Closed-form node updates and regular-ensemble type distribution evolution.
 
+The kernels are checked against the oracle's explicit transition-matrix
+powers and exhaustive lattice folds; the regular ensemble is the (d_v, d_c)
+ensemble with L = 0 and w = 1.
+"""
+
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,136 +15,188 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_core import (
-    DeResult,
-    RegularConfig,
-    SimplexError,
-    chk_transition_matrix,
-    chk_update,
-    de_regular,
-    decoder_output,
-    renormalize,
-    var_transition_matrix,
-    var_update,
-)
-from twemac_jcf.message_types import CHK_TABLE, VAR_TABLE
+from twemac_jcf.de_core import SimplexError, chk_update, renormalize, var_update
+from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 
-from oracles import explicit_chk_matrix, explicit_var_matrix, scalar_bec_trajectory
+from oracles import (
+    explicit_chk_matrix,
+    explicit_var_matrix,
+    folded_update,
+    lattice_chk,
+    lattice_var,
+    matrix_power_update,
+    scalar_bec_trajectory,
+)
 
 dists = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5
 ).filter(lambda xs: sum(xs) > 1e-6).map(lambda xs: np.array(xs) / sum(xs))
 
+EYE = np.eye(5)
+E1, E5 = EYE[0], EYE[4]
+NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
+
+
+def chk(p, n):
+    return chk_update(np.asarray(p, dtype=float)[None, :], n)[0]
+
+
+def var(c, q, n):
+    return var_update(np.asarray(c, dtype=float), np.asarray(q, dtype=float)[None, :], n)[0]
+
+
+def regular(d_v, d_c, pch, l_max=None, target=None, snapshots=()):
+    caps = Caps(l_max=l_max, **({} if target is None else {"success_target": target}))
+    return de_coupled(Ensemble(d_v, d_c), pch, caps, snapshots)
+
 
 def test_var_matrix_identity_and_absorbing():
-    np.testing.assert_allclose(var_transition_matrix([1, 0, 0, 0, 0]), np.eye(5))
-    m = var_transition_matrix([0, 0, 0, 0, 1])
-    for j in range(5):
-        np.testing.assert_allclose(m[:, j], [0, 0, 0, 0, 1])
+    # type 1 is the identity of the join and type 5 absorbs it
+    for t in range(5):
+        for n in (1, 3):
+            np.testing.assert_allclose(var(EYE[t], E1, n), EYE[t], atol=1e-15)
+            np.testing.assert_allclose(var(EYE[t], E5, n), E5, atol=1e-15)
+    np.testing.assert_allclose(explicit_var_matrix(E1), EYE)
+    q = np.array([0.1, 0.2, 0.3, 0.4, 0.0])
+    np.testing.assert_allclose(var(E5, q, 2), E5, atol=1e-15)
+    np.testing.assert_allclose(var(E5, q, 2), matrix_power_update(q, 2, E5), atol=1e-15)
 
 
 def test_chk_matrix_identity_and_absorbing():
-    np.testing.assert_allclose(chk_transition_matrix([0, 0, 0, 0, 1]), np.eye(5))
-    m = chk_transition_matrix([1, 0, 0, 0, 0])
-    for j in range(5):
-        np.testing.assert_allclose(m[:, j], [1, 0, 0, 0, 0])
+    # type 5 is the identity of the meet and type 1 absorbs it
+    for t in range(5):
+        np.testing.assert_allclose(chk(EYE[t], 4), EYE[t], atol=1e-15)
+    np.testing.assert_allclose(explicit_chk_matrix(E5), EYE)
+    p = np.array([0.0, 0.2, 0.3, 0.1, 0.4])
+    for n in (1, 2, 5):
+        np.testing.assert_allclose(chk(p, n), matrix_power_update(p, n), atol=1e-15)
+    np.testing.assert_allclose(chk([0.3, 0.2, 0.2, 0.2, 0.1], 1), [0.3, 0.2, 0.2, 0.2, 0.1],
+                               atol=1e-15)
+    np.testing.assert_allclose(chk([1.0, 0, 0, 0, 0], 3), E1, atol=1e-15)
 
 
 def test_var_matrix_preimage_entries():
-    m = var_transition_matrix([0.5, 0.1, 0.1, 0.3, 0.0])
-    assert m[4, 1] == pytest.approx(0.4)  # transitions into type 5 from type 2
-    assert m[3, 3] == pytest.approx(0.8)
+    q = np.array([0.5, 0.1, 0.1, 0.3, 0.0])
+    # channel type 2 joined with one message: type 5 from types 3 and 4
+    assert var(EYE[1], q, 1)[4] == pytest.approx(0.4)
+    assert explicit_var_matrix(q)[4, 1] == pytest.approx(0.4)
+    # channel type 4 stays 4 against types 1 and 4
+    assert var(EYE[3], q, 1)[3] == pytest.approx(0.8)
+    assert explicit_var_matrix(q)[3, 3] == pytest.approx(0.8)
 
 
 def test_chk_matrix_preimage_entries():
-    m = chk_transition_matrix([0.1, 0.2, 0.2, 0.5, 0.0])
+    p = np.array([0.1, 0.2, 0.2, 0.5, 0.0])
+    m = explicit_chk_matrix(p)
     assert m[0, 3] == pytest.approx(0.5)
     assert m[3, 3] == pytest.approx(0.5)
+    # the meet of two messages: type 4 only from the pair (4, 4)
+    np.testing.assert_allclose(chk(p, 2), m @ p, atol=1e-15)
+    assert chk(p, 2)[3] == pytest.approx(0.25)
 
 
 @given(dists)
 @settings(max_examples=50)
 def test_matrices_match_explicit_layouts(p):
-    np.testing.assert_allclose(var_transition_matrix(p), explicit_var_matrix(p), atol=1e-15)
-    np.testing.assert_allclose(chk_transition_matrix(p), explicit_chk_matrix(p), atol=1e-15)
+    c = p[::-1]
+    for n in (1, 2, 5, 9):
+        np.testing.assert_allclose(chk(p, n), matrix_power_update(p, n), atol=1e-14)
+    for n in (0, 1, 2, 3, 9):
+        np.testing.assert_allclose(var(c, p, n), matrix_power_update(p, n, c), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_match_table_folds(n):
+    rng = np.random.default_rng(n)
+    for p in rng.dirichlet(np.ones(5), size=4):
+        c = rng.dirichlet(np.ones(5))
+        np.testing.assert_allclose(chk(p, n), folded_update(p, n), atol=1e-14)
+        np.testing.assert_allclose(var(c, p, n), folded_update(p, n, c), atol=1e-14)
 
 
 @given(dists)
 @settings(max_examples=50)
 def test_matrices_column_stochastic(p):
-    for m in (var_transition_matrix(p), chk_transition_matrix(p)):
+    c = p[::-1]
+    for out in (chk(p, 1), chk(p, 5), var(c, p, 0), var(c, p, 2), var(c, p, 9)):
+        assert np.all(out >= -1e-15)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+    for m in (explicit_var_matrix(p), explicit_chk_matrix(p)):
         assert np.all(m >= 0)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_matrix_entries_match_monte_carlo():
+    # fold sampled message tuples with the lattice operators
     rng = np.random.default_rng(42)
     p = np.array([0.5, 0.1, 0.1, 0.3, 0.0])
-    n = 200000
-    ks = rng.choice(5, size=n, p=p)
-    for table, build in ((VAR_TABLE, var_transition_matrix), (CHK_TABLE, chk_transition_matrix)):
-        m = build(p)
-        for j in range(5):
-            outs = table[ks, j] - 1
-            freq = np.bincount(outs, minlength=5) / n
-            np.testing.assert_allclose(freq, m[:, j], atol=0.01)
+    c = np.array([0.2, 0.3, 0.1, 0.2, 0.2])
+    trials, n = 200000, 3
+    ks = rng.choice(5, size=(trials, n), p=p) + 1
+    chs = rng.choice(5, size=trials, p=c) + 1
+    chk_table = np.array([[lattice_chk(a, b) for b in range(1, 6)] for a in range(1, 6)])
+    var_table = np.array([[lattice_var(a, b) for b in range(1, 6)] for a in range(1, 6)])
+    meet, join = ks[:, 0], chs
+    for j in range(n):
+        if j:
+            meet = chk_table[meet - 1, ks[:, j] - 1]
+        join = var_table[join - 1, ks[:, j] - 1]
+    np.testing.assert_allclose(np.bincount(meet - 1, minlength=5) / trials, chk(p, n), atol=0.01)
+    np.testing.assert_allclose(np.bincount(join - 1, minlength=5) / trials, var(c, p, n),
+                               atol=0.01)
 
 
 def test_var_update_examples():
     pch = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
-    np.testing.assert_allclose(var_update([0.9, 0.1, 0, 0, 0], pch, 1), pch)
-    out = var_update([0.5, 0.1, 0.1, 0.3, 0.0], pch, 2)
+    np.testing.assert_allclose(var(pch, [0.9, 0.1, 0, 0, 0], 0), pch)
+    out = var(pch, [0.5, 0.1, 0.1, 0.3, 0.0], 1)
     np.testing.assert_allclose(out, [0.125, 0.175, 0.175, 0.275, 0.25], atol=1e-12)
-    np.testing.assert_allclose(var_update([0, 0, 0, 0, 1], pch, 3), [0, 0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(var(pch, [0, 0, 0, 0, 1], 2), [0, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_chk_update_examples():
     p = np.array([0.1, 0.2, 0.2, 0.5, 0.0])
-    np.testing.assert_allclose(chk_update(p, 2), p)
-    np.testing.assert_allclose(chk_update(p, 3), [0.67, 0.04, 0.04, 0.25, 0.0], atol=1e-12)
+    np.testing.assert_allclose(chk(p, 1), p)
+    np.testing.assert_allclose(chk(p, 2), [0.67, 0.04, 0.04, 0.25, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
-        chk_update(p, 1)
+        Ensemble(3, 1)
 
 
 @pytest.mark.parametrize("eps,d_c", [(0.3, 3), (0.5, 6), (0.7, 10)])
 def test_chk_update_scalar_bec_identity(eps, d_c):
-    out = chk_update([eps, 0, 0, 1 - eps, 0], d_c)
+    out = chk([eps, 0, 0, 1 - eps, 0], d_c - 1)
     assert out[3] == pytest.approx((1 - eps) ** (d_c - 1), abs=1e-12)
     assert out[1] == out[2] == out[4] == 0.0
 
 
 def test_de_regular_trivial_channels():
-    cfg = RegularConfig(3, 6)
-    res = de_regular(cfg, [0, 0, 0, 1, 0])
+    res = regular(3, 6, [0, 0, 0, 1, 0])
     assert res.converged == "success"
     assert res.iterations_used == 1
-    assert res.p_dec == pytest.approx(1.0)
-    res = de_regular(cfg, [1, 0, 0, 0, 0])
+    assert res.min_p_dec == pytest.approx(1.0)
+    res = regular(3, 6, [1, 0, 0, 0, 0])
     assert res.converged == "stall"
     assert res.iterations_used == 1
-    assert res.p_dec == 0.0
+    assert res.min_p_dec == 0.0
 
 
 def test_de_regular_xor_only_around_threshold():
     xor = BUILTINS["xor-only"]
-    good = de_regular(RegularConfig(3, 6), xor.eval(0.40))
+    good = regular(3, 6, xor.eval(0.40))
     assert good.converged == "success"
-    bad = de_regular(RegularConfig(3, 6), xor.eval(0.44))
+    bad = regular(3, 6, xor.eval(0.44))
     assert bad.converged == "stall"
-    assert bad.p_dec < 1.0
+    assert bad.min_p_dec < 1.0
 
 
 @pytest.mark.parametrize("d_v,d_c", [(3, 6), (4, 8)])
 def test_xor_only_reduces_to_scalar_bec(d_v, d_c):
     eps = 0.41
     iters = 60
-    res = de_regular(
-        RegularConfig(d_v, d_c, l_max=iters, success_target=math.nextafter(1.0, 0.0)),
-        [eps, 0, 0, 1 - eps, 0],
-        trace=True,
-    )
+    res = regular(d_v, d_c, [eps, 0, 0, 1 - eps, 0], iters, NOT_FINAL, range(1, iters + 1))
     scalar = scalar_bec_trajectory(eps, d_v, d_c, iters)
-    for (it, pvc, pcv, _p_dec), (x_vc, x_cv) in zip(res.trace, scalar):
+    for (it, snap), (x_vc, x_cv) in zip(sorted(res.snapshots.items()), scalar):
+        pvc, pcv = snap.pvc[0], snap.pcv[0]
         assert pvc[1] == pvc[2] == pvc[4] == 0.0
         assert pcv[1] == pcv[2] == pcv[4] == 0.0
         assert abs(pvc[0] - x_vc) <= 1e-12
@@ -146,13 +205,10 @@ def test_xor_only_reduces_to_scalar_bec(d_v, d_c):
 
 def test_full_reveal_reduces_to_scalar_bec_on_types_1_and_5():
     eps, d_v, d_c, iters = 0.41, 3, 6, 40
-    res = de_regular(
-        RegularConfig(d_v, d_c, l_max=iters, success_target=math.nextafter(1.0, 0.0)),
-        [eps, 0, 0, 0, 1 - eps],
-        trace=True,
-    )
+    res = regular(d_v, d_c, [eps, 0, 0, 0, 1 - eps], iters, NOT_FINAL, range(1, iters + 1))
     x = eps
-    for it, pvc, pcv, _p in res.trace:
+    for it, snap in sorted(res.snapshots.items()):
+        pvc, pcv = snap.pvc[0], snap.pcv[0]
         x_cv = 1 - (1 - x) ** (d_c - 1)
         x = eps * x_cv ** (d_v - 1)
         assert pvc[1] == pvc[2] == pvc[3] == 0.0
@@ -161,16 +217,16 @@ def test_full_reveal_reduces_to_scalar_bec_on_types_1_and_5():
 
 
 def test_p_dec_nondecreasing_diagnostic():
-    res = de_regular(RegularConfig(3, 6, l_max=200), BUILTINS["primary"].eval(0.4), trace=True)
-    decs = [rec[3] for rec in res.trace]
+    res = regular(3, 6, BUILTINS["primary"].eval(0.4), 200, snapshots=range(1, 201))
+    decs = [snap.p_dec[0] for _, snap in sorted(res.snapshots.items())]
     assert all(a <= b + 1e-12 for a, b in zip(decs, decs[1:]))
 
 
 def test_decoder_output_consistency():
     pch = BUILTINS["primary"].eval(0.3)
-    res = de_regular(RegularConfig(3, 6), pch)
-    out = decoder_output(res.final_pcv, pch, 3)
-    assert res.p_dec == pytest.approx(out[3] + out[4], abs=1e-12)
+    res = regular(3, 6, pch)
+    out = var(pch, res.final_pcv[0], 3)
+    assert res.min_p_dec == pytest.approx(out[3] + out[4], abs=1e-12)
 
 
 def test_renormalize_guard():
@@ -181,12 +237,30 @@ def test_renormalize_guard():
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_renormalize_rejects_negative_entry():
+    # a remainder entry keeps the sum at 1 however far the others drift
+    with pytest.raises(SimplexError):
+        renormalize(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]))
+    renormalize(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        RegularConfig(0, 6)
+        Ensemble(0, 6)
     with pytest.raises(ValueError):
-        RegularConfig(3, 1)
+        Ensemble(3, 1)
     with pytest.raises(ValueError):
-        RegularConfig(3, 6, l_max=0)
+        regular(3, 6, [0.5, 0, 0, 0.5, 0], l_max=0)
     with pytest.raises(ValueError):
-        RegularConfig(3, 6, success_target=1.0)
+        regular(3, 6, [0.5, 0, 0, 0.5, 0], target=1.0)
+
+
+def test_oracles_do_not_import_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not any(name.split(".")[0] == "twemac_jcf" for name in imported), imported

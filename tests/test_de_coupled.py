@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_core import RegularConfig, de_regular
 from twemac_jcf.de_coupled import (
-    CoupledEnsemble,
+    Caps,
+    Ensemble,
     de_coupled,
     eff_cv_window,
     eff_vc_window,
@@ -20,28 +20,31 @@ from oracles import scalar_coupled_trajectory
 
 
 def test_nominal_rate_frozen_values():
-    assert nominal_rate(CoupledEnsemble(3, 6, 5, 5)) == pytest.approx(
+    assert nominal_rate(Ensemble(3, 6, 5, 5)) == pytest.approx(
         0.3466327272727273, abs=1e-12
     )
-    assert nominal_rate(CoupledEnsemble(5, 10, 200, 10)) == pytest.approx(
+    assert nominal_rate(Ensemble(5, 10, 200, 10)) == pytest.approx(
         0.49000357653990023, abs=1e-12
     )
-    assert nominal_rate(CoupledEnsemble(9, 10, 200, 10)) == pytest.approx(
+    assert nominal_rate(Ensemble(9, 10, 200, 10)) == pytest.approx(
         0.08200643777182043, abs=1e-12
     )
+    # the regular ensemble is the chain with L = 0, w = 1
+    for d_v, d_c in ((3, 6), (4, 8), (9, 10)):
+        assert nominal_rate(Ensemble(d_v, d_c)) == 1.0 - d_v / d_c
 
 
 def test_nominal_rate_limits():
     # rate loss vanishes as L grows; value is monotone increasing in L
     base = 1 - 3 / 6
-    rates = [nominal_rate(CoupledEnsemble(3, 6, L, 5)) for L in (5, 20, 100, 1000)]
+    rates = [nominal_rate(Ensemble(3, 6, L, 5)) for L in (5, 20, 100, 1000)]
     assert all(a < b for a, b in zip(rates, rates[1:]))
     assert rates[-1] == pytest.approx(base, abs=1e-3)
     assert all(r < base for r in rates)
 
 
 def test_effective_dists_w1_is_identity():
-    e = CoupledEnsemble(3, 6, 2, 1)
+    e = Ensemble(3, 6, 2, 1)
     rng = np.random.default_rng(1)
     pvc = rng.dirichlet(np.ones(5), size=e.n_var_positions)
     pcv = rng.dirichlet(np.ones(5), size=e.n_chk_positions)
@@ -53,7 +56,7 @@ def test_effective_dists_w1_is_identity():
 def test_effective_dists_uniform_interior():
     # constant rows average to themselves in the interior, with type-5
     # padding bleeding in near the boundary
-    e = CoupledEnsemble(3, 6, 4, 3)
+    e = Ensemble(3, 6, 4, 3)
     row = np.array([0.2, 0.2, 0.2, 0.4, 0.0])
     pvc = np.tile(row, (e.n_var_positions, 1))
     pcv = np.tile(row, (e.n_chk_positions, 1))
@@ -67,7 +70,7 @@ def test_effective_dists_uniform_interior():
 
 
 def test_effective_dists_boundary_formula():
-    e = CoupledEnsemble(3, 6, 3, 2)
+    e = Ensemble(3, 6, 3, 2)
     rng = np.random.default_rng(7)
     pvc = rng.dirichlet(np.ones(5), size=e.n_var_positions)
     pcv = rng.dirichlet(np.ones(5), size=e.n_chk_positions)
@@ -84,27 +87,24 @@ def test_effective_dists_boundary_formula():
 def test_coupled_equals_regular_at_w1():
     # w=1 decouples the chain into independent copies of the regular code
     pch = BUILTINS["primary"].eval(0.25)
-    e = CoupledEnsemble(3, 6, 3, 1)
-    cres = de_coupled(e, pch, l_max=50, success_target=math.nextafter(1.0, 0.0),
-                      prune=False)
-    rres = de_regular(
-        RegularConfig(3, 6, l_max=50, success_target=math.nextafter(1.0, 0.0)), pch
-    )
+    e = Ensemble(3, 6, 3, 1)
+    caps = Caps(l_max=50, success_target=math.nextafter(1.0, 0.0), prune=False)
+    cres = de_coupled(e, pch, caps)
+    rres = de_coupled(Ensemble(3, 6), pch, caps)
+    assert rres.final_pvc.shape == rres.final_pcv.shape == (1, 5)
     for i in range(e.n_var_positions):
-        np.testing.assert_allclose(cres.final_pvc[i], rres.final_pvc, atol=1e-12)
-        assert cres.p_dec[i] == pytest.approx(rres.p_dec, abs=1e-12)
+        np.testing.assert_allclose(cres.final_pvc[i], rres.final_pvc[0], atol=1e-12)
+        assert cres.p_dec[i] == pytest.approx(rres.min_p_dec, abs=1e-12)
 
 
 @pytest.mark.parametrize("L,w", [(4, 2), (6, 3)])
 def test_xor_only_matches_scalar_coupled_oracle(L, w):
     eps, d_v, d_c, iters = 0.45, 3, 6, 30
-    e = CoupledEnsemble(d_v, d_c, L, w)
+    e = Ensemble(d_v, d_c, L, w)
     res = de_coupled(
         e,
         [eps, 0, 0, 1 - eps, 0],
-        l_max=iters,
-        success_target=math.nextafter(1.0, 0.0),
-        prune=False,
+        Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0), prune=False),
     )
     traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
     x_final, y_final = traj[-1]
@@ -119,30 +119,31 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
 
 def test_prune_matches_full_update():
     pch = BUILTINS["primary"].eval(0.27)
-    e = CoupledEnsemble(5, 10, 20, 4)
-    a = de_coupled(e, pch, prune=True)
-    b = de_coupled(e, pch, prune=False)
+    e = Ensemble(5, 10, 20, 4)
+    a = de_coupled(e, pch, Caps(prune=True))
+    b = de_coupled(e, pch, Caps(prune=False))
     assert a.converged == b.converged == "success"
     np.testing.assert_allclose(a.p_dec, b.p_dec, atol=1e-9)
 
 
 def test_zero_erasure_succeeds_immediately():
-    res = de_coupled(CoupledEnsemble(3, 6, 5, 3), [0, 0, 0, 1, 0])
+    res = de_coupled(Ensemble(3, 6, 5, 3), [0, 0, 0, 1, 0])
     assert res.converged == "success"
     assert res.min_p_dec == pytest.approx(1.0)
 
 
 def test_profile_symmetric_about_center():
     pch = BUILTINS["xor-only"].eval(0.46)
-    e = CoupledEnsemble(3, 6, 10, 3)
-    res = de_coupled(e, pch, l_max=40, success_target=math.nextafter(1.0, 0.0),
-                     prune=False, profile_iters={10, 30})
-    for arr in res.profile.values():
-        np.testing.assert_allclose(arr, arr[::-1], atol=1e-12)
+    e = Ensemble(3, 6, 10, 3)
+    res = de_coupled(e, pch, Caps(l_max=40, success_target=math.nextafter(1.0, 0.0),
+                                  prune=False), snapshot_iters={10, 30})
+    assert sorted(res.snapshots) == [10, 30, 40]
+    for snap in res.snapshots.values():
+        np.testing.assert_allclose(snap.p_dec, snap.p_dec[::-1], atol=1e-12)
 
 
 def test_above_threshold_stalls():
-    res = de_coupled(CoupledEnsemble(3, 6, 20, 5), BUILTINS["xor-only"].eval(0.6))
+    res = de_coupled(Ensemble(3, 6, 20, 5), BUILTINS["xor-only"].eval(0.6))
     assert res.converged == "stall"
     assert res.min_p_dec < 1.0
 
@@ -151,19 +152,24 @@ def test_wave_propagates_between_thresholds():
     # between the uncoupled and coupled thresholds the decoding wave
     # must sweep inward from the boundaries
     eps = 0.46  # above 0.4294 (uncoupled), below 0.4873 (coupled, L=100 w=5)
-    e = CoupledEnsemble(3, 6, 30, 5)
+    e = Ensemble(3, 6, 30, 5)
     res = de_coupled(e, BUILTINS["xor-only"].eval(eps))
     assert res.converged == "success"
-    reg = de_regular(RegularConfig(3, 6), BUILTINS["xor-only"].eval(eps))
+    reg = de_coupled(Ensemble(3, 6), BUILTINS["xor-only"].eval(eps))
     assert reg.converged == "stall"
 
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        CoupledEnsemble(1, 6, 5, 3)
+        Ensemble(1, 6, 5, 3)
     with pytest.raises(ValueError):
-        CoupledEnsemble(3, 1, 5, 3)
+        Ensemble(3, 1, 5, 3)
     with pytest.raises(ValueError):
-        CoupledEnsemble(3, 6, 0, 3)
+        Ensemble(3, 6, 0, 3)
     with pytest.raises(ValueError):
-        CoupledEnsemble(3, 6, 5, 0)
+        Ensemble(3, 6, 5, 0)
+    with pytest.raises(ValueError):
+        Ensemble(3, 6, -1, 1)
+    # the regular ensemble (L = 0) allows d_v = 1 but no window
+    assert not Ensemble(1, 6).coupled
+    assert Ensemble(3, 6, 1, 1).coupled

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_coupled import CoupledEnsemble
+from twemac_jcf.de_coupled import Ensemble
 from twemac_jcf.simulate import (
     PSEUDO,
     EtgInstance,
@@ -22,7 +22,6 @@ from twemac_jcf.simulate import (
     sample_coupled_graph,
     sample_regular_graph,
 )
-from twemac_jcf.threshold import CoupledSystem, RegularSystem
 
 from oracles import naive_peel
 
@@ -49,7 +48,7 @@ def test_regular_sampling_divisibility():
 
 
 def test_coupled_sampling_shapes_and_degrees():
-    e = CoupledEnsemble(3, 6, 4, 2)
+    e = Ensemble(3, 6, 4, 2)
     m = 8
     g = sample_coupled_graph(e, m, np.random.default_rng(3))
     assert g.n_vars == (2 * e.L + 1) * m
@@ -75,7 +74,7 @@ def test_coupled_sampling_shapes_and_degrees():
 
 
 def test_coupled_sampling_w1_is_block_diagonal():
-    e = CoupledEnsemble(3, 6, 1, 1)
+    e = Ensemble(3, 6, 1, 1)
     m = 6
     g = sample_coupled_graph(e, m, np.random.default_rng(11))
     _, _, _, pseudo = g.edge_arrays()
@@ -86,11 +85,11 @@ def test_coupled_sampling_w1_is_block_diagonal():
 
 
 def test_coupled_sampling_divisibility():
-    e = CoupledEnsemble(3, 6, 2, 4)
+    e = Ensemble(3, 6, 2, 4)
     with pytest.raises(ValueError):
         sample_coupled_graph(e, 5, np.random.default_rng(0))  # w does not divide M*d_v
     with pytest.raises(ValueError):
-        sample_coupled_graph(CoupledEnsemble(3, 7, 2, 3), 5, np.random.default_rng(0))
+        sample_coupled_graph(Ensemble(3, 7, 2, 3), 5, np.random.default_rng(0))
 
 
 def test_peel_trivial_type_patterns():
@@ -222,7 +221,7 @@ def test_peel_schedule_independence(seed):
 
 def test_peel_schedule_independence_coupled():
     rng = np.random.default_rng(2)
-    g = sample_coupled_graph(CoupledEnsemble(3, 6, 2, 2), 4, rng)
+    g = sample_coupled_graph(Ensemble(3, 6, 2, 2), 4, rng)
     types = rng.integers(1, 6, size=g.n_vars)
     np.testing.assert_array_equal(
         peel_decode(g, types), naive_peel(g, types, rng=np.random.default_rng(7))
@@ -231,17 +230,17 @@ def test_peel_schedule_independence_coupled():
 
 def test_failure_rate_extremes():
     xor = BUILTINS["xor-only"]
-    good = failure_rate(RegularSystem(3, 6), xor, 0.0, size=120, trials=3, seed=1)
+    good = failure_rate(Ensemble(3, 6), xor, 0.0, size=120, trials=3, seed=1)
     assert good.bit_rate == 0.0
     assert good.block_rate == 0.0
-    bad = failure_rate(RegularSystem(3, 6), xor, 1.0, size=120, trials=3, seed=1)
+    bad = failure_rate(Ensemble(3, 6), xor, 1.0, size=120, trials=3, seed=1)
     assert bad.bit_rate == 1.0
     assert bad.block_rate == 1.0
 
 
 def test_failure_rate_deterministic_and_coupled():
     fam = BUILTINS["primary"]
-    sys_ = CoupledSystem(CoupledEnsemble(3, 6, 2, 2))
+    sys_ = Ensemble(3, 6, 2, 2)
     a = failure_rate(sys_, fam, 0.3, size=12, trials=5, seed=42)
     b = failure_rate(sys_, fam, 0.3, size=12, trials=5, seed=42)
     assert a.bit_rate == b.bit_rate

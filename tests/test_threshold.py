@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS, ChannelFamily
-from twemac_jcf.de_coupled import CoupledEnsemble
-from twemac_jcf.threshold import (
-    Caps,
-    CoupledSystem,
-    RegularSystem,
-    find_threshold,
-    is_decodable,
-    sweep,
-)
+from twemac_jcf.de_coupled import Caps, Ensemble
+from twemac_jcf.threshold import find_threshold, is_decodable, sweep
 
 from oracles import scalar_bec_threshold, scalar_coupled_threshold
 
 
 def test_is_decodable_examples():
-    sys_ = RegularSystem(3, 6)
+    sys_ = Ensemble(3, 6)
     xor = BUILTINS["xor-only"]
     assert is_decodable(sys_, xor, 0.40).decodable
     assert not is_decodable(sys_, xor, 0.44).decodable
@@ -28,7 +21,7 @@ def test_is_decodable_examples():
 
 
 def test_is_decodable_with_puncturing_harder():
-    sys_ = RegularSystem(3, 6)
+    sys_ = Ensemble(3, 6)
     fam = BUILTINS["primary"]
     assert is_decodable(sys_, fam, 0.2, p_pi=0.0).decodable
     # heavy puncturing at the same eps destroys decodability
@@ -36,14 +29,14 @@ def test_is_decodable_with_puncturing_harder():
 
 
 def test_regular_36_xor_threshold_matches_scalar_oracle():
-    res = find_threshold(RegularSystem(3, 6), BUILTINS["xor-only"], tol=1e-4)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-4)
     oracle = scalar_bec_threshold(3, 6, tol=1e-5)
     assert res.eps_thresh == pytest.approx(oracle, abs=5e-4)
     assert res.eps_thresh == pytest.approx(0.4294, abs=5e-4)
 
 
 def test_bracket_invariant():
-    res = find_threshold(RegularSystem(3, 6), BUILTINS["primary"], tol=1e-3)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["primary"], tol=1e-3)
     assert res.eps_lo <= res.eps_thresh <= res.eps_hi
     assert res.eps_hi - res.eps_lo <= 2 * res.tol + 1e-15
     lo_metas = [m for m in res.evals if m.eps == res.eps_lo]
@@ -53,7 +46,7 @@ def test_bracket_invariant():
 
 
 def test_coupled_36_xor_threshold():
-    sys_ = CoupledSystem(CoupledEnsemble(3, 6, 100, 5))
+    sys_ = Ensemble(3, 6, 100, 5)
     res = find_threshold(sys_, BUILTINS["xor-only"], tol=1e-3)
     oracle = scalar_coupled_threshold(3, 6, 100, 5, tol=1e-3)
     assert res.eps_thresh == pytest.approx(oracle, abs=2e-3)
@@ -62,7 +55,7 @@ def test_coupled_36_xor_threshold():
 def test_degenerate_family_threshold_zero():
     never = ChannelFamily(name="never", kind="fixed-table",
                           table=(1.0, 0.0, 0.0, 0.0, 0.0))
-    res = find_threshold(RegularSystem(3, 6), never)
+    res = find_threshold(Ensemble(3, 6), never)
     assert res.degenerate
     assert res.eps_thresh == 0.0
 
@@ -70,7 +63,7 @@ def test_degenerate_family_threshold_zero():
 def test_always_decodable_family_threshold_one():
     always = ChannelFamily(name="always", kind="fixed-table",
                            table=(0.0, 0.0, 0.0, 1.0, 0.0))
-    res = find_threshold(RegularSystem(3, 6), always)
+    res = find_threshold(Ensemble(3, 6), always)
     assert not res.degenerate
     assert res.eps_thresh == 1.0
 
@@ -83,18 +76,28 @@ def test_verify_scan_rejects_nonmonotone_family():
         coeffs=((0.0, 4.0, -4.0), (0.0,), (0.0,), (1.0, -4.0, 4.0), (0.0,)),
     )
     with pytest.raises(RuntimeError):
-        find_threshold(RegularSystem(3, 6), bump, tol=1e-3, verify_scan=9)
+        find_threshold(Ensemble(3, 6), bump, tol=1e-3, verify_scan=9)
     # monotone families pass the same scan
-    res = find_threshold(RegularSystem(3, 6), BUILTINS["xor-only"], tol=1e-3,
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-3,
                          verify_scan=9)
     assert res.eps_thresh == pytest.approx(0.4294, abs=2e-3)
 
 
+def test_verify_scan_reuses_endpoint_outcomes():
+    # the scan grid already holds eps 0 and 1; bisection does not repeat them
+    fam = BUILTINS["xor-only"]
+    plain = find_threshold(Ensemble(3, 6), fam, tol=1e-3)
+    scanned = find_threshold(Ensemble(3, 6), fam, tol=1e-3, verify_scan=9)
+    assert scanned.eps_thresh == plain.eps_thresh
+    assert scanned.evaluations == plain.evaluations + 9 - 2
+    assert [m.eps for m in scanned.evals].count(1.0) == 1
+
+
 def test_sweep_unpunctured_matches_find_threshold():
-    systems = [RegularSystem(3, 6)]
+    systems = [Ensemble(3, 6)]
     fam = BUILTINS["primary"]
     rows = sweep(systems, fam, puncture_grid=(0.0,), tol=1e-3)
-    direct = find_threshold(RegularSystem(3, 6), fam, tol=1e-3)
+    direct = find_threshold(Ensemble(3, 6), fam, tol=1e-3)
     assert len(rows) == 1
     assert rows[0].eps_thresh == direct.eps_thresh
     assert rows[0].nominal_rate == pytest.approx(0.5)
@@ -103,7 +106,7 @@ def test_sweep_unpunctured_matches_find_threshold():
 
 def test_sweep_thresholds_decrease_with_puncturing():
     rows = sweep(
-        [RegularSystem(3, 6)],
+        [Ensemble(3, 6)],
         BUILTINS["primary"],
         puncture_grid=(0.0, 0.1, 0.3),
         tol=1e-3,
@@ -116,7 +119,7 @@ def test_sweep_thresholds_decrease_with_puncturing():
 
 
 def test_sweep_deterministic_and_ordered():
-    systems = [RegularSystem(3, 6), RegularSystem(4, 8)]
+    systems = [Ensemble(3, 6), Ensemble(4, 8)]
     a = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), tol=1e-3)
     b = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), tol=1e-3)
     assert [(r.d_v, r.p_pi, r.eps_thresh) for r in a] == [
@@ -128,8 +131,8 @@ def test_sweep_deterministic_and_ordered():
 
 
 def test_sweep_coupled_row_metadata():
-    e = CoupledEnsemble(3, 6, 10, 3)
-    rows = sweep([CoupledSystem(e)], BUILTINS["xor-only"], tol=5e-3)
+    e = Ensemble(3, 6, 10, 3)
+    rows = sweep([e], BUILTINS["xor-only"], tol=5e-3)
     r = rows[0]
     assert (r.d_v, r.d_c, r.L, r.w) == (3, 6, 10, 3)
     assert 0.0 < r.nominal_rate < 0.5
@@ -137,7 +140,7 @@ def test_sweep_coupled_row_metadata():
 
 def test_caps_l_max_controls_outcome():
     # a tight iteration cap makes a decodable point look undecodable
-    sys_ = RegularSystem(3, 6)
+    sys_ = Ensemble(3, 6)
     fam = BUILTINS["xor-only"]
     eps = 0.425  # close to threshold, needs many iterations
     assert is_decodable(sys_, fam, eps).decodable
