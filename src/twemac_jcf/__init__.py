@@ -10,7 +10,6 @@ from .channel import (
     get_family,
     parse_channel_config,
     puncture,
-    sample_state,
     validate_dist,
 )
 from .de_coupled import Caps, DeOutcome, Ensemble, de_coupled, nominal_rate
@@ -24,7 +23,6 @@ __all__ = [
     "get_family",
     "parse_channel_config",
     "puncture",
-    "sample_state",
     "validate_dist",
     "Caps",
     "DeOutcome",

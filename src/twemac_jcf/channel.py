@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-
-from .message_types import MessageType
 
 SIMPLEX_ATOL = 1e-9
 
@@ -121,12 +119,6 @@ def puncture(pch, spec: PunctureSpec | float) -> np.ndarray:
     q = p * (1 - spec.p_pi)
     q[0] += spec.p_pi
     return q
-
-
-def sample_state(pch, rng: np.random.Generator) -> MessageType:
-    """Draw one channel state from the type distribution."""
-    p = validate_dist(pch)
-    return MessageType(int(rng.choice(5, p=p / p.sum())) + 1)
 
 
 def sample_states(pch, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .channel import ChannelError, get_family, puncture
+from .channel import ChannelError, get_family
 from .de_core import SimplexError
 from .de_coupled import (
     DEFAULT_COUPLED_LMAX,
@@ -58,7 +58,6 @@ def _caps(args) -> Caps:
     return Caps(
         l_max=getattr(args, "lmax", None),
         success_target=_env_float("TWEMAC_SUCCESS_TARGET", DEFAULT_SUCCESS_TARGET),
-        prune=not getattr(args, "no_prune", False),
     )
 
 
@@ -247,21 +246,21 @@ def cmd_simulate(args) -> int:
     family = _family(args)
     if args.L is not None:
         if args.M is None:
-            raise SystemExit("--M is required for coupled simulation")
+            raise ValueError("--M is required for coupled simulation")
         e = _coupled(args.dv, args.dc, args.L, args.w)
         size = args.M
     else:
         e = Ensemble(args.dv, args.dc)
         size = args.N
         if size is None:
-            raise SystemExit("--N is required for regular simulation")
+            raise ValueError("--N is required for regular simulation")
     stats = failure_rate(
         e, family, args.eps, size, args.trials, args.seed, p_pi=args.p_pi
     )
     _emit(
         args,
         _meta(args),
-        ["bit_rate", "bit_halfwidth", "block_rate", "block_halfwidth", "trials", "n_vars"],
+        ["bit_rate", "block_rate", "block_lo", "block_hi", "trials", "n_vars"],
         [asdict(stats)],
     )
     return 0
@@ -277,10 +276,8 @@ def cmd_oracle(args) -> int:
 
     if args.exhaustive:
         patterns = itertools.product(range(1, 6), repeat=n)
-        total = 5**n
     else:
         patterns = (sample_states(pch, n, rng) for _ in range(args.trials))
-        total = args.trials
 
     checked = sound_violations = completeness_mismatches = 0
     tree = g.is_cycle_free()
@@ -348,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lmax", type=int, default=DEFAULT_COUPLED_LMAX)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--profile", help="per-position p_dec CSV path")
     p.set_defaults(func=cmd_de_coupled)
 
@@ -372,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-pi", default="0", help="comma list of puncture probabilities")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--lmax", type=int, default=None)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--curve-grid", type=int, default=201)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_figure6)

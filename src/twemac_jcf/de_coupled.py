@@ -18,7 +18,7 @@ position, no boundary.  One iteration applies the closed-form kernels of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class Caps:
     l_max: Optional[int] = None  # DEFAULT_COUPLED_LMAX or DEFAULT_REGULAR_LMAX when None
     success_target: float = DEFAULT_SUCCESS_TARGET
     stall_tol: float = DEFAULT_STALL_TOL
-    prune: bool = True
 
     def l_max_for(self, e: Ensemble) -> int:
         if self.l_max is not None:
@@ -123,15 +122,6 @@ def eff_cv_window(pcv: np.ndarray, w: int, lo: int, hi: int) -> np.ndarray:
     return _window_sum(pcv[lo : hi + w], w) / w
 
 
-def effective_dists(
-    pvc: np.ndarray, pcv: np.ndarray, e: Ensemble
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-width window averages (eff_vc over all check positions, eff_cv
-    over all variable positions)."""
-    nv = e.n_var_positions
-    return eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
-
-
 class Snapshot(NamedTuple):
     """Copies of the message rows and per-position p_dec after one iteration."""
 
@@ -165,11 +155,12 @@ def de_coupled(
     Success means min-over-positions p_dec >= success_target, where p_dec
     is the type-4 + type-5 mass of the decoder output; stall means the
     sup-norm change of the variable-to-check rows fell below stall_tol.
-    With caps.prune, positions whose variable-to-check distribution is
-    within stall_tol of the type-5 point mass are frozen and excluded from
-    the update window (the decoded wave leaves large saturated regions
-    behind).  A snapshot is kept after each iteration in snapshot_iters
-    and, when snapshot_iters is non-empty, after the last one.
+    Each iteration updates only the positions within w of the span of
+    unsaturated ones, whose variable-to-check distribution is more than
+    stall_tol from the type-5 point mass; the rest stay frozen (the decoded
+    wave leaves large saturated regions behind).  A snapshot is kept after
+    each iteration in snapshot_iters and, when snapshot_iters is non-empty,
+    after the last one.
     """
     pch = validate_dist(pch)
     l_max = caps.l_max_for(e)
@@ -187,15 +178,13 @@ def de_coupled(
     status = "cap"
     it = 0
     for it in range(1, l_max + 1):
-        lo, hi = 0, nv - 1
-        if caps.prune:
-            unsat = np.flatnonzero(np.max(np.abs(pvc - E5), axis=1) > caps.stall_tol)
-            if unsat.size == 0:
-                p_dec[:] = 1.0
-                status = "success"
-                break
-            lo = max(0, int(unsat[0]) - e.w)
-            hi = min(nv - 1, int(unsat[-1]) + e.w)
+        unsat = np.flatnonzero(np.max(np.abs(pvc - E5), axis=1) > caps.stall_tol)
+        if unsat.size == 0:
+            p_dec[:] = 1.0
+            status = "success"
+            break
+        lo = max(0, int(unsat[0]) - e.w)
+        hi = min(nv - 1, int(unsat[-1]) + e.w)
 
         # check half-iteration over check indices lo..hi+w-1
         pcv[lo : hi + e.w] = renormalize(chk_update(eff_vc_window(pvc, e.w, lo, hi), e.d_c - 1))

@@ -15,15 +15,13 @@ three).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import List, Set
 
 import numpy as np
 
-from .channel import ChannelFamily, puncture, sample_states, validate_dist
+from .channel import ChannelFamily, puncture, sample_states
 from .de_coupled import Ensemble
-
-PSEUDO = -1  # pseudo-variable marker in check socket lists
 
 # type 1..5 -> knowledge bitmask; index 0 unused
 TYPE_TO_MASK = np.array([0, 0, 1, 2, 4, 7], dtype=np.int64)
@@ -41,57 +39,28 @@ def _closure(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EtgInstance:
-    """A sampled extended Tanner graph.
+    """A sampled extended Tanner graph as one edge list.
 
-    check_sockets[c] lists the variable index behind each socket of check c
-    (PSEUDO for boundary sockets fixed to the known all-zero pair).
-    Degrees may be irregular for graphs loaded from explicit parity
-    matrices; d_v / d_c are the nominal ensemble degrees when applicable.
+    Edge k joins variable evar[k] to check echeck[k]; edges are listed in
+    check-major socket order and multi-edges are allowed.  Boundary sockets
+    of a coupled chain, fixed to the known all-zero pair, are not stored:
+    they carry type 5, the identity of the check meet.
     """
 
     n_vars: int
-    check_sockets: List[np.ndarray]
-    d_v: Optional[int] = None
-    d_c: Optional[int] = None
-    var_positions: Optional[np.ndarray] = None
-    check_positions: Optional[np.ndarray] = None
-
-    @property
-    def n_checks(self) -> int:
-        return len(self.check_sockets)
-
-    def edge_arrays(self):
-        """(evar, echeck, socket_count, pseudo_count) for the real sockets."""
-        evar, echeck, pseudo = [], [], np.zeros(self.n_checks, dtype=np.int64)
-        counts = np.zeros(self.n_checks, dtype=np.int64)
-        for c, sockets in enumerate(self.check_sockets):
-            counts[c] = len(sockets)
-            for v in sockets:
-                if v == PSEUDO:
-                    pseudo[c] += 1
-                else:
-                    evar.append(int(v))
-                    echeck.append(c)
-        return (
-            np.asarray(evar, dtype=np.int64),
-            np.asarray(echeck, dtype=np.int64),
-            counts,
-            pseudo,
-        )
+    n_checks: int
+    evar: np.ndarray
+    echeck: np.ndarray
 
     def parity_matrix(self) -> np.ndarray:
         """Dense GF(2) parity-check matrix; multi-edges cancel mod 2."""
         h = np.zeros((self.n_checks, self.n_vars), dtype=np.int64)
-        for c, sockets in enumerate(self.check_sockets):
-            for v in sockets:
-                if v != PSEUDO:
-                    h[c, v] ^= 1
-        return h
+        np.add.at(h, (self.echeck, self.evar), 1)
+        return h % 2
 
     def is_cycle_free(self) -> bool:
-        """True iff the bipartite multigraph (real sockets only) is a forest."""
-        n = self.n_vars + self.n_checks
-        parent = list(range(n))
+        """True iff the bipartite multigraph is a forest."""
+        parent = list(range(self.n_vars + self.n_checks))
 
         def find(x):
             while parent[x] != x:
@@ -99,15 +68,20 @@ class EtgInstance:
                 x = parent[x]
             return x
 
-        for c, sockets in enumerate(self.check_sockets):
-            for v in sockets:
-                if v == PSEUDO:
-                    continue
-                a, b = find(int(v)), find(self.n_vars + c)
-                if a == b:
-                    return False
-                parent[a] = b
+        for v, c in zip(self.evar.tolist(), self.echeck.tolist()):
+            a, b = find(v), find(self.n_vars + c)
+            if a == b:
+                return False
+            parent[a] = b
         return True
+
+
+def _from_sockets(n_vars: int, sockets: np.ndarray, d_c: int) -> EtgInstance:
+    """Graph whose check c owns sockets[c*d_c : (c+1)*d_c]; negative
+    entries are boundary sockets and are dropped."""
+    echeck = np.repeat(np.arange(sockets.size // d_c), d_c)
+    real = sockets >= 0
+    return EtgInstance(n_vars, sockets.size // d_c, sockets[real], echeck[real])
 
 
 def sample_regular_graph(
@@ -117,12 +91,7 @@ def sample_regular_graph(
     if (n_vars * d_v) % d_c != 0:
         raise ValueError(f"N*d_v = {n_vars * d_v} not divisible by d_c = {d_c}")
     sockets = rng.permutation(np.repeat(np.arange(n_vars), d_v))
-    return EtgInstance(
-        n_vars=n_vars,
-        check_sockets=list(sockets.reshape(-1, d_c)),
-        d_v=d_v,
-        d_c=d_c,
-    )
+    return _from_sockets(n_vars, sockets, d_c)
 
 
 def sample_coupled_graph(
@@ -132,8 +101,9 @@ def sample_coupled_graph(
 
     Each variable position splits its M*d_v sockets evenly across the w
     check positions above it; check sockets that would reach variables
-    outside -L..L are pseudo.  Requires w | M*d_v on top of the usual
-    d_c | M*d_v so that degrees come out exact.
+    outside -L..L are boundary sockets.  Variable v sits at position
+    v // M - L and check c at c // (M*d_v/d_c) - L.  Requires w | M*d_v on
+    top of the usual d_c | M*d_v so that degrees come out exact.
     """
     md = m_per_pos * e.d_v
     if md % e.d_c != 0:
@@ -141,38 +111,16 @@ def sample_coupled_graph(
     if md % e.w != 0:
         raise ValueError(f"M*d_v = {md} not divisible by w = {e.w}")
     nvp, ncp = e.n_var_positions, e.n_chk_positions
-    per_pair = md // e.w
-    checks_per_pos = md // e.d_c
+    pseudo = -1  # boundary socket, dropped by _from_sockets
 
-    # chunks[(p, q)] = variable sockets from position p matched to check position q
-    chunks = {}
+    # chunks[q, j] = sockets of variable position q - j matched to check position q
+    chunks = np.full((ncp, e.w, md // e.w), pseudo, dtype=np.int64)
     for p in range(nvp):
         var_ids = np.arange(p * m_per_pos, (p + 1) * m_per_pos)
-        order = rng.permutation(np.repeat(var_ids, e.d_v)).reshape(e.w, per_pair)
-        for j in range(e.w):
-            chunks[(p, p + j)] = order[j]
-
-    check_sockets: List[np.ndarray] = []
-    check_positions = []
-    pseudo_chunk = np.full(per_pair, PSEUDO, dtype=np.int64)
-    for q in range(ncp):
-        parts = [
-            chunks.get((q - j, q), pseudo_chunk) for j in range(e.w)
-        ]
-        socket_vars = rng.permutation(np.concatenate(parts))
-        for row in socket_vars.reshape(checks_per_pos, e.d_c):
-            check_sockets.append(row)
-            check_positions.append(q - e.L)
-
-    var_positions = np.repeat(np.arange(-e.L, e.L + 1), m_per_pos)
-    return EtgInstance(
-        n_vars=nvp * m_per_pos,
-        check_sockets=check_sockets,
-        d_v=e.d_v,
-        d_c=e.d_c,
-        var_positions=var_positions,
-        check_positions=np.asarray(check_positions),
-    )
+        order = rng.permutation(np.repeat(var_ids, e.d_v)).reshape(e.w, -1)
+        chunks[p + np.arange(e.w), np.arange(e.w)] = order
+    sockets = np.concatenate([rng.permutation(row) for row in chunks.reshape(ncp, md)])
+    return _from_sockets(nvp * m_per_pos, sockets, e.d_c)
 
 
 @dataclass
@@ -218,51 +166,42 @@ class Observation:
         return cls.from_transmitted(t, np.zeros_like(t), np.zeros_like(t))
 
 
-def peel_decode(g: EtgInstance, obs: Union[Observation, np.ndarray]) -> np.ndarray:
+def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     """Type-level message passing to the fixed point; returns per-variable types.
 
-    Pseudo sockets emit type 5.  The final per-variable type folds the
-    channel type with all incoming check messages; x_xor is recovered at a
-    variable iff its final type is 4 or 5.
+    A check passes a knowledge bit to a socket iff no other socket lacks
+    it (boundary sockets, type 5, never lack one).  The final per-variable
+    type folds the channel type with all incoming check messages; x_xor is
+    recovered at a variable iff its final type is 4 or 5.
     """
-    types = obs.types if isinstance(obs, Observation) else np.asarray(obs)
+    types = np.asarray(types, dtype=np.int64)
     if len(types) != g.n_vars:
         raise ValueError("observation length does not match the graph")
-    ch = TYPE_TO_MASK[np.asarray(types, dtype=np.int64)]
-    evar, echeck, counts, pseudo = g.edge_arrays()
-    nc = g.n_checks
-
-    if evar.size == 0:
-        return MASK_TO_TYPE[ch]
-
-    v2c = ch[evar]
+    ch = TYPE_TO_MASK[types]
+    evar, echeck = g.evar, g.echeck
+    ch_e = ch[evar]
+    v2c = ch_e
     bits = (1, 2, 4)
     while True:
-        # check -> variable: bit survives iff all other sockets carry it
+        # check -> variable: bit survives iff no other socket lacks it
         c2v = np.zeros_like(v2c)
         for b in bits:
-            has = (v2c & b) != 0
-            cnt = np.bincount(echeck, weights=has, minlength=nc) + pseudo
-            ok = (cnt[echeck] - has) == (counts[echeck] - 1)
-            c2v |= b * ok
+            lack = (v2c & b) == 0
+            cnt = np.bincount(echeck, weights=lack, minlength=g.n_checks)
+            c2v |= b * (cnt[echeck] == lack)
         # variable -> check: channel plus any other incoming check message
         out = np.zeros_like(v2c)
+        heard = np.zeros_like(ch)  # bits carried by any incoming check message
         for b in bits:
             has = (c2v & b) != 0
             cnt = np.bincount(evar, weights=has, minlength=g.n_vars)
-            ok = (cnt[evar] - has) >= 1
-            out |= b * ok
-        out = _closure(out | ch[evar])
+            out |= b * ((cnt[evar] - has) >= 1)
+            heard |= b * (cnt >= 1)
+        out = _closure(out | ch_e)
         if np.array_equal(out, v2c):
             break
         v2c = out
-
-    final = ch.copy()
-    for b in bits:
-        has = (c2v & b) != 0
-        cnt = np.bincount(evar, weights=has, minlength=g.n_vars)
-        final |= b * (cnt >= 1)
-    return MASK_TO_TYPE[_closure(final)]
+    return MASK_TO_TYPE[_closure(ch | heard)]
 
 
 def gf2_nullspace(h: np.ndarray) -> np.ndarray:
@@ -338,14 +277,33 @@ def brute_force_jcf(h: np.ndarray, obs: Observation) -> List[Set[int]]:
     ]
 
 
+def wilson_interval(failures: int, trials: int):
+    """95% Wilson score interval (lo, hi) of a binomial proportion; exactly
+    0 at lo when nothing failed and exactly 1 at hi when everything did."""
+    z2 = 1.96 * 1.96
+    p = failures / trials
+    denom = 1.0 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denom
+    half = np.sqrt(z2 * p * (1 - p) / trials + z2 * z2 / (4 * trials * trials)) / denom
+    lo = 0.0 if failures == 0 else float(center - half)
+    hi = 1.0 if failures == trials else float(center + half)
+    return lo, hi
+
+
 @dataclass
 class FailureStats:
-    """Monte Carlo failure estimates with normal-approximation half-widths."""
+    """Monte Carlo failure estimates.
+
+    block_lo..block_hi is the 95% Wilson score interval of the block
+    failure probability.  A trial's bit failure rate never exceeds its
+    block failure indicator, so E[bit rate] <= P(block failure), and
+    block_hi bounds both at 95% confidence, also when no trial fails.
+    """
 
     bit_rate: float
     block_rate: float
-    bit_halfwidth: float
-    block_halfwidth: float
+    block_lo: float
+    block_hi: float
     trials: int
     n_vars: int
 
@@ -365,9 +323,14 @@ def failure_rate(
     coupled one.  The all-zero codeword pair is assumed; for erasure-type
     channels decodability depends only on the type pattern.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    pch = family.eval(eps)
+    if p_pi:
+        pch = puncture(pch, p_pi)
     bit_rates = np.zeros(trials)
-    block_fail = np.zeros(trials)
+    failures = 0
     n_vars = 0
     for t in range(trials):
         if e.coupled:
@@ -375,20 +338,16 @@ def failure_rate(
         else:
             g = sample_regular_graph(e.d_v, e.d_c, size, rng)
         n_vars = g.n_vars
-        pch = family.eval(eps)
-        if p_pi:
-            pch = puncture(pch, p_pi)
-        types = sample_states(pch, g.n_vars, rng)
-        out = peel_decode(g, types)
+        out = peel_decode(g, sample_states(pch, g.n_vars, rng))
         failed = ~((out == 4) | (out == 5))
         bit_rates[t] = failed.mean()
-        block_fail[t] = 1.0 if failed.any() else 0.0
-    z = 1.96
+        failures += bool(failed.any())
+    lo, hi = wilson_interval(failures, trials)
     return FailureStats(
         bit_rate=float(bit_rates.mean()),
-        block_rate=float(block_fail.mean()),
-        bit_halfwidth=float(z * bit_rates.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan"),
-        block_halfwidth=float(z * block_fail.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan"),
+        block_rate=failures / trials,
+        block_lo=lo,
+        block_hi=hi,
         trials=trials,
         n_vars=n_vars,
     )
@@ -411,5 +370,5 @@ def load_parity_matrix(path: str) -> np.ndarray:
 def graph_from_parity(h: np.ndarray) -> EtgInstance:
     """Extended Tanner graph of an explicit parity matrix (simple graph)."""
     h = np.asarray(h, dtype=np.int64) % 2
-    sockets = [np.flatnonzero(row) for row in h]
-    return EtgInstance(n_vars=h.shape[1], check_sockets=sockets)
+    echeck, evar = np.nonzero(h)
+    return EtgInstance(h.shape[1], h.shape[0], evar, echeck)

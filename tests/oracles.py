@@ -198,12 +198,14 @@ def scalar_coupled_threshold(d_v, d_c, L, w, tol=1e-4, **kw) -> float:
 # --- slow sequential peeling on the extended Tanner graph --------------------
 
 
-def naive_peel(g, types, rng=None):
+def naive_peel(g, types, rng=None, pad_to=None):
     """Sequential single-message update to the fixed point.
 
     Folds messages with the lattice operators above, one randomly chosen
     edge at a time, which exercises a completely different schedule from
-    the flooding implementation.
+    the flooding implementation.  Reads the graph's edge list (g.evar,
+    g.echeck); with pad_to, each check's socket list is padded to that
+    length with explicit PSEUDO sockets, which carry type 5.
     """
 
     def chk_fold(types):
@@ -212,10 +214,17 @@ def naive_peel(g, types, rng=None):
     def var_fold(types):
         return reduce(lattice_var, types)
 
+    check_sockets = [[] for _ in range(g.n_checks)]
+    for v, c in zip(g.evar, g.echeck):
+        check_sockets[int(c)].append(int(v))
+    if pad_to is not None:
+        for sockets in check_sockets:
+            sockets.extend([PSEUDO] * (pad_to - len(sockets)))
+
     edges = []  # (check, socket_index, var)
-    for c, sockets in enumerate(g.check_sockets):
+    for c, sockets in enumerate(check_sockets):
         for s, v in enumerate(sockets):
-            edges.append((c, s, int(v)))
+            edges.append((c, s, v))
     v2c = {}
     c2v = {}
     for c, s, v in edges:
@@ -235,7 +244,7 @@ def naive_peel(g, types, rng=None):
         changed = False
         for idx in order:
             c, s, v = edges[idx]
-            others = [v2c[(c, t)] for t in range(len(g.check_sockets[c])) if t != s]
+            others = [v2c[(c, t)] for t in range(len(check_sockets[c])) if t != s]
             msg = chk_fold(others) if others else 5
             if msg != c2v[(c, s)]:
                 c2v[(c, s)] = int(msg)

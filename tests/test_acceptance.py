@@ -190,7 +190,7 @@ def test_criterion_7_oracle_agreement():
         n = h.shape[1]
         for types in itertools.product(ALL5, repeat=n):
             obs = Observation.all_zero(np.array(types))
-            out = peel_decode(g, obs)
+            out = peel_decode(g, obs.types)
             known = (out == 4) | (out == 5)
             rec = np.array([s == {0} for s in brute_force_jcf(h, obs)])
             sound_violations += int(np.any(known & ~rec))
@@ -210,7 +210,7 @@ def test_criterion_7_oracle_agreement():
         for _ in range(4):
             types = rng.integers(1, 6, size=n)
             obs = Observation.all_zero(types)
-            out = peel_decode(g, obs)
+            out = peel_decode(g, obs.types)
             known = (out == 4) | (out == 5)
             rec = np.array([s == {0} for s in brute_force_jcf(h, obs)])
             sound_violations += int(np.any(known & ~rec))
@@ -252,7 +252,7 @@ def test_criterion_9_paper_scale_smoke():
     paper = Ensemble(9, 10, 10000, 100)
     p_pi_desk = 1.0 - nominal_rate(desk) / 0.5
     p_pi_paper = 1.0 - nominal_rate(paper) / 0.5
-    caps = Caps(l_max=400000, prune=True)
+    caps = Caps(l_max=400000)
     res_desk = find_threshold(desk, fam, tol=1e-3, p_pi=p_pi_desk)
     res_paper = find_threshold(paper, fam, tol=1e-3, p_pi=p_pi_paper, caps=caps)
     ok = abs(res_paper.eps_thresh - res_desk.eps_thresh) <= 0.01

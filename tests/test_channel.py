@@ -13,7 +13,6 @@ from twemac_jcf.channel import (
     get_family,
     parse_channel_config,
     puncture,
-    sample_state,
     sample_states,
     validate_dist,
     validate_family,
@@ -93,8 +92,8 @@ def test_puncture_spec_validation():
 
 def test_sample_state_point_masses():
     rng = np.random.default_rng(0)
-    assert sample_state([0, 0, 0, 1, 0], rng) == 4
-    assert sample_state([1, 0, 0, 0, 0], rng) == 1
+    np.testing.assert_array_equal(sample_states([0, 0, 0, 1, 0], 1, rng), [4])
+    np.testing.assert_array_equal(sample_states([1, 0, 0, 0, 0], 1, rng), [1])
 
 
 def test_sample_state_law_of_large_numbers():

@@ -139,6 +139,14 @@ def test_simulate_regular(capsys):
     assert 0.0 <= float(rows[0]["bit_rate"]) <= 1.0
 
 
+def test_simulate_usage_errors_exit_2(capsys):
+    base = ["simulate", "--dv", "3", "--dc", "6", "--eps", "0.2"]
+    for extra in ([], ["--L", "2", "--w", "2"], ["--N", "120", "--trials", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+
+
 def test_oracle_exhaustive(tmp_path, capsys):
     hfile = tmp_path / "h.txt"
     hfile.write_text("1 3\n111\n")

@@ -12,7 +12,6 @@ from twemac_jcf.de_coupled import (
     de_coupled,
     eff_cv_window,
     eff_vc_window,
-    effective_dists,
     nominal_rate,
 )
 
@@ -48,7 +47,8 @@ def test_effective_dists_w1_is_identity():
     rng = np.random.default_rng(1)
     pvc = rng.dirichlet(np.ones(5), size=e.n_var_positions)
     pcv = rng.dirichlet(np.ones(5), size=e.n_chk_positions)
-    eff_vc, eff_cv = effective_dists(pvc, pcv, e)
+    nv = e.n_var_positions
+    eff_vc, eff_cv = eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
     np.testing.assert_allclose(eff_vc, pvc)
     np.testing.assert_allclose(eff_cv, pcv)
 
@@ -60,7 +60,8 @@ def test_effective_dists_uniform_interior():
     row = np.array([0.2, 0.2, 0.2, 0.4, 0.0])
     pvc = np.tile(row, (e.n_var_positions, 1))
     pcv = np.tile(row, (e.n_chk_positions, 1))
-    eff_vc, eff_cv = effective_dists(pvc, pcv, e)
+    nv = e.n_var_positions
+    eff_vc, eff_cv = eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
     for q in range(e.w - 1, e.n_var_positions):
         np.testing.assert_allclose(eff_vc[q], row, atol=1e-15)
     np.testing.assert_allclose(eff_cv, np.tile(row, (e.n_var_positions, 1)), atol=1e-15)
@@ -88,7 +89,7 @@ def test_coupled_equals_regular_at_w1():
     # w=1 decouples the chain into independent copies of the regular code
     pch = BUILTINS["primary"].eval(0.25)
     e = Ensemble(3, 6, 3, 1)
-    caps = Caps(l_max=50, success_target=math.nextafter(1.0, 0.0), prune=False)
+    caps = Caps(l_max=50, success_target=math.nextafter(1.0, 0.0))
     cres = de_coupled(e, pch, caps)
     rres = de_coupled(Ensemble(3, 6), pch, caps)
     assert rres.final_pvc.shape == rres.final_pcv.shape == (1, 5)
@@ -104,7 +105,7 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
     res = de_coupled(
         e,
         [eps, 0, 0, 1 - eps, 0],
-        Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0), prune=False),
+        Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
     )
     traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
     x_final, y_final = traj[-1]
@@ -118,10 +119,34 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
 
 
 def test_prune_matches_full_update():
+    # full-reveal is the BEC on types 1 and 5, so the decoded wave leaves
+    # rows at the type-5 point mass, which the evolution freezes; the
+    # scalar oracle updates every position in every iteration
+    eps, d_v, d_c, L, w, iters = 0.46, 3, 6, 20, 3, 120
+    res = de_coupled(
+        Ensemble(d_v, d_c, L, w),
+        BUILTINS["full-reveal"].eval(eps),
+        Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
+    )
+    traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
+    # pruning fired: before the last iteration some rows were saturated
+    # and more than w positions from every unsaturated row
+    unsat = np.flatnonzero(traj[-2][0] > 1e-13)
+    assert unsat[0] > w or unsat[-1] < 2 * L - w
+    x_final, y_final = traj[-1]
+    assert res.converged == "cap"
+    np.testing.assert_allclose(res.final_pvc[:, 0], x_final, atol=1e-12)
+    np.testing.assert_allclose(res.final_pcv[:, 0], y_final, atol=1e-12)
+    assert np.all(res.final_pvc[:, 1:4] == 0.0)
+
+
+def test_prune_matches_exact_freeze_primary():
+    # on a non-BEC channel, freezing rows within stall_tol of the type-5
+    # point mass matches freezing only rows exactly at it (fixed points)
     pch = BUILTINS["primary"].eval(0.27)
     e = Ensemble(5, 10, 20, 4)
-    a = de_coupled(e, pch, Caps(prune=True))
-    b = de_coupled(e, pch, Caps(prune=False))
+    a = de_coupled(e, pch, Caps())
+    b = de_coupled(e, pch, Caps(stall_tol=0.0))
     assert a.converged == b.converged == "success"
     np.testing.assert_allclose(a.p_dec, b.p_dec, atol=1e-9)
 
@@ -135,8 +160,8 @@ def test_zero_erasure_succeeds_immediately():
 def test_profile_symmetric_about_center():
     pch = BUILTINS["xor-only"].eval(0.46)
     e = Ensemble(3, 6, 10, 3)
-    res = de_coupled(e, pch, Caps(l_max=40, success_target=math.nextafter(1.0, 0.0),
-                                  prune=False), snapshot_iters={10, 30})
+    res = de_coupled(e, pch, Caps(l_max=40, success_target=math.nextafter(1.0, 0.0)),
+                     snapshot_iters={10, 30})
     assert sorted(res.snapshots) == [10, 30, 40]
     for snap in res.snapshots.values():
         np.testing.assert_allclose(snap.p_dec, snap.p_dec[::-1], atol=1e-12)

@@ -1,0 +1,51 @@
+"""Every name a package module imports is used in it or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twemac_jcf"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_scanner_flags_unused_and_keeps_used():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from typing import List, Sequence\n"
+        "__all__ = ['os']\n"
+        "def f(x: List[int]):\n"
+        "    return np.asarray(x)\n"
+    )
+    assert unused_imports(src) == ["Sequence (line 4)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []

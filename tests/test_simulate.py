@@ -9,8 +9,6 @@ import pytest
 from twemac_jcf.channel import BUILTINS
 from twemac_jcf.de_coupled import Ensemble
 from twemac_jcf.simulate import (
-    PSEUDO,
-    EtgInstance,
     Observation,
     brute_force_jcf,
     enumerate_codewords,
@@ -21,6 +19,7 @@ from twemac_jcf.simulate import (
     peel_decode,
     sample_coupled_graph,
     sample_regular_graph,
+    wilson_interval,
 )
 
 from oracles import naive_peel
@@ -33,13 +32,13 @@ def test_regular_sampling_degrees_and_determinism():
     g = sample_regular_graph(3, 6, 60, np.random.default_rng(5))
     assert g.n_vars == 60
     assert g.n_checks == 30
-    evar, echeck, counts, pseudo = g.edge_arrays()
-    assert np.all(counts == 6)
-    assert np.all(pseudo == 0)
-    assert np.all(np.bincount(evar, minlength=60) == 3)
+    assert np.all(np.bincount(g.echeck, minlength=30) == 6)
+    assert np.all(np.bincount(g.evar, minlength=60) == 3)
+    # check-major socket order
+    np.testing.assert_array_equal(g.echeck, np.repeat(np.arange(30), 6))
     h = sample_regular_graph(3, 6, 60, np.random.default_rng(5))
-    for a, b in zip(g.check_sockets, h.check_sockets):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(g.evar, h.evar)
+    np.testing.assert_array_equal(g.echeck, h.echeck)
 
 
 def test_regular_sampling_divisibility():
@@ -54,34 +53,29 @@ def test_coupled_sampling_shapes_and_degrees():
     assert g.n_vars == (2 * e.L + 1) * m
     checks_per_pos = m * e.d_v // e.d_c
     assert g.n_checks == e.n_chk_positions * checks_per_pos
-    evar, echeck, counts, pseudo = g.edge_arrays()
-    assert np.all(counts == e.d_c)
-    assert np.all(np.bincount(evar, minlength=g.n_vars) == e.d_v)
-    # pseudo sockets only at boundary check positions
-    for c in range(g.n_checks):
-        q = int(g.check_positions[c]) + e.L
-        interior = e.w - 1 <= q <= 2 * e.L
-        if interior:
-            assert pseudo[c] == 0
+    assert np.all(np.diff(g.echeck) >= 0)
+    assert np.all(np.bincount(g.evar, minlength=g.n_vars) == e.d_v)
+    var_pos = g.evar // m - e.L
+    chk_pos = np.arange(g.n_checks) // checks_per_pos - e.L
+    # missing (boundary) sockets only at boundary check positions
+    missing = e.d_c - np.bincount(g.echeck, minlength=g.n_checks)
+    assert np.all(missing >= 0)
+    q = chk_pos + e.L
+    assert np.all(missing[(e.w - 1 <= q) & (q <= 2 * e.L)] == 0)
     # w(w-1) boundary chunks of M*d_v/w sockets each
-    assert pseudo.sum() == (e.w - 1) * m * e.d_v
+    assert missing.sum() == (e.w - 1) * m * e.d_v
     # each check connects only to variables within its window
-    for c, sockets in enumerate(g.check_sockets):
-        q = int(g.check_positions[c])
-        for v in sockets:
-            if v != PSEUDO:
-                assert q - e.w + 1 <= int(g.var_positions[v]) <= q
+    assert np.all(chk_pos[g.echeck] - e.w + 1 <= var_pos)
+    assert np.all(var_pos <= chk_pos[g.echeck])
 
 
 def test_coupled_sampling_w1_is_block_diagonal():
     e = Ensemble(3, 6, 1, 1)
     m = 6
     g = sample_coupled_graph(e, m, np.random.default_rng(11))
-    _, _, _, pseudo = g.edge_arrays()
-    assert pseudo.sum() == 0
-    for c, sockets in enumerate(g.check_sockets):
-        q = int(g.check_positions[c])
-        assert all(int(g.var_positions[v]) == q for v in sockets)
+    assert g.evar.size == g.n_checks * e.d_c
+    checks_per_pos = m * e.d_v // e.d_c
+    np.testing.assert_array_equal(g.evar // m, g.echeck // checks_per_pos)
 
 
 def test_coupled_sampling_divisibility():
@@ -127,7 +121,7 @@ def test_peel_single_parity_check_example():
 def test_peel_respects_observation_wrapper():
     g = graph_from_parity(H_SMALL)
     obs = Observation.all_zero(np.array([5, 5, 1, 4]))
-    out = peel_decode(g, obs)
+    out = peel_decode(g, obs.types)
     assert list(out) == [5, 5, 5, 5]
     with pytest.raises(ValueError):
         peel_decode(g, np.array([5, 5]))
@@ -186,7 +180,7 @@ def test_peel_sound_against_brute_force(seed):
     h = g.parity_matrix()
     types = rng.integers(1, 6, size=8)
     obs = Observation.all_zero(types)
-    out = peel_decode(g, obs)
+    out = peel_decode(g, obs.types)
     sets = brute_force_jcf(h, obs)
     for i in range(8):
         if out[i] in (4, 5):
@@ -203,7 +197,7 @@ def test_peel_complete_on_trees():
     assert g.is_cycle_free()
     for types in itertools.product(range(1, 6), repeat=5):
         obs = Observation.all_zero(np.array(types))
-        out = peel_decode(g, obs)
+        out = peel_decode(g, obs.types)
         sets = brute_force_jcf(h, obs)
         for i in range(5):
             assert (out[i] in (4, 5)) == (sets[i] == {0})
@@ -220,11 +214,16 @@ def test_peel_schedule_independence(seed):
 
 
 def test_peel_schedule_independence_coupled():
+    # the oracle gets the boundary sockets back as explicit type-5 PSEUDO
+    # entries, so this also checks that dropping them loses nothing
+    e = Ensemble(3, 6, 2, 2)
     rng = np.random.default_rng(2)
-    g = sample_coupled_graph(Ensemble(3, 6, 2, 2), 4, rng)
+    g = sample_coupled_graph(e, 4, rng)
+    assert g.evar.size < g.n_checks * e.d_c
     types = rng.integers(1, 6, size=g.n_vars)
     np.testing.assert_array_equal(
-        peel_decode(g, types), naive_peel(g, types, rng=np.random.default_rng(7))
+        peel_decode(g, types),
+        naive_peel(g, types, rng=np.random.default_rng(7), pad_to=e.d_c),
     )
 
 
@@ -236,6 +235,32 @@ def test_failure_rate_extremes():
     bad = failure_rate(Ensemble(3, 6), xor, 1.0, size=120, trials=3, seed=1)
     assert bad.bit_rate == 1.0
     assert bad.block_rate == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 20])
+def test_failure_rate_wilson_interval(n):
+    # no failure in n trials still leaves a 95% upper bound of z^2/(n+z^2);
+    # the endpoints at 0 and n failures are exact
+    xor, z2 = BUILTINS["xor-only"], 1.96**2
+    good = failure_rate(Ensemble(3, 6), xor, 0.0, size=120, trials=n, seed=1)
+    assert good.block_lo == 0.0
+    assert good.block_hi == pytest.approx(z2 / (n + z2), rel=1e-12)
+    if n == 5:
+        assert good.block_hi == pytest.approx(0.4345, abs=1e-4)
+    bad = failure_rate(Ensemble(3, 6), xor, 1.0, size=120, trials=n, seed=1)
+    assert bad.block_lo == pytest.approx(n / (n + z2), rel=1e-12)
+    assert bad.block_hi == 1.0
+    with pytest.raises(ValueError):
+        failure_rate(Ensemble(3, 6), xor, 0.0, size=120, trials=0, seed=1)
+
+
+def test_wilson_interval_inside_unit_interval():
+    for n in range(1, 41):
+        for k in range(n + 1):
+            lo, hi = wilson_interval(k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0
+            assert (lo == 0.0) == (k == 0)
+            assert (hi == 1.0) == (k == n)
 
 
 def test_failure_rate_deterministic_and_coupled():
