@@ -201,7 +201,7 @@ def cmd_threshold(args) -> int:
     _emit(
         args,
         _meta(args),
-        ["eps_thresh", "eps_lo", "eps_hi", "tol", "evals", "degenerate"],
+        ["eps_thresh", "eps_lo", "eps_hi", "tol", "evals", "degenerate", "cap_limited"],
         [
             {
                 "eps_thresh": res.eps_thresh,
@@ -210,6 +210,7 @@ def cmd_threshold(args) -> int:
                 "tol": res.tol,
                 "evals": res.evaluations,
                 "degenerate": res.degenerate,
+                "cap_limited": res.cap_limited,
             }
         ],
     )
@@ -232,7 +233,7 @@ def cmd_figure6(args) -> int:
         rows_out.append(asdict(row))
     cols = [
         "d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi",
-        "eps_thresh", "eps_lo", "eps_hi", "evals",
+        "eps_thresh", "eps_lo", "eps_hi", "evals", "cap_limited",
     ]
     _emit(args, _meta(args), cols, rows_out)
 
@@ -245,11 +246,16 @@ def cmd_figure6(args) -> int:
 def cmd_simulate(args) -> int:
     family = _family(args)
     if args.L is not None:
+        if args.N is not None:
+            raise ValueError("--N sizes the regular ensemble; a coupled chain (--L) takes --M")
         if args.M is None:
             raise ValueError("--M is required for coupled simulation")
-        e = _coupled(args.dv, args.dc, args.L, args.w)
+        e = _coupled(args.dv, args.dc, args.L, 1 if args.w is None else args.w)
         size = args.M
     else:
+        for flag, val in (("--w", args.w), ("--M", args.M)):
+            if val is not None:
+                raise ValueError(f"{flag} needs a coupled chain (--L)")
         e = Ensemble(args.dv, args.dc)
         size = args.N
         if size is None:
@@ -377,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dv", type=int, required=True)
     p.add_argument("--dc", type=int, required=True)
     p.add_argument("--N", type=int, help="codeword length (regular)")
-    p.add_argument("--L", type=int)
-    p.add_argument("--w", type=int, default=1)
+    p.add_argument("--L", type=int, help="chain half-length (coupled)")
+    p.add_argument("--w", type=int, help="coupling width (coupled, default 1)")
     p.add_argument("--M", type=int, help="variables per position (coupled)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--p-pi", type=float, default=0.0)

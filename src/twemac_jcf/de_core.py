@@ -2,7 +2,8 @@
 
 Messages on a randomly chosen edge have one of five types, and both node
 updates combine iid messages under the knowledge lattice (types as in
-`message_types`).  Rows of shape (k, 5) hold one distribution each.
+`message_types`).  Arrays are type-major: a (5, k) array holds one
+distribution per column, so that each type is one contiguous row.
 
 Check node, the meet of n = d_c - 1 iid messages p: the output is type 5
 iff every input is, and type t in {2, 3, 4} iff every input lies in {t, 5}
@@ -17,6 +18,9 @@ input lies in {1, t} and not all are 1:
 
     out1 = c1 q1^n,   out_t = (c1 + c_t)(q1 + q_t)^n - c1 q1^n,
     out5 = the remainder.
+
+The two joins share the powers (q1 + q_t)^n, so `var_update` returns the
+join with n and with n + 1 messages from one power and one multiply.
 """
 
 from __future__ import annotations
@@ -31,36 +35,50 @@ class SimplexError(RuntimeError):
 
 
 def chk_update(p: np.ndarray, n: int) -> np.ndarray:
-    """Distribution of the meet of n iid messages, one per row of p (k, 5)."""
-    all5 = p[:, 4:] ** n
+    """Distribution of the meet of n iid messages, one per column of p (5, k)."""
     out = np.empty_like(p)
-    out[:, 1:4] = (p[:, 1:4] + p[:, 4:]) ** n - all5
-    out[:, 4:] = all5
-    out[:, 0] = 1.0 - out[:, 1:].sum(axis=1)
+    np.add(p[1:4], p[4], out=out[1:4])
+    out[4] = p[4]
+    out[1:] **= n
+    out[1:4] -= out[4]
+    np.subtract(1.0, out[1:].sum(axis=0), out=out[0])
     return out
 
 
 def var_update(c: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """Distribution of the join of channel c (5,) with n iid messages, one
-    per row of q (k, 5)."""
-    none = c[0] * q[:, :1] ** n
-    out = np.empty_like(q)
-    out[:, :1] = none
-    out[:, 1:4] = (c[0] + c[1:4]) * (q[:, :1] + q[:, 1:4]) ** n - none
-    out[:, 4] = 1.0 - out[:, :4].sum(axis=1)
+    """Distributions of the join of channel c (5,) with n and with n + 1 iid
+    messages, one pair per column of q (5, k), as a (5, 2, k) array: [:, 0]
+    holds the joins with n messages and [:, 1] those with n + 1 (with
+    n = d_v - 1, the outgoing message and the decoder output)."""
+    # (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1].  np.power writes
+    # a contiguous half: numpy's SIMD power loop, which strided outputs
+    # bypass, rounds differently from the scalar one.
+    powers = np.empty((2, 4, q.shape[1]))
+    base = powers[1]
+    base[0] = q[0]
+    np.add(q[1:4], q[0], out=base[1:])
+    np.power(base, n, out=powers[0])
+    base *= powers[0]
+    weights = c[:4] + c[0]  # c1, then c1 + c_t
+    weights[0] = c[0]
+    out = np.empty((5, 2, q.shape[1]))
+    np.multiply(weights[:, None, None], powers.transpose(1, 0, 2), out=out[:4])
+    out[1:4] -= out[0]
+    np.subtract(1.0, out[:4].sum(axis=0), out=out[4])
     return out
 
 
 def renormalize(p: np.ndarray, atol: float = RENORM_ATOL) -> np.ndarray:
     """Renormalize within tolerance; raise SimplexError on real drift.
 
-    Works on a single distribution or on rows of an (n, 5) array.  The
-    kernels fill one entry per row as a remainder, so their rows always sum
-    to 1; a negative entry is what shows their drift.
+    Works on a single distribution (5,) or on a type-major array (5, ...)
+    with one distribution per index of its trailing axes.  The kernels fill
+    one entry per distribution as a remainder, so their sums are always 1;
+    a negative entry is what shows their drift.
     """
-    s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > atol):
+    s = p.sum(axis=0)
+    if s.max() - 1.0 > atol or 1.0 - s.min() > atol:
         raise SimplexError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
-    if np.any(p < -atol):
+    if p.min() < -atol:
         raise SimplexError(f"distribution entry {np.min(p):.3e} below zero")
     return p / s

@@ -1,18 +1,29 @@
 """Type distribution evolution for (d_v, d_c, L, w) ensembles.
 
-Variable positions occupy -L..L; check positions -L..L+w-1.  Effective
-node inputs are width-w window averages of the per-position message
-distributions, with out-of-range variable positions reading as the type-5
-point mass (pseudo variable nodes fixed to the known all-zero pair).
-Window averages use fresh prefix sums each iteration.
+Variable positions occupy -L..L (rows 0..2L); check positions -L..L+w-1
+(rows 0..2L+w-1).  Effective node inputs are width-w window averages of the
+per-position message distributions: check row q averages variable rows
+q-w+1..q, whose out-of-range rows read as the type-5 point mass (pseudo
+variable nodes fixed to the known all-zero pair), and variable row i
+averages check rows i..i+w-1.  Window averages use fresh prefix sums each
+iteration.
+
+The chain is symmetric under the mirror map variable i <-> 2L-i, check
+q <-> 2L+w-1-q, and so is every iteration, so the evolution holds only the
+half chain up to the centre: variable rows 0..L (positions -L..0) and check
+rows 0..L+w-1, the ones those variables read.  A check row near the centre
+reads variable row j > L as its mirror 2L-j, and j > 2L as the type-5 pad.
+Message rows are type-major (5, k) arrays, one contiguous row per type.
+`DeOutcome` and its snapshots unfold the half chain to all 2L+1 variable
+and 2L+w check rows.
 
 A regular (d_v, d_c) ensemble is the chain with L = 0 and w = 1: one
-position, no boundary.  One iteration applies the closed-form kernels of
-`de_core` to all position rows at once:
+position, no boundary, and no mirror.  One iteration applies the
+closed-form kernels of `de_core` to all updated rows at once:
 
     pcv[q]   = chk_update(window average of pvc at check q, d_c - 1)
-    pvc[i]   = var_update(pch, window average of pcv at variable i, d_v - 1)
-    p_dec[i] = types 4 + 5 of var_update(pch, the same average, d_v)
+    pvc[i]   = var_update(pch, window average of pcv at variable i, d_v - 1)[0]
+    p_dec[i] = types 4 + 5 of the same var_update's [1], the join with d_v
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 from .channel import validate_dist
 from .de_core import chk_update, renormalize, var_update
 
-E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+E5 = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])  # the type-5 point mass, one column
 
 DEFAULT_SUCCESS_TARGET = 1.0 - 1e-5
 DEFAULT_STALL_TOL = 1e-12
@@ -93,33 +104,54 @@ def nominal_rate(e: Ensemble) -> float:
     return (1 - ratio) - ratio * boundary
 
 
-def _window_sum(rows: np.ndarray, w: int) -> np.ndarray:
-    """Sums of w consecutive rows: out[i] = rows[i] + ... + rows[i+w-1]."""
-    cs = np.vstack([np.zeros((1, rows.shape[1])), np.cumsum(rows, axis=0)])
-    return cs[w:] - cs[: rows.shape[0] - w + 1]
+def _window_mean(rows: np.ndarray, w: int) -> np.ndarray:
+    """Means of w consecutive columns: out[:, i] = mean of rows[:, i..i+w-1].
+
+    Prefix sums run from the first column, so a column's mean depends only
+    on the columns up to its window's end.
+    """
+    cs = np.empty((rows.shape[0], rows.shape[1] + 1))
+    cs[:, 0] = 0.0
+    np.add.accumulate(rows, axis=1, out=cs[:, 1:])
+    out = cs[:, w:] - cs[:, :-w]
+    out /= w
+    return out
 
 
-def eff_vc_window(pvc: np.ndarray, w: int, lo: int, hi: int) -> np.ndarray:
-    """Effective check inputs for check indices lo..hi+w-1.
+def eff_vc_window(pvc: np.ndarray, L: int, w: int, lo: int) -> np.ndarray:
+    """Effective check inputs (5, L+w-lo) for check rows lo..L+w-1.
 
-    Check index q averages variable rows q-w+1..q; rows outside the stored
-    array read as the type-5 point mass.
+    pvc holds variable rows 0..L (positions -L..0).  Check row q averages
+    variable rows q-w+1..q; row j reads as its mirror 2L-j for L < j <= 2L,
+    and as the type-5 point mass for j < 0 or j > 2L.
     """
     if w == 1:
-        return pvc[lo : hi + 1].copy()
-    pad = np.tile(E5, (w - 1, 1))
-    padded = np.vstack([pad, pvc, pad])  # row shift: var index i -> i + w - 1
-    return _window_sum(padded[lo : hi + 2 * w - 1], w) / w
+        return pvc[:, lo:]
+    first = lo - w + 1
+    m = min(w - 1, L)
+    parts = [pvc[:, max(0, first) :], pvc[:, L - m : L][:, ::-1]]
+    if first < 0:
+        parts.insert(0, E5.repeat(-first, axis=1))
+    if m < w - 1:
+        parts.append(E5.repeat(w - 1 - m, axis=1))
+    return _window_mean(np.concatenate(parts, axis=1), w)
 
 
-def eff_cv_window(pcv: np.ndarray, w: int, lo: int, hi: int) -> np.ndarray:
-    """Effective variable inputs for variable indices lo..hi.
+def eff_cv_window(pcv: np.ndarray, w: int, lo: int) -> np.ndarray:
+    """Effective variable inputs (5, L+1-lo) for variable rows lo..L.
 
-    Variable index i averages check rows i..i+w-1 (always in range).
+    pcv holds check rows 0..L+w-1.  Variable row i averages check rows
+    i..i+w-1 (always in range).
     """
     if w == 1:
-        return pcv[lo : hi + 1].copy()
-    return _window_sum(pcv[lo : hi + w], w) / w
+        return pcv[:, lo:]
+    return _window_mean(pcv[:, lo:], w)
+
+
+def _unfold(half: np.ndarray, n: int) -> np.ndarray:
+    """The n full-chain rows from the rows of the half chain, which run up to
+    and past the centre: row j >= len(half) is the mirror of row n-1-j."""
+    return np.concatenate([half, half[: n - len(half)][::-1]])
 
 
 class Snapshot(NamedTuple):
@@ -155,12 +187,12 @@ def de_coupled(
     Success means min-over-positions p_dec >= success_target, where p_dec
     is the type-4 + type-5 mass of the decoder output; stall means the
     sup-norm change of the variable-to-check rows fell below stall_tol.
-    Each iteration updates only the positions within w of the span of
-    unsaturated ones, whose variable-to-check distribution is more than
-    stall_tol from the type-5 point mass; the rest stay frozen (the decoded
-    wave leaves large saturated regions behind).  A snapshot is kept after
-    each iteration in snapshot_iters and, when snapshot_iters is non-empty,
-    after the last one.
+    Each iteration updates only the positions from w before the first
+    unsaturated one, whose variable-to-check distribution is more than
+    stall_tol from the type-5 point mass, to the centre and their mirrors;
+    the rest stay frozen (the decoded wave leaves large saturated regions
+    behind).  A snapshot is kept after each iteration in snapshot_iters
+    and, when snapshot_iters is non-empty, after the last one.
     """
     pch = validate_dist(pch)
     l_max = caps.l_max_for(e)
@@ -169,36 +201,39 @@ def de_coupled(
             raise ValueError(f"l_max must be >= 1, got {l_max}")
         if not 0.0 < caps.success_target < 1.0:
             raise ValueError(f"success_target must be in (0,1), got {caps.success_target}")
+    L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
-    pvc = np.tile(pch, (nv, 1))
-    pcv = np.tile(pch, (nc, 1))
-    p_dec = np.zeros(nv)
+    pvc = pch[:, None].repeat(L + 1, axis=1)
+    pcv = pch[:, None].repeat(L + w, axis=1)
+    p_dec = np.zeros(L + 1)
     snapshots: Dict[int, Snapshot] = {}
 
+    def snapshot() -> Snapshot:
+        return Snapshot(_unfold(pvc.T, nv), _unfold(pcv.T, nc), _unfold(p_dec, nv))
+
     status = "cap"
-    it = 0
+    it = lo = 0
     for it in range(1, l_max + 1):
-        unsat = np.flatnonzero(np.max(np.abs(pvc - E5), axis=1) > caps.stall_tol)
-        if unsat.size == 0:
+        # rows before lo are saturated and have not changed since the last scan
+        unsat = np.abs(pvc[:, lo:] - E5).max(axis=0) > caps.stall_tol
+        first = int(unsat.argmax())
+        if not unsat[first]:
             p_dec[:] = 1.0
             status = "success"
             break
-        lo = max(0, int(unsat[0]) - e.w)
-        hi = min(nv - 1, int(unsat[-1]) + e.w)
+        lo = max(0, lo + first - w)
 
-        # check half-iteration over check indices lo..hi+w-1
-        pcv[lo : hi + e.w] = renormalize(chk_update(eff_vc_window(pvc, e.w, lo, hi), e.d_c - 1))
+        # check half-iteration over check rows lo..L+w-1
+        pcv[:, lo:] = renormalize(chk_update(eff_vc_window(pvc, L, w, lo), e.d_c - 1))
 
-        # variable half-iteration and decoder output over indices lo..hi
-        eff_cv = eff_cv_window(pcv, e.w, lo, hi)
-        new_rows = renormalize(var_update(pch, eff_cv, e.d_v - 1))
-        p_out = renormalize(var_update(pch, eff_cv, e.d_v))
-        p_dec[lo : hi + 1] = p_out[:, 3] + p_out[:, 4]
-        delta = float(np.max(np.abs(new_rows - pvc[lo : hi + 1])))
-        pvc[lo : hi + 1] = new_rows
+        # variable half-iteration and decoder output over variable rows lo..L
+        out = renormalize(var_update(pch, eff_cv_window(pcv, w, lo), e.d_v - 1))
+        np.add(out[3, 1], out[4, 1], out=p_dec[lo:])
+        delta = float(np.abs(out[:, 0] - pvc[:, lo:]).max())
+        pvc[:, lo:] = out[:, 0]
 
         if it in snapshot_iters:
-            snapshots[it] = Snapshot(pvc.copy(), pcv.copy(), p_dec.copy())
+            snapshots[it] = snapshot()
         if float(p_dec.min()) >= caps.success_target:
             status = "success"
             break
@@ -206,13 +241,13 @@ def de_coupled(
             status = "stall"
             break
     if snapshot_iters:
-        snapshots[it] = Snapshot(pvc.copy(), pcv.copy(), p_dec.copy())
+        snapshots[it] = snapshot()
     return DeOutcome(
-        p_dec=p_dec,
+        p_dec=_unfold(p_dec, nv),
         min_p_dec=float(p_dec.min()),
         iterations_used=it,
         converged=status,
-        final_pvc=pvc,
-        final_pcv=pcv,
+        final_pvc=_unfold(pvc.T, nv),
+        final_pcv=_unfold(pcv.T, nc),
         snapshots=snapshots,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class ThresholdResult:
     evaluations: int
     evals: List[EvalMeta] = field(default_factory=list)
     degenerate: bool = False  # eps = 0 already undecodable
+    cap_limited: bool = False  # the evaluation that set eps_hi ended at the cap
 
 
 def is_decodable(
@@ -79,42 +80,48 @@ def find_threshold(
         tol = default_tol(e)
     evals: List[EvalMeta] = []
 
-    def check(eps: float) -> bool:
+    def check(eps: float) -> EvalMeta:
         meta = is_decodable(e, family, eps, caps, p_pi)
         evals.append(meta)
-        return meta.decodable
+        return meta
 
-    ends = {}
+    ends: Dict[float, EvalMeta] = {}
     if verify_scan:
-        grid = np.linspace(0.0, 1.0, verify_scan)
-        flags = [check(float(x)) for x in grid]
+        metas = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
         # decodable must form a prefix of the grid
         seen_false = False
-        for f in flags:
-            if not f:
+        for m in metas:
+            if not m.decodable:
                 seen_false = True
             elif seen_false:
                 raise RuntimeError(
                     "decodability is not monotone in eps on the scan grid; "
                     "bisection would be unsound for this channel family"
                 )
-        ends = {float(grid[0]): flags[0], float(grid[-1]): flags[-1]}
+        ends = {metas[0].eps: metas[0], metas[-1].eps: metas[-1]}
 
-    def check_end(eps: float) -> bool:
+    def check_end(eps: float) -> EvalMeta:
         return ends[eps] if eps in ends else check(eps)
 
-    if not check_end(0.0):
-        return ThresholdResult(0.0, 0.0, 0.0, tol, len(evals), evals, degenerate=True)
-    if check_end(1.0):
-        return ThresholdResult(1.0, 1.0, 1.0, tol, len(evals), evals)
+    def result(lo: float, hi: float, hi_meta: EvalMeta, degenerate: bool = False):
+        return ThresholdResult(0.5 * (lo + hi), lo, hi, tol, len(evals), evals,
+                               degenerate, hi_meta.status == "cap")
+
+    at_zero = check_end(0.0)
+    if not at_zero.decodable:
+        return result(0.0, 0.0, at_zero, degenerate=True)
+    hi_meta = check_end(1.0)
+    if hi_meta.decodable:
+        return result(1.0, 1.0, hi_meta)
     lo, hi = 0.0, 1.0
     while hi - lo > 2 * tol:
         mid = 0.5 * (lo + hi)
-        if check(mid):
+        meta = check(mid)
+        if meta.decodable:
             lo = mid
         else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), lo, hi, tol, len(evals), evals)
+            hi, hi_meta = mid, meta
+    return result(lo, hi, hi_meta)
 
 
 @dataclass
@@ -130,6 +137,7 @@ class SweepRow:
     eps_lo: float
     eps_hi: float
     evals: int
+    cap_limited: bool
 
 
 def _sweep_point(args) -> SweepRow:
@@ -148,6 +156,7 @@ def _sweep_point(args) -> SweepRow:
         eps_lo=res.eps_lo,
         eps_hi=res.eps_hi,
         evals=res.evaluations,
+        cap_limited=res.cap_limited,
     )
 
 

@@ -4,8 +4,9 @@ Everything here is derived by a different route than the package code,
 and nothing here imports the package: the operator tables come from a
 component-set lattice, the node updates from powers of explicit 5x5
 transition matrices and from exhaustive lattice folds, erasure-only
-evolutions from scalar BEC recursions, and peeling from a slow sequential
-fold.
+evolutions from scalar BEC recursions, the coupled five-type evolution from
+a loop over every position of the whole chain, and peeling from a slow
+sequential fold.
 """
 
 from __future__ import annotations
@@ -193,6 +194,62 @@ def scalar_coupled_threshold(d_v, d_c, L, w, tol=1e-4, **kw) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# --- five-type coupled density evolution on the full chain ------------------
+
+
+def closed_form_meet(p, n: int) -> np.ndarray:
+    """Meet of n iid messages p: type 5 iff all inputs are, type t in
+    {2, 3, 4} iff all lie in {t, 5} and not all are 5, else type 1."""
+    out = np.zeros(5)
+    out[4] = p[4] ** n
+    for t in (1, 2, 3):
+        out[t] = (p[t] + p[4]) ** n - out[4]
+    out[0] = 1.0 - out[1:].sum()
+    return out
+
+
+def closed_form_join(c, q, n: int) -> np.ndarray:
+    """Join of channel c with n iid messages q: type 1 iff all inputs are,
+    type t in {2, 3, 4} iff all lie in {1, t} and not all are 1, else 5."""
+    out = np.zeros(5)
+    out[0] = c[0] * q[0] ** n
+    for t in (1, 2, 3):
+        out[t] = (c[0] + c[t]) * (q[0] + q[t]) ** n - out[0]
+    out[4] = 1.0 - out[:4].sum()
+    return out
+
+
+def five_type_coupled_trajectory(pch, d_v, d_c, L, w, iters):
+    """Per-iteration (pvc, pcv, p_dec) of the five-type evolution of the
+    whole (d_v, d_c, L, w) chain, iterations 1..iters.
+
+    pvc is (2L+1, 5) over variable positions -L..L, pcv is (2L+w, 5) over
+    check positions -L..L+w-1, and p_dec is the type-4 + type-5 mass of
+    the decoder output per variable position.  Every position is updated
+    in every iteration, with no use of the mirror symmetry; check q
+    averages variables q-w+1..q, which read as type 5 outside the chain,
+    and variable i averages checks i..i+w-1.
+    """
+    pch = np.asarray(pch, dtype=float)
+    nv, nc = 2 * L + 1, 2 * L + w
+    e5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    x = [pch.copy() for _ in range(nv)]
+    out = []
+    for _ in range(iters):
+        y = []
+        for q in range(nc):
+            window = [x[q - j] if 0 <= q - j < nv else e5 for j in range(w)]
+            y.append(closed_form_meet(sum(window) / w, d_c - 1))
+        x, p_dec = [], []
+        for i in range(nv):
+            avg = sum(y[i : i + w]) / w
+            x.append(closed_form_join(pch, avg, d_v - 1))
+            dec = closed_form_join(pch, avg, d_v)
+            p_dec.append(dec[3] + dec[4])
+        out.append((np.array(x), np.array(y), np.array(p_dec)))
+    return out
 
 
 # --- slow sequential peeling on the extended Tanner graph --------------------

@@ -61,6 +61,18 @@ def test_threshold_regular(capsys):
     assert rows[0]["degenerate"] == "False"
 
 
+def test_threshold_cap_limited_column(capsys):
+    # the last column says whether the evaluation that set eps_hi hit the cap
+    argv = ["threshold", "--coupled", "3", "6", "10", "3", "--channel", "xor-only",
+            "--tol", "5e-3"]
+    for extra, want in ((["--lmax", "30"], "True"), ([], "False")):
+        code, out = run_cli(argv + extra, capsys)
+        assert code == 0
+        meta, rows = parse_csv(out)
+        assert list(rows[0])[-1] == "cap_limited"
+        assert rows[0]["cap_limited"] == want
+
+
 def test_threshold_invalid_coupled_degree_exits_2(capsys):
     # a chain needs d_v >= 2 and L >= 1; the regular ensemble needs d_v >= 1
     for ensemble in (["--coupled", "1", "6", "5", "3"], ["--coupled", "3", "6", "0", "1"],
@@ -141,10 +153,25 @@ def test_simulate_regular(capsys):
 
 def test_simulate_usage_errors_exit_2(capsys):
     base = ["simulate", "--dv", "3", "--dc", "6", "--eps", "0.2"]
-    for extra in ([], ["--L", "2", "--w", "2"], ["--N", "120", "--trials", "0"]):
+    # size and window flags that do not fit the ensemble are rejected, not
+    # dropped: --N sizes the regular ensemble, --w and --M a chain (--L)
+    for extra in ([], ["--L", "2", "--w", "2"], ["--N", "120", "--trials", "0"],
+                  ["--N", "600", "--L", "2", "--w", "2", "--M", "12"],
+                  ["--N", "600", "--w", "3"], ["--N", "600", "--M", "12"]):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
+
+
+def test_simulate_coupled_default_window(capsys):
+    # --L without --w keeps the default w = 1
+    code, out = run_cli(
+        ["simulate", "--dv", "3", "--dc", "6", "--L", "2", "--M", "12", "--eps", "0.2",
+         "--channel", "xor-only", "--trials", "2", "--seed", "3"],
+        capsys,
+    )
+    assert code == 0
+    assert int(parse_csv(out)[1][0]["n_vars"]) == 5 * 12
 
 
 def test_oracle_exhaustive(tmp_path, capsys):
@@ -171,6 +198,8 @@ def test_figure6_small_sweep(tmp_path, capsys):
     _, rows = parse_csv(out_path.read_text())
     assert [(r["d_v"], r["d_c"]) for r in rows] == [("3", "6"), ("4", "6")]
     assert all(0.0 < float(r["eps_thresh"]) < 1.0 for r in rows)
+    assert list(rows[0])[-1] == "cap_limited"
+    assert [r["cap_limited"] for r in rows] == ["False", "False"]
     curves = out_path.with_name(out_path.name + ".curves.csv")
     _, crows = parse_csv(curves.read_text())
     assert len(crows) == 11

@@ -38,11 +38,17 @@ NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before it
 
 
 def chk(p, n):
-    return chk_update(np.asarray(p, dtype=float)[None, :], n)[0]
+    return chk_update(np.asarray(p, dtype=float)[:, None], n)[:, 0]
+
+
+def var_pair(c, q, n):
+    """The joins of c with n and with n + 1 messages q."""
+    out = var_update(np.asarray(c, dtype=float), np.asarray(q, dtype=float)[:, None], n)
+    return out[:, 0, 0], out[:, 1, 0]
 
 
 def var(c, q, n):
-    return var_update(np.asarray(c, dtype=float), np.asarray(q, dtype=float)[None, :], n)[0]
+    return var_pair(c, q, n)[0]
 
 
 def regular(d_v, d_c, pch, l_max=None, target=None, snapshots=()):
@@ -102,7 +108,9 @@ def test_matrices_match_explicit_layouts(p):
     for n in (1, 2, 5, 9):
         np.testing.assert_allclose(chk(p, n), matrix_power_update(p, n), atol=1e-14)
     for n in (0, 1, 2, 3, 9):
-        np.testing.assert_allclose(var(c, p, n), matrix_power_update(p, n, c), atol=1e-14)
+        out, dec = var_pair(c, p, n)
+        np.testing.assert_allclose(out, matrix_power_update(p, n, c), atol=1e-14)
+        np.testing.assert_allclose(dec, matrix_power_update(p, n + 1, c), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -111,7 +119,9 @@ def test_kernels_match_table_folds(n):
     for p in rng.dirichlet(np.ones(5), size=4):
         c = rng.dirichlet(np.ones(5))
         np.testing.assert_allclose(chk(p, n), folded_update(p, n), atol=1e-14)
-        np.testing.assert_allclose(var(c, p, n), folded_update(p, n, c), atol=1e-14)
+        out, dec = var_pair(c, p, n)
+        np.testing.assert_allclose(out, folded_update(p, n, c), atol=1e-14)
+        np.testing.assert_allclose(dec, folded_update(p, n + 1, c), atol=1e-14)
 
 
 @given(dists)
@@ -238,9 +248,10 @@ def test_renormalize_guard():
 
 
 def test_renormalize_rejects_negative_entry():
-    # a remainder entry keeps the sum at 1 however far the others drift
+    # a remainder entry keeps the sum at 1 however far the others drift;
+    # arrays are type-major, one distribution per column
     with pytest.raises(SimplexError):
-        renormalize(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]))
+        renormalize(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
     renormalize(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
 
 

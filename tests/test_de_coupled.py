@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS
+from twemac_jcf.channel import BUILTINS, puncture
 from twemac_jcf.de_coupled import (
     Caps,
     Ensemble,
@@ -15,7 +15,10 @@ from twemac_jcf.de_coupled import (
     nominal_rate,
 )
 
-from oracles import scalar_coupled_trajectory
+from oracles import five_type_coupled_trajectory, scalar_coupled_trajectory
+
+NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
+E5 = np.array([0, 0, 0, 0, 1.0])
 
 
 def test_nominal_rate_frozen_values():
@@ -45,10 +48,10 @@ def test_nominal_rate_limits():
 def test_effective_dists_w1_is_identity():
     e = Ensemble(3, 6, 2, 1)
     rng = np.random.default_rng(1)
-    pvc = rng.dirichlet(np.ones(5), size=e.n_var_positions)
-    pcv = rng.dirichlet(np.ones(5), size=e.n_chk_positions)
-    nv = e.n_var_positions
-    eff_vc, eff_cv = eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
+    # type-major rows of the half chain: variables 0..L, checks 0..L+w-1
+    pvc = rng.dirichlet(np.ones(5), size=e.L + 1).T
+    pcv = rng.dirichlet(np.ones(5), size=e.L + e.w).T
+    eff_vc, eff_cv = eff_vc_window(pvc, e.L, e.w, 0), eff_cv_window(pcv, e.w, 0)
     np.testing.assert_allclose(eff_vc, pvc)
     np.testing.assert_allclose(eff_cv, pcv)
 
@@ -58,31 +61,93 @@ def test_effective_dists_uniform_interior():
     # padding bleeding in near the boundary
     e = Ensemble(3, 6, 4, 3)
     row = np.array([0.2, 0.2, 0.2, 0.4, 0.0])
-    pvc = np.tile(row, (e.n_var_positions, 1))
-    pcv = np.tile(row, (e.n_chk_positions, 1))
-    nv = e.n_var_positions
-    eff_vc, eff_cv = eff_vc_window(pvc, e.w, 0, nv - 1), eff_cv_window(pcv, e.w, 0, nv - 1)
-    for q in range(e.w - 1, e.n_var_positions):
-        np.testing.assert_allclose(eff_vc[q], row, atol=1e-15)
-    np.testing.assert_allclose(eff_cv, np.tile(row, (e.n_var_positions, 1)), atol=1e-15)
+    pvc = np.tile(row, (e.L + 1, 1)).T
+    pcv = np.tile(row, (e.L + e.w, 1)).T
+    eff_vc, eff_cv = eff_vc_window(pvc, e.L, e.w, 0), eff_cv_window(pcv, e.w, 0)
+    for q in range(e.w - 1, e.L + e.w):
+        np.testing.assert_allclose(eff_vc[:, q], row, atol=1e-15)
+    np.testing.assert_allclose(eff_cv, np.tile(row, (e.L + 1, 1)).T, atol=1e-15)
     # leftmost check sees w-1 pseudo rows
     expect = (row + (e.w - 1) * np.array([0, 0, 0, 0, 1.0])) / e.w
-    np.testing.assert_allclose(eff_vc[0], expect, atol=1e-15)
+    np.testing.assert_allclose(eff_vc[:, 0], expect, atol=1e-15)
 
 
 def test_effective_dists_boundary_formula():
-    e = Ensemble(3, 6, 3, 2)
-    rng = np.random.default_rng(7)
-    pvc = rng.dirichlet(np.ones(5), size=e.n_var_positions)
-    pcv = rng.dirichlet(np.ones(5), size=e.n_chk_positions)
-    eff_vc = eff_vc_window(pvc, e.w, 0, e.n_var_positions - 1)
-    eff_cv = eff_cv_window(pcv, e.w, 0, e.n_var_positions - 1)
-    e5 = np.array([0, 0, 0, 0, 1.0])
-    for q in range(e.n_chk_positions):
-        rows = [pvc[q - j] if 0 <= q - j < e.n_var_positions else e5 for j in range(e.w)]
-        np.testing.assert_allclose(eff_vc[q], np.mean(rows, axis=0), atol=1e-14)
-    for i in range(e.n_var_positions):
-        np.testing.assert_allclose(eff_cv[i], pcv[i : i + e.w].mean(axis=0), atol=1e-14)
+    # the half chain against the full-chain window formula: variable j > L
+    # is the mirror of 2L - j, and positions off the chain read as type 5
+    for L, w in ((3, 2), (2, 5), (3, 4)):
+        e = Ensemble(3, 6, L, w)
+        rng = np.random.default_rng(7)
+        pvc = rng.dirichlet(np.ones(5), size=L + 1).T
+        pcv = rng.dirichlet(np.ones(5), size=L + w).T
+        full_pvc = [pvc[:, min(j, 2 * L - j)] for j in range(e.n_var_positions)]
+        e5 = np.array([0, 0, 0, 0, 1.0])
+        for lo in (0, L):
+            eff_vc = eff_vc_window(pvc, L, w, lo)
+            eff_cv = eff_cv_window(pcv, w, lo)
+            assert eff_vc.shape == (5, L + w - lo) and eff_cv.shape == (5, L + 1 - lo)
+            for q in range(lo, L + w):
+                rows = [full_pvc[q - j] if 0 <= q - j < e.n_var_positions else e5
+                        for j in range(w)]
+                np.testing.assert_allclose(eff_vc[:, q - lo], np.mean(rows, axis=0), atol=1e-14)
+            for i in range(lo, L + 1):
+                np.testing.assert_allclose(eff_cv[:, i - lo], pcv[:, i : i + w].mean(axis=1),
+                                           atol=1e-14)
+
+
+def oracle_outcome(e, pch, caps, iters):
+    """(status, iterations, pvc, pcv, p_dec, trajectory) of the unpruned
+    full-chain oracle under the stopping rules of de_coupled: success when
+    every variable row is within stall_tol of type 5 before an iteration
+    (p_dec then reads 1) or when min p_dec reaches the target after it,
+    stall when the sup-norm change of the variable rows falls below
+    stall_tol, cap after l_max iterations."""
+    traj = five_type_coupled_trajectory(pch, e.d_v, e.d_c, e.L, e.w, iters)
+    pvc, pcv = np.tile(pch, (e.n_var_positions, 1)), np.tile(pch, (e.n_chk_positions, 1))
+    for it, (new_pvc, new_pcv, p_dec) in enumerate(traj, start=1):
+        if np.max(np.abs(pvc - E5)) <= caps.stall_tol:
+            return "success", it, pvc, pcv, np.ones(len(pvc)), traj
+        delta = np.max(np.abs(new_pvc - pvc))
+        pvc, pcv = new_pvc, new_pcv
+        if p_dec.min() >= caps.success_target:
+            return "success", it, pvc, pcv, p_dec, traj
+        if delta < caps.stall_tol:
+            return "stall", it, pvc, pcv, p_dec, traj
+        if it == caps.l_max_for(e):
+            return "cap", it, pvc, pcv, p_dec, traj
+    raise AssertionError(f"the oracle did not stop within {iters} iterations")
+
+
+CHANNELS = {
+    "primary": BUILTINS["primary"].eval(0.27),
+    "punctured-primary": puncture(BUILTINS["primary"].eval(0.15), 0.25),
+    "full-reveal": BUILTINS["full-reveal"].eval(0.45),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 6, 2, 5), (4, 8, 3, 4), (5, 10, 4, 3), (3, 6, 5, 2), (3, 6, 4, 1)],
+    ids=["L<w", "L=w-1", "odd-w", "even-w", "w=1"],
+)
+@pytest.mark.parametrize("target", ["default", "not-final"])
+def test_half_chain_matches_full_chain_oracle(channel, shape, target):
+    e, pch = Ensemble(*shape), CHANNELS[channel]
+    caps = Caps() if target == "default" else Caps(l_max=40, success_target=NOT_FINAL)
+    snaps = {1, 2, 7, 25}
+    res = de_coupled(e, pch, caps, snapshot_iters=snaps)
+    status, iters, pvc, pcv, p_dec, traj = oracle_outcome(e, pch, caps, 400)
+    assert (res.converged, res.iterations_used) == (status, iters)
+    np.testing.assert_allclose(res.p_dec, p_dec, atol=1e-12)
+    assert res.min_p_dec == pytest.approx(p_dec.min(), abs=1e-12)
+    np.testing.assert_allclose(res.final_pvc, pvc, atol=1e-12)
+    np.testing.assert_allclose(res.final_pcv, pcv, atol=1e-12)
+    assert sorted(res.snapshots) == sorted(k for k in snaps | {iters} if k <= iters)
+    for k, snap in res.snapshots.items():
+        if k < iters:
+            for got, want in zip(snap, traj[k - 1]):
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_coupled_equals_regular_at_w1():

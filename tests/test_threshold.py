@@ -145,3 +145,20 @@ def test_caps_l_max_controls_outcome():
     eps = 0.425  # close to threshold, needs many iterations
     assert is_decodable(sys_, fam, eps).decodable
     assert not is_decodable(sys_, fam, eps, caps=Caps(l_max=10)).decodable
+
+
+def test_cap_limited_marks_a_bracket_set_by_the_cap():
+    # in 30 iterations the decoding wave cannot cross a (3,6,10,3) chain
+    # near its threshold, so the evaluation that sets eps_hi ends at the
+    # cap; without the tight cap it ends in a stall
+    e, fam = Ensemble(3, 6, 10, 3), BUILTINS["xor-only"]
+    capped = find_threshold(e, fam, tol=5e-3, caps=Caps(l_max=30))
+    full = find_threshold(e, fam, tol=5e-3)
+    for res, status in ((capped, "cap"), (full, "stall")):
+        hi = [m for m in res.evals if m.eps == res.eps_hi][-1]
+        assert hi.status == status
+        assert res.cap_limited == (status == "cap")
+    assert capped.eps_thresh < full.eps_thresh
+    # a bracket that never needed the undecodable end is not cap limited
+    always = ChannelFamily(name="always", kind="fixed-table", table=(0.0, 0.0, 0.0, 1.0, 0.0))
+    assert not find_threshold(Ensemble(3, 6), always, caps=Caps(l_max=1)).cap_limited
