@@ -6,20 +6,17 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelFamily,
-    PunctureSpec,
     get_family,
     parse_channel_config,
     puncture,
     validate_dist,
 )
 from .de_coupled import Caps, DeOutcome, Ensemble, de_coupled, nominal_rate
-from .message_types import MessageType, chk_combine, chk_fold, knows_xor, var_combine, var_fold
 from .rates import RateBundle, mi_enumerate, rate_bounds
 from .threshold import find_threshold, is_decodable, sweep
 
 __all__ = [
     "ChannelFamily",
-    "PunctureSpec",
     "get_family",
     "parse_channel_config",
     "puncture",
@@ -29,12 +26,6 @@ __all__ = [
     "Ensemble",
     "de_coupled",
     "nominal_rate",
-    "MessageType",
-    "chk_combine",
-    "chk_fold",
-    "knows_xor",
-    "var_combine",
-    "var_fold",
     "RateBundle",
     "mi_enumerate",
     "rate_bounds",

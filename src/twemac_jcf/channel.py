@@ -46,17 +46,6 @@ def validate_dist(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PunctureSpec:
-    """Per-symbol puncture probability p_pi = |pi| / N."""
-
-    p_pi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_pi < 1.0:
-            raise ChannelError(f"p_pi must be in [0, 1), got {self.p_pi}")
-
-
-@dataclass(frozen=True)
 class ChannelFamily:
     """A named map eps -> type distribution.
 
@@ -108,16 +97,17 @@ BUILTINS: Mapping[str, ChannelFamily] = {
 }
 
 
-def puncture(pch, spec: PunctureSpec | float) -> np.ndarray:
-    """Effective channel after identical random puncturing at both nodes.
+def puncture(pch, p_pi: float) -> np.ndarray:
+    """Effective channel after identical random puncturing at both nodes,
+    with per-symbol puncture probability p_pi = |pi| / N in [0, 1).
 
     Punctured symbols reach the decoder as type 1 (nothing known).
     """
-    if not isinstance(spec, PunctureSpec):
-        spec = PunctureSpec(float(spec))
+    if not 0.0 <= p_pi < 1.0:
+        raise ChannelError(f"p_pi must be in [0, 1), got {p_pi}")
     p = validate_dist(pch)
-    q = p * (1 - spec.p_pi)
-    q[0] += spec.p_pi
+    q = p * (1 - p_pi)
+    q[0] += p_pi
     return q
 
 

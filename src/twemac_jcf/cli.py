@@ -36,7 +36,6 @@ from .de_coupled import (
 )
 from .rates import rate_bounds
 from .simulate import (
-    Observation,
     brute_force_jcf,
     failure_rate,
     graph_from_parity,
@@ -288,12 +287,9 @@ def cmd_oracle(args) -> int:
     checked = sound_violations = completeness_mismatches = 0
     tree = g.is_cycle_free()
     for types in patterns:
-        types = np.asarray(types, dtype=np.int64)
-        obs = Observation.all_zero(types)
         out = peel_decode(g, types)
         known = (out == 4) | (out == 5)
-        sets = brute_force_jcf(h, obs)
-        recoverable = np.array([s == {0} for s in sets])
+        recoverable = brute_force_jcf(h, types)
         sound_violations += int(np.any(known & ~recoverable))
         if tree:
             completeness_mismatches += int(np.any(known != recoverable))

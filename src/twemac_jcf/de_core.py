@@ -1,8 +1,8 @@
 """Closed-form node updates of the five-type density evolution.
 
 Messages on a randomly chosen edge have one of five types, and both node
-updates combine iid messages under the knowledge lattice (types as in
-`message_types`).  Arrays are type-major: a (5, k) array holds one
+updates combine iid messages under the knowledge lattice (types as defined
+in `simulate`).  Arrays are type-major: a (5, k) array holds one
 distribution per column, so that each type is one contiguous row.
 
 Check node, the meet of n = d_c - 1 iid messages p: the output is type 5

@@ -89,6 +89,12 @@ class Caps:
     success_target: float = DEFAULT_SUCCESS_TARGET
     stall_tol: float = DEFAULT_STALL_TOL
 
+    def __post_init__(self):
+        if self.l_max is not None and self.l_max < 1:
+            raise ValueError(f"l_max must be >= 1, got {self.l_max}")
+        if not 0.0 < self.success_target < 1.0:
+            raise ValueError(f"success_target must be in (0,1), got {self.success_target}")
+
     def l_max_for(self, e: Ensemble) -> int:
         if self.l_max is not None:
             return self.l_max
@@ -196,11 +202,6 @@ def de_coupled(
     """
     pch = validate_dist(pch)
     l_max = caps.l_max_for(e)
-    if not e.coupled:  # coupled runs accept any cap and target
-        if l_max < 1:
-            raise ValueError(f"l_max must be >= 1, got {l_max}")
-        if not 0.0 < caps.success_target < 1.0:
-            raise ValueError(f"success_target must be in (0,1), got {caps.success_target}")
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
     pvc = pch[:, None].repeat(L + 1, axis=1)

@@ -1,22 +1,31 @@
 """Finite-length validation on sampled extended Tanner graphs.
 
-Variables carry pair values (x_A[n], x_B[n]); an observation assigns each
-variable one of the five knowledge types.  `peel_decode` runs type-level
-message passing to its fixed point (knowledge only grows, so the fixed
-point is schedule-independent).  `brute_force_jcf` enumerates codeword
-pairs consistent with the observation and is the exact reference decoder
-for small codes.
+Variables carry pair values (x_A[n], x_B[n]).  The decoder's knowledge of
+one pair is one of five types:
 
-Internally knowledge is a 3-bit mask (bit 1 = x_A, bit 2 = x_B,
-bit 4 = xor): the check operator is bitwise AND, the variable operator is
-OR followed by closure (two distinct known components determine all
-three).
+    1 = nothing known
+    2 = x_A known
+    3 = x_B known
+    4 = x_A xor x_B known
+    5 = everything known
+
+A channel observation is a type array, one type per variable; the all-zero
+codeword pair is assumed, since on erasure-type channels decodability
+depends only on the type pattern.  `peel_decode` runs type-level message
+passing to its fixed point (knowledge only grows, so the fixed point is
+schedule-independent).  `brute_force_jcf` enumerates the codeword pairs
+consistent with an observation and is the exact reference decoder for
+small codes.
+
+Knowledge is a 3-bit mask (bit 1 = x_A, bit 2 = x_B, bit 4 = xor), and the
+types are the five closed masks 0, 1, 2, 4 and 7.  The check operator, the
+lattice meet, is bitwise AND; the variable operator, the join, is OR
+followed by `closure` (two distinct known components determine all three).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
 
 import numpy as np
 
@@ -32,7 +41,7 @@ MASK_TO_TYPE = np.zeros(8, dtype=np.int64)
 MASK_TO_TYPE[[0, 1, 2, 4, 7]] = [1, 2, 3, 4, 5]
 
 
-def _closure(m: np.ndarray) -> np.ndarray:
+def closure(m: np.ndarray) -> np.ndarray:
     """Two distinct known components imply full knowledge."""
     return np.where(_POPC[m] >= 2, 7, m)
 
@@ -123,47 +132,14 @@ def sample_coupled_graph(
     return _from_sockets(nvp * m_per_pos, sockets, e.d_c)
 
 
-@dataclass
-class Observation:
-    """Per-variable channel types and the values they reveal.
-
-    Value arrays use -1 for components the type does not reveal.
-    """
-
-    types: np.ndarray
-    val_a: np.ndarray
-    val_b: np.ndarray
-    val_xor: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.types)
-        if np.any((t < 1) | (t > 5)):
-            raise ValueError("types must be integers 1..5")
-        rev_a = (t == 2) | (t == 5)
-        rev_b = (t == 3) | (t == 5)
-        rev_x = t == 4
-        for rev, vals, name in (
-            (rev_a, self.val_a, "val_a"),
-            (rev_b, self.val_b, "val_b"),
-            (rev_x, self.val_xor, "val_xor"),
-        ):
-            if np.any((np.asarray(vals) >= 0) != rev):
-                raise ValueError(f"{name} must be revealed exactly where the type says")
-
-    @classmethod
-    def from_transmitted(cls, types, x_a, x_b) -> "Observation":
-        t = np.asarray(types, dtype=np.int64)
-        x_a = np.asarray(x_a, dtype=np.int64)
-        x_b = np.asarray(x_b, dtype=np.int64)
-        val_a = np.where((t == 2) | (t == 5), x_a, -1)
-        val_b = np.where((t == 3) | (t == 5), x_b, -1)
-        val_xor = np.where(t == 4, x_a ^ x_b, -1)
-        return cls(t, val_a, val_b, val_xor)
-
-    @classmethod
-    def all_zero(cls, types) -> "Observation":
-        t = np.asarray(types, dtype=np.int64)
-        return cls.from_transmitted(t, np.zeros_like(t), np.zeros_like(t))
+def _type_array(types, n: int) -> np.ndarray:
+    """An observation of n variables as an int64 array of types 1..5."""
+    t = np.asarray(types, dtype=np.int64)
+    if t.shape != (n,):
+        raise ValueError(f"observation has shape {t.shape}, expected ({n},)")
+    if np.any((t < 1) | (t > 5)):
+        raise ValueError("types must be integers 1..5")
+    return t
 
 
 def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
@@ -174,10 +150,7 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     type folds the channel type with all incoming check messages; x_xor is
     recovered at a variable iff its final type is 4 or 5.
     """
-    types = np.asarray(types, dtype=np.int64)
-    if len(types) != g.n_vars:
-        raise ValueError("observation length does not match the graph")
-    ch = TYPE_TO_MASK[types]
+    ch = TYPE_TO_MASK[_type_array(types, g.n_vars)]
     evar, echeck = g.evar, g.echeck
     ch_e = ch[evar]
     v2c = ch_e
@@ -197,11 +170,11 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
             cnt = np.bincount(evar, weights=has, minlength=g.n_vars)
             out |= b * ((cnt[evar] - has) >= 1)
             heard |= b * (cnt >= 1)
-        out = _closure(out | ch_e)
+        out = closure(out | ch_e)
         if np.array_equal(out, v2c):
             break
         v2c = out
-    return MASK_TO_TYPE[_closure(ch | heard)]
+    return MASK_TO_TYPE[closure(ch | heard)]
 
 
 def gf2_nullspace(h: np.ndarray) -> np.ndarray:
@@ -242,39 +215,24 @@ def enumerate_codewords(h: np.ndarray, max_dim: int = 12) -> np.ndarray:
     return (sel @ basis) % 2
 
 
-def brute_force_jcf(h: np.ndarray, obs: Observation) -> List[Set[int]]:
-    """Per-bit sets of xor values over codeword pairs consistent with obs.
+def brute_force_jcf(h: np.ndarray, types) -> np.ndarray:
+    """Per-bit recoverability of x_A xor x_B, by exhaustive enumeration.
 
-    A bit is recoverable iff its set is a singleton.  Raises ValueError
-    when no pair is consistent (invalid observation).
+    Under the all-zero codeword pair, a pair (a, b) of codewords is
+    consistent with the types iff a is 0 where they reveal x_A (types 2
+    and 5), b is 0 where they reveal x_B (3 and 5) and a xor b is 0 where
+    they reveal the xor (4).  Returns True where a xor b is the same in
+    every consistent pair, as it is in the all-zero one.
     """
     code = enumerate_codewords(h)
-    n = code.shape[1]
-    t = np.asarray(obs.types)
-    pos_a = np.flatnonzero((t == 2) | (t == 5))
-    pos_b = np.flatnonzero((t == 3) | (t == 5))
-    pos_x = np.flatnonzero(t == 4)
-    ok_a = np.all(code[:, pos_a] == obs.val_a[pos_a], axis=1)
-    ok_b = np.all(code[:, pos_b] == obs.val_b[pos_b], axis=1)
-    ca, cb = code[ok_a], code[ok_b]
-    vx = obs.val_xor[pos_x]
-
-    seen = np.zeros((n, 2), dtype=bool)
-    any_pair = False
+    t = _type_array(types, code.shape[1])
+    ca = code[~np.any(code[:, (t == 2) | (t == 5)], axis=1)]
+    cb = code[~np.any(code[:, (t == 3) | (t == 5)], axis=1)]
+    ambiguous = np.zeros(code.shape[1], dtype=bool)
     for a in ca:
-        xs = a[None, :] ^ cb
-        ok = np.all(xs[:, pos_x] == vx, axis=1)
-        if not np.any(ok):
-            continue
-        any_pair = True
-        xs = xs[ok]
-        seen[:, 0] |= np.any(xs == 0, axis=0)
-        seen[:, 1] |= np.any(xs == 1, axis=0)
-    if not any_pair:
-        raise ValueError("observation is inconsistent with every codeword pair")
-    return [
-        {v for v in (0, 1) if seen[i, v]} for i in range(n)
-    ]
+        xs = a ^ cb
+        ambiguous |= np.any(xs[~np.any(xs[:, t == 4], axis=1)], axis=0)
+    return ~ambiguous
 
 
 def wilson_interval(failures: int, trials: int):

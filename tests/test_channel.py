@@ -9,7 +9,6 @@ from twemac_jcf.channel import (
     BUILTINS,
     ChannelError,
     ChannelFamily,
-    PunctureSpec,
     get_family,
     parse_channel_config,
     puncture,
@@ -58,7 +57,7 @@ def test_eval_rejects_eps_out_of_range():
 
 def test_puncture_examples():
     np.testing.assert_allclose(
-        puncture([0.25, 0.25, 0.25, 0.25, 0], PunctureSpec(0.2)),
+        puncture([0.25, 0.25, 0.25, 0.25, 0], 0.2),
         [0.4, 0.2, 0.2, 0.2, 0.0],
     )
     p = np.array([0.1, 0.2, 0.3, 0.4, 0.0])
@@ -84,10 +83,11 @@ def test_puncture_preserves_simplex_and_is_affine(raw, p_pi):
 
 
 def test_puncture_spec_validation():
+    p = [0.25, 0.25, 0.25, 0.25, 0]
     with pytest.raises(ChannelError):
-        PunctureSpec(1.0)
+        puncture(p, 1.0)
     with pytest.raises(ChannelError):
-        PunctureSpec(-0.1)
+        puncture(p, -0.1)
 
 
 def test_sample_state_point_masses():

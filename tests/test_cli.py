@@ -82,6 +82,24 @@ def test_threshold_invalid_coupled_degree_exits_2(capsys):
         assert exc.value.code == 2
 
 
+def test_coupled_commands_reject_bad_caps(monkeypatch):
+    # Caps checks l_max and the success target for chains as for the
+    # regular ensemble
+    chains = (
+        ["de-coupled", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2", "--eps", "0.3"],
+        ["threshold", "--coupled", "3", "6", "4", "2"],
+        ["figure6", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2"],
+    )
+    for argv in chains:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lmax", "0"])
+        assert exc.value.code == 2
+    monkeypatch.setenv("TWEMAC_SUCCESS_TARGET", "1.5")
+    with pytest.raises(SystemExit) as exc:
+        main(chains[1])
+    assert exc.value.code == 2
+
+
 def test_reruns_byte_identical(capsys):
     argv = ["threshold", "--regular", "3", "6", "--tol", "1e-3"]
     _, a = run_cli(argv, capsys)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it or re-exported."""
+"""Every name a package module imports is used in it or re-exported, and
+every module is imported by the package."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,27 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def package_imports(source: str) -> set:
+    """Package modules named by the relative imports of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_is_imported_by_another():
+    # __init__ only re-exports, and cli is the entry point
+    importers = {m: set() for m in MODULES}
+    for module in MODULES:
+        if module != "__init__":
+            for dep in package_imports((PACKAGE / f"{module}.py").read_text()) & set(MODULES):
+                if dep != module:
+                    importers[dep].add(module)
+    dead = [m for m in MODULES if m not in ("__init__", "cli") and not importers[m]]
+    assert dead == []

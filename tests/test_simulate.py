@@ -9,7 +9,6 @@ import pytest
 from twemac_jcf.channel import BUILTINS
 from twemac_jcf.de_coupled import Ensemble
 from twemac_jcf.simulate import (
-    Observation,
     brute_force_jcf,
     enumerate_codewords,
     failure_rate,
@@ -118,13 +117,17 @@ def test_peel_single_parity_check_example():
     assert out[2] == 2
 
 
-def test_peel_respects_observation_wrapper():
+def test_peel_rejects_bad_type_arrays():
     g = graph_from_parity(H_SMALL)
-    obs = Observation.all_zero(np.array([5, 5, 1, 4]))
-    out = peel_decode(g, obs.types)
-    assert list(out) == [5, 5, 5, 5]
+    assert list(peel_decode(g, [5, 5, 1, 4])) == [5, 5, 5, 5]
     with pytest.raises(ValueError):
         peel_decode(g, np.array([5, 5]))
+    # a type outside 1..5 must not index the mask table (-1 read as type 5,
+    # 0 as type 1, 6 past its end)
+    g = graph_from_parity(np.array([[1, 1, 0], [0, 1, 1]]))
+    for bad in (-1, 0, 6):
+        with pytest.raises(ValueError):
+            peel_decode(g, np.array([bad, 4, 4]))
 
 
 def test_gf2_nullspace_and_enumeration():
@@ -140,36 +143,16 @@ def test_gf2_nullspace_and_enumeration():
 
 
 def test_brute_force_examples():
-    # repetition pair, one side sees x_A and the other x_B: the xor of the
-    # transmitted pair is pinned on both bits
+    # repetition pair, one side sees x_A and the other x_B: the xor is
+    # pinned on both bits
     h = np.array([[1, 1]])
-    obs = Observation.from_transmitted(np.array([2, 3]), [1, 1], [0, 0])
-    sets = brute_force_jcf(h, obs)
-    assert sets == [{1}, {1}]
+    assert list(brute_force_jcf(h, [2, 3])) == [True, True]
     # nothing observed: both xor values remain possible
-    obs = Observation.all_zero(np.array([1, 1]))
-    assert brute_force_jcf(h, obs) == [{0, 1}, {0, 1}]
-
-
-def test_brute_force_rejects_inconsistent_observation():
-    h = np.array([[1, 1]])
-    obs = Observation(
-        types=np.array([5, 4]),
-        val_a=np.array([1, -1]),
-        val_b=np.array([0, -1]),
-        val_xor=np.array([-1, 0]),  # contradicts x_A ^ x_B = 1 forced by the check
-    )
+    assert list(brute_force_jcf(h, [1, 1])) == [False, False]
+    # one xor observation pins its partner through the check
+    assert list(brute_force_jcf(h, [4, 1])) == [True, True]
     with pytest.raises(ValueError):
-        brute_force_jcf(h, obs)
-
-
-def test_observation_validation():
-    with pytest.raises(ValueError):
-        Observation(np.array([6]), np.array([-1]), np.array([-1]), np.array([-1]))
-    with pytest.raises(ValueError):
-        Observation(np.array([2]), np.array([-1]), np.array([-1]), np.array([-1]))
-    with pytest.raises(ValueError):
-        Observation(np.array([1]), np.array([0]), np.array([-1]), np.array([-1]))
+        brute_force_jcf(h, [2, 3, 1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -179,12 +162,11 @@ def test_peel_sound_against_brute_force(seed):
     g = sample_regular_graph(2, 4, 8, rng)
     h = g.parity_matrix()
     types = rng.integers(1, 6, size=8)
-    obs = Observation.all_zero(types)
-    out = peel_decode(g, obs.types)
-    sets = brute_force_jcf(h, obs)
+    out = peel_decode(g, types)
+    recoverable = brute_force_jcf(h, types)
     for i in range(8):
         if out[i] in (4, 5):
-            assert sets[i] == {0}, f"bit {i}: peel claims xor known, oracle disagrees"
+            assert recoverable[i], f"bit {i}: peel claims xor known, oracle disagrees"
 
 
 def test_peel_complete_on_trees():
@@ -196,11 +178,8 @@ def test_peel_complete_on_trees():
     g = graph_from_parity(h)
     assert g.is_cycle_free()
     for types in itertools.product(range(1, 6), repeat=5):
-        obs = Observation.all_zero(np.array(types))
-        out = peel_decode(g, obs.types)
-        sets = brute_force_jcf(h, obs)
-        for i in range(5):
-            assert (out[i] in (4, 5)) == (sets[i] == {0})
+        out = peel_decode(g, types)
+        np.testing.assert_array_equal((out == 4) | (out == 5), brute_force_jcf(h, types))
 
 
 @pytest.mark.parametrize("seed", range(4))
