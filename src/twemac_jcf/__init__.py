@@ -12,7 +12,7 @@ from .channel import (
     validate_dist,
 )
 from .de_coupled import Caps, DeOutcome, Ensemble, de_coupled, nominal_rate
-from .rates import RateBundle, mi_enumerate, rate_bounds
+from .rates import RateBundle, rate_bounds
 from .threshold import find_threshold, is_decodable, sweep
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "de_coupled",
     "nominal_rate",
     "RateBundle",
-    "mi_enumerate",
     "rate_bounds",
     "find_threshold",
     "is_decodable",

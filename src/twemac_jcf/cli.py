@@ -1,10 +1,13 @@
-"""Command-line surface: rates, de-regular, de-coupled, threshold, figure6,
-simulate, oracle.
+"""Command-line surface: rates, de, threshold, figure6, simulate.
+
+`de` and `simulate` take a regular (d_v, d_c) ensemble, or a coupled
+(d_v, d_c, L, w) chain when --L is given (--w defaults to 1).
 
 Every output starts with a metadata header (version, full config, seed) so
 that identical configs reproduce identical files.  CSV is the default
 format; --format json mirrors the same fields.  Exit codes: 2 for usage
-errors (argparse), 3 for numerical-consistency failures.
+errors, 3 for numerical failures (a distribution off the simplex, or
+decodability that is not monotone on a --verify-scan grid).
 
 Environment overrides for default tolerances:
     TWEMAC_TOL_REGULAR, TWEMAC_TOL_COUPLED, TWEMAC_SUCCESS_TARGET
@@ -13,7 +16,6 @@ Environment overrides for default tolerances:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -24,25 +26,9 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelError, get_family
-from .de_core import SimplexError
-from .de_coupled import (
-    DEFAULT_COUPLED_LMAX,
-    DEFAULT_REGULAR_LMAX,
-    DEFAULT_SUCCESS_TARGET,
-    Caps,
-    Ensemble,
-    de_coupled,
-    nominal_rate,
-)
+from .de_coupled import DEFAULT_SUCCESS_TARGET, Caps, Ensemble, de_coupled, nominal_rate
 from .rates import rate_bounds
-from .simulate import (
-    brute_force_jcf,
-    failure_rate,
-    graph_from_parity,
-    load_parity_matrix,
-    peel_decode,
-    sample_states,
-)
+from .simulate import failure_rate
 from .threshold import find_threshold, sweep
 
 EXIT_NUMERICAL = 3
@@ -107,6 +93,16 @@ def _coupled(d_v: int, d_c: int, L: int, w: int) -> Ensemble:
     return Ensemble(d_v, d_c, L, w)
 
 
+def _ensemble(args) -> Ensemble:
+    """The ensemble of `de` and `simulate`: a chain when --L is given, with
+    w = 1 unless --w says otherwise, else the regular ensemble."""
+    if args.L is not None:
+        return _coupled(args.dv, args.dc, args.L, 1 if args.w is None else args.w)
+    if args.w is not None:
+        raise ValueError("--w needs a coupled chain (--L)")
+    return Ensemble(args.dv, args.dc)
+
+
 RATE_COLUMNS = ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"]
 
 
@@ -124,10 +120,18 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def cmd_de_regular(args) -> int:
-    family = _family(args)
-    snapshot_iters = range(1, args.lmax + 1) if args.trace else ()
-    res = de_coupled(Ensemble(args.dv, args.dc), family.eval(args.eps), _caps(args), snapshot_iters)
+def cmd_de(args) -> int:
+    e = _ensemble(args)
+    if args.trace and e.coupled:
+        # a trace copies the whole chain every iteration: O(l_max * L) memory
+        raise ValueError("--trace needs the regular ensemble; a chain (--L) takes --profile")
+    caps = _caps(args)
+    args.lmax = caps.l_max_for(e)  # the header echoes the effective cap
+    if args.trace:
+        snapshot_iters = range(1, args.lmax + 1)
+    else:
+        snapshot_iters = {2**k for k in range(args.lmax.bit_length())} if args.profile else ()
+    res = de_coupled(e, _family(args).eval(args.eps), caps, snapshot_iters)
     if args.trace:
         cols = (
             ["iter"]
@@ -145,20 +149,6 @@ def cmd_de_regular(args) -> int:
             for it, snap in sorted(res.snapshots.items())
         ]
         _emit(args, _meta(args), cols, rows, path=args.trace)
-    _emit(
-        args,
-        _meta(args),
-        ["p_dec", "iterations", "status"],
-        [{"p_dec": res.min_p_dec, "iterations": res.iterations_used, "status": res.converged}],
-    )
-    return 0
-
-
-def cmd_de_coupled(args) -> int:
-    family = _family(args)
-    e = _coupled(args.dv, args.dc, args.L, args.w)
-    snapshot_iters = {2**k for k in range(0, 30) if 2**k <= args.lmax} if args.profile else ()
-    res = de_coupled(e, family.eval(args.eps), _caps(args), snapshot_iters)
     if args.profile:
         iters = sorted(res.snapshots)
         cols = ["position"] + [f"p_dec_iter_{k}" for k in iters]
@@ -243,24 +233,21 @@ def cmd_figure6(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    family = _family(args)
-    if args.L is not None:
+    e = _ensemble(args)
+    if e.coupled:
         if args.N is not None:
             raise ValueError("--N sizes the regular ensemble; a coupled chain (--L) takes --M")
         if args.M is None:
             raise ValueError("--M is required for coupled simulation")
-        e = _coupled(args.dv, args.dc, args.L, 1 if args.w is None else args.w)
         size = args.M
     else:
-        for flag, val in (("--w", args.w), ("--M", args.M)):
-            if val is not None:
-                raise ValueError(f"{flag} needs a coupled chain (--L)")
-        e = Ensemble(args.dv, args.dc)
-        size = args.N
-        if size is None:
+        if args.M is not None:
+            raise ValueError("--M needs a coupled chain (--L)")
+        if args.N is None:
             raise ValueError("--N is required for regular simulation")
+        size = args.N
     stats = failure_rate(
-        e, family, args.eps, size, args.trials, args.seed, p_pi=args.p_pi
+        e, _family(args), args.eps, size, args.trials, args.seed, p_pi=args.p_pi
     )
     _emit(
         args,
@@ -269,45 +256,6 @@ def cmd_simulate(args) -> int:
         [asdict(stats)],
     )
     return 0
-
-
-def cmd_oracle(args) -> int:
-    h = load_parity_matrix(args.H)
-    g = graph_from_parity(h)
-    family = _family(args)
-    pch = family.eval(args.eps)
-    rng = np.random.default_rng(args.seed)
-    n = g.n_vars
-
-    if args.exhaustive:
-        patterns = itertools.product(range(1, 6), repeat=n)
-    else:
-        patterns = (sample_states(pch, n, rng) for _ in range(args.trials))
-
-    checked = sound_violations = completeness_mismatches = 0
-    tree = g.is_cycle_free()
-    for types in patterns:
-        out = peel_decode(g, types)
-        known = (out == 4) | (out == 5)
-        recoverable = brute_force_jcf(h, types)
-        sound_violations += int(np.any(known & ~recoverable))
-        if tree:
-            completeness_mismatches += int(np.any(known != recoverable))
-        checked += 1
-    _emit(
-        args,
-        _meta(args),
-        ["patterns", "cycle_free", "sound_violations", "completeness_mismatches"],
-        [
-            {
-                "patterns": checked,
-                "cycle_free": tree,
-                "sound_violations": sound_violations,
-                "completeness_mismatches": completeness_mismatches if tree else None,
-            }
-        ],
-    )
-    return 0 if sound_violations == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,30 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output file (default stdout)")
 
+    def ensemble(p):
+        p.add_argument("--dv", type=int, required=True)
+        p.add_argument("--dc", type=int, required=True)
+        p.add_argument("--L", type=int, help="chain half-length (coupled; omit for regular)")
+        p.add_argument("--w", type=int, help="coupling width (coupled, default 1)")
+        p.add_argument("--eps", type=float, required=True)
+
     p = sub.add_parser("rates", help="rate bounds on an eps grid")
     common(p)
     p.add_argument("--grid", type=int, default=101)
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("de-regular", help="regular-ensemble evolution at one eps")
+    p = sub.add_parser("de", help="evolution at one eps")
     common(p)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lmax", type=int, default=DEFAULT_REGULAR_LMAX)
-    p.add_argument("--trace", help="per-iteration trace CSV path")
-    p.set_defaults(func=cmd_de_regular)
-
-    p = sub.add_parser("de-coupled", help="coupled-ensemble evolution at one eps")
-    common(p)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lmax", type=int, default=DEFAULT_COUPLED_LMAX)
-    p.add_argument("--profile", help="per-position p_dec CSV path")
-    p.set_defaults(func=cmd_de_coupled)
+    ensemble(p)
+    p.add_argument("--lmax", type=int, default=None)
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--trace", help="per-iteration trace CSV path (regular only)")
+    grp.add_argument("--profile", help="per-position p_dec CSV path")
+    p.set_defaults(func=cmd_de)
 
     p = sub.add_parser("threshold", help="bisect for the erasure threshold")
     common(p)
@@ -376,27 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-length Monte Carlo failure rates")
     common(p)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
+    ensemble(p)
     p.add_argument("--N", type=int, help="codeword length (regular)")
-    p.add_argument("--L", type=int, help="chain half-length (coupled)")
-    p.add_argument("--w", type=int, help="coupling width (coupled, default 1)")
     p.add_argument("--M", type=int, help="variables per position (coupled)")
-    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--p-pi", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("oracle", help="peeling vs brute-force agreement report")
-    common(p)
-    p.add_argument("--H", required=True, help="parity matrix file: 'rows cols' then 0/1 rows")
-    p.add_argument("--eps", type=float, default=0.5)
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--exhaustive", action="store_true")
-    grp.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -406,8 +336,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimplexError,) as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # SimplexError, or a non-monotone --verify-scan
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ChannelError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")

@@ -68,7 +68,7 @@ def var_update(c: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def renormalize(p: np.ndarray, atol: float = RENORM_ATOL) -> np.ndarray:
+def renormalize(p: np.ndarray) -> np.ndarray:
     """Renormalize within tolerance; raise SimplexError on real drift.
 
     Works on a single distribution (5,) or on a type-major array (5, ...)
@@ -77,8 +77,8 @@ def renormalize(p: np.ndarray, atol: float = RENORM_ATOL) -> np.ndarray:
     a negative entry is what shows their drift.
     """
     s = p.sum(axis=0)
-    if s.max() - 1.0 > atol or 1.0 - s.min() > atol:
+    if s.max() - 1.0 > RENORM_ATOL or 1.0 - s.min() > RENORM_ATOL:
         raise SimplexError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
-    if p.min() < -atol:
+    if p.min() < -RENORM_ATOL:
         raise SimplexError(f"distribution entry {np.min(p):.3e} below zero")
     return p / s

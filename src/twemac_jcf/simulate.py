@@ -13,9 +13,9 @@ A channel observation is a type array, one type per variable; the all-zero
 codeword pair is assumed, since on erasure-type channels decodability
 depends only on the type pattern.  `peel_decode` runs type-level message
 passing to its fixed point (knowledge only grows, so the fixed point is
-schedule-independent).  `brute_force_jcf` enumerates the codeword pairs
-consistent with an observation and is the exact reference decoder for
-small codes.
+schedule-independent).  The exact reference decoder, which enumerates the
+codeword pairs consistent with an observation of a small code, is test
+code (`tests/oracles.py`).
 
 Knowledge is a 3-bit mask (bit 1 = x_A, bit 2 = x_B, bit 4 = xor), and the
 types are the five closed masks 0, 1, 2, 4 and 7.  The check operator, the
@@ -60,29 +60,6 @@ class EtgInstance:
     n_checks: int
     evar: np.ndarray
     echeck: np.ndarray
-
-    def parity_matrix(self) -> np.ndarray:
-        """Dense GF(2) parity-check matrix; multi-edges cancel mod 2."""
-        h = np.zeros((self.n_checks, self.n_vars), dtype=np.int64)
-        np.add.at(h, (self.echeck, self.evar), 1)
-        return h % 2
-
-    def is_cycle_free(self) -> bool:
-        """True iff the bipartite multigraph is a forest."""
-        parent = list(range(self.n_vars + self.n_checks))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v, c in zip(self.evar.tolist(), self.echeck.tolist()):
-            a, b = find(v), find(self.n_vars + c)
-            if a == b:
-                return False
-            parent[a] = b
-        return True
 
 
 def _from_sockets(n_vars: int, sockets: np.ndarray, d_c: int) -> EtgInstance:
@@ -177,64 +154,6 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     return MASK_TO_TYPE[closure(ch | heard)]
 
 
-def gf2_nullspace(h: np.ndarray) -> np.ndarray:
-    """Basis of the GF(2) nullspace of h, one codeword per row."""
-    h = (np.asarray(h, dtype=np.int64) % 2).copy()
-    rows, cols = h.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = np.flatnonzero(h[r:, c]) + r
-        if sel.size == 0:
-            continue
-        if sel[0] != r:
-            h[[r, sel[0]]] = h[[sel[0], r]]
-        for rr in range(rows):
-            if rr != r and h[rr, c]:
-                h[rr] ^= h[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = h[i, c]
-    return basis
-
-
-def enumerate_codewords(h: np.ndarray, max_dim: int = 12) -> np.ndarray:
-    """All codewords of the code with parity-check matrix h."""
-    basis = gf2_nullspace(h)
-    k = basis.shape[0]
-    if k > max_dim:
-        raise ValueError(f"code dimension {k} exceeds enumeration limit {max_dim}")
-    sel = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
-    return (sel @ basis) % 2
-
-
-def brute_force_jcf(h: np.ndarray, types) -> np.ndarray:
-    """Per-bit recoverability of x_A xor x_B, by exhaustive enumeration.
-
-    Under the all-zero codeword pair, a pair (a, b) of codewords is
-    consistent with the types iff a is 0 where they reveal x_A (types 2
-    and 5), b is 0 where they reveal x_B (3 and 5) and a xor b is 0 where
-    they reveal the xor (4).  Returns True where a xor b is the same in
-    every consistent pair, as it is in the all-zero one.
-    """
-    code = enumerate_codewords(h)
-    t = _type_array(types, code.shape[1])
-    ca = code[~np.any(code[:, (t == 2) | (t == 5)], axis=1)]
-    cb = code[~np.any(code[:, (t == 3) | (t == 5)], axis=1)]
-    ambiguous = np.zeros(code.shape[1], dtype=bool)
-    for a in ca:
-        xs = a ^ cb
-        ambiguous |= np.any(xs[~np.any(xs[:, t == 4], axis=1)], axis=0)
-    return ~ambiguous
-
-
 def wilson_interval(failures: int, trials: int):
     """95% Wilson score interval (lo, hi) of a binomial proportion; exactly
     0 at lo when nothing failed and exactly 1 at hi when everything did."""
@@ -309,24 +228,3 @@ def failure_rate(
         trials=trials,
         n_vars=n_vars,
     )
-
-
-def load_parity_matrix(path: str) -> np.ndarray:
-    """Read a dense 0/1 parity matrix: first line 'rows cols', then rows."""
-    with open(path) as fh:
-        tokens = fh.readline().split()
-        rows, cols = int(tokens[0]), int(tokens[1])
-        h = np.zeros((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            line = fh.readline().strip().replace(" ", "")
-            if len(line) != cols:
-                raise ValueError(f"row {r} has {len(line)} entries, expected {cols}")
-            h[r] = [int(ch) for ch in line]
-    return h
-
-
-def graph_from_parity(h: np.ndarray) -> EtgInstance:
-    """Extended Tanner graph of an explicit parity matrix (simple graph)."""
-    h = np.asarray(h, dtype=np.int64) % 2
-    echeck, evar = np.nonzero(h)
-    return EtgInstance(h.shape[1], h.shape[0], evar, echeck)

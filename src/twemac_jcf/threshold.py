@@ -70,7 +70,7 @@ def find_threshold(
     p_pi: float = 0.0,
     verify_scan: Optional[int] = None,
 ) -> ThresholdResult:
-    """Bisect for the largest decodable eps; bracket width <= 2*tol.
+    """Bisect for the largest decodable eps; bracket width <= 2*tol, tol > 0.
 
     With verify_scan=n, an n-point grid is evaluated first and a
     non-monotone decodability pattern raises RuntimeError; the bisection
@@ -78,6 +78,8 @@ def find_threshold(
     """
     if tol is None:
         tol = default_tol(e)
+    if not tol > 0:  # also NaN; at tol <= 0 the bisection would never end
+        raise ValueError(f"tol must be > 0, got {tol}")
     evals: List[EvalMeta] = []
 
     def check(eps: float) -> EvalMeta:

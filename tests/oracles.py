@@ -5,13 +5,16 @@ and nothing here imports the package: the operator tables come from a
 component-set lattice, the node updates from powers of explicit 5x5
 transition matrices and from exhaustive lattice folds, erasure-only
 evolutions from scalar BEC recursions, the coupled five-type evolution from
-a loop over every position of the whole chain, and peeling from a slow
-sequential fold.
+a loop over every position of the whole chain, peeling from a slow
+sequential fold, recoverability from every codeword pair of a small code,
+and the mutual informations of the rate bounds from a sum over the full
+joint distribution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -320,3 +323,194 @@ def naive_peel(g, types, rng=None, pad_to=None):
         incoming = [c2v[key] for key in var_edges.get(v, [])]
         final[v] = int(var_fold([int(types[v])] + incoming))
     return final
+
+
+# --- Tanner graphs as plain edge lists (n_vars, n_checks, evar, echeck) ------
+
+
+def tanner_edges(h):
+    """Edge list of the Tanner graph of parity matrix h, in check-major order."""
+    h = np.asarray(h, dtype=np.int64) % 2
+    echeck, evar = np.nonzero(h)
+    return h.shape[1], h.shape[0], evar, echeck
+
+
+def parity_matrix(n_vars, n_checks, evar, echeck) -> np.ndarray:
+    """Dense GF(2) parity-check matrix; multi-edges cancel mod 2."""
+    h = np.zeros((n_checks, n_vars), dtype=np.int64)
+    np.add.at(h, (echeck, evar), 1)
+    return h % 2
+
+
+def is_cycle_free(n_vars, n_checks, evar, echeck) -> bool:
+    """True iff the bipartite multigraph is a forest (union-find)."""
+    parent = list(range(n_vars + n_checks))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, c in zip(np.asarray(evar).tolist(), np.asarray(echeck).tolist()):
+        a, b = find(v), find(n_vars + c)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+# --- exhaustive reference decoder over all codeword pairs --------------------
+
+MAX_CODE_DIM = 12  # at most 2**12 codewords, 2**24 pairs
+
+
+def gf2_nullspace(h: np.ndarray) -> np.ndarray:
+    """Basis of the GF(2) nullspace of h, one codeword per row."""
+    h = (np.asarray(h, dtype=np.int64) % 2).copy()
+    rows, cols = h.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        sel = np.flatnonzero(h[r:, c]) + r
+        if sel.size == 0:
+            continue
+        if sel[0] != r:
+            h[[r, sel[0]]] = h[[sel[0], r]]
+        for rr in range(rows):
+            if rr != r and h[rr, c]:
+                h[rr] ^= h[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, c in enumerate(free):
+        basis[k, c] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = h[i, c]
+    return basis
+
+
+def enumerate_codewords(h: np.ndarray) -> np.ndarray:
+    """All codewords of the code with parity-check matrix h."""
+    basis = gf2_nullspace(h)
+    k = basis.shape[0]
+    if k > MAX_CODE_DIM:
+        raise ValueError(f"code dimension {k} exceeds enumeration limit {MAX_CODE_DIM}")
+    sel = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    return (sel @ basis) % 2
+
+
+def brute_force_jcf(h: np.ndarray, types) -> np.ndarray:
+    """Per-bit recoverability of x_A xor x_B, by exhaustive enumeration.
+
+    Under the all-zero codeword pair, a pair (a, b) of codewords is
+    consistent with the types iff a is 0 where they reveal x_A (types 2
+    and 5), b is 0 where they reveal x_B (3 and 5) and a xor b is 0 where
+    they reveal the xor (4).  Returns True where a xor b is the same in
+    every consistent pair, as it is in the all-zero one.
+    """
+    code = enumerate_codewords(h)
+    t = np.asarray(types, dtype=np.int64)
+    if t.shape != (code.shape[1],) or np.any((t < 1) | (t > 5)):
+        raise ValueError(f"expected {code.shape[1]} types in 1..5, got {t}")
+    ca = code[~np.any(code[:, (t == 2) | (t == 5)], axis=1)]
+    cb = code[~np.any(code[:, (t == 3) | (t == 5)], axis=1)]
+    ambiguous = np.zeros(code.shape[1], dtype=bool)
+    for a in ca:
+        xs = a ^ cb
+        ambiguous |= np.any(xs[~np.any(xs[:, t == 4], axis=1)], axis=0)
+    return ~ambiguous
+
+
+# --- mutual informations by summation over the joint distribution -----------
+
+MI_QUANTITIES = ("i_joint", "i_a_given_b", "i_b_given_a", "i_xor", "i_joint_given_xor")
+
+
+def _relay_output(xa: int, xb: int, tau: int):
+    """Deterministic relay observation (state, revealed values)."""
+    if tau == 1:
+        return (1,)
+    if tau == 2:
+        return (2, xa)
+    if tau == 3:
+        return (3, xb)
+    if tau == 4:
+        return (4, xa ^ xb)
+    return (5, xa, xb)
+
+
+def _joint_xy(pch, x_of):
+    """Joint pmf over (x, y) with x = x_of(xa, xb); returns dict."""
+    joint: dict = {}
+    for xa in (0, 1):
+        for xb in (0, 1):
+            for tau in range(1, 6):
+                pr = 0.25 * pch[tau - 1]
+                if pr == 0.0:
+                    continue
+                key = (x_of(xa, xb), _relay_output(xa, xb, tau))
+                joint[key] = joint.get(key, 0.0) + pr
+    return joint
+
+
+def _mi_from_joint(joint) -> float:
+    """I(X; Y) by direct summation, log base 2, 0 log 0 := 0."""
+    px: dict = {}
+    py: dict = {}
+    for (x, y), pr in joint.items():
+        px[x] = px.get(x, 0.0) + pr
+        py[y] = py.get(y, 0.0) + pr
+    mi = 0.0
+    for (x, y), pr in joint.items():
+        if pr > 0.0:
+            mi += pr * math.log2(pr / (px[x] * py[y]))
+    return mi
+
+
+def _mi_conditional(pch, x_of, z_of) -> float:
+    """I(X; Y | Z) = sum_z P(z) I(X; Y | Z=z)."""
+    # joint over (z, x, y)
+    joint: dict = {}
+    for xa in (0, 1):
+        for xb in (0, 1):
+            for tau in range(1, 6):
+                pr = 0.25 * pch[tau - 1]
+                if pr == 0.0:
+                    continue
+                key = (z_of(xa, xb), x_of(xa, xb), _relay_output(xa, xb, tau))
+                joint[key] = joint.get(key, 0.0) + pr
+    pz: dict = {}
+    for (z, _x, _y), pr in joint.items():
+        pz[z] = pz.get(z, 0.0) + pr
+    total = 0.0
+    for z, pzv in pz.items():
+        sub = {
+            (x, y): pr / pzv for (zz, x, y), pr in joint.items() if zz == z
+        }
+        total += pzv * _mi_from_joint(sub)
+    return total
+
+
+def mi_enumerate(pch, quantity: str) -> float:
+    """Brute-force mutual information between the relay output and a selector.
+
+    The relay output alphabet is (state, revealed values); the joint
+    distribution over (x_A, x_B, state) is enumerated directly.
+    """
+    p = np.asarray(pch, dtype=float)
+    if quantity == "i_joint":
+        return _mi_from_joint(_joint_xy(p, lambda a, b: (a, b)))
+    if quantity == "i_xor":
+        return _mi_from_joint(_joint_xy(p, lambda a, b: a ^ b))
+    if quantity == "i_a_given_b":
+        return _mi_conditional(p, lambda a, b: a, lambda a, b: b)
+    if quantity == "i_b_given_a":
+        return _mi_conditional(p, lambda a, b: b, lambda a, b: a)
+    if quantity == "i_joint_given_xor":
+        return _mi_conditional(p, lambda a, b: (a, b), lambda a, b: a ^ b)
+    raise ValueError(f"unknown quantity {quantity!r}; expected one of {MI_QUANTITIES}")
+

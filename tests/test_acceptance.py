@@ -15,17 +15,22 @@ import pytest
 
 from twemac_jcf.channel import BUILTINS, puncture
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled, nominal_rate
-from twemac_jcf.rates import MI_QUANTITIES, mi_enumerate, rate_bounds
-from twemac_jcf.simulate import (
-    brute_force_jcf,
-    failure_rate,
-    graph_from_parity,
-    peel_decode,
-    sample_regular_graph,
-)
+from twemac_jcf.rates import rate_bounds
+from twemac_jcf.simulate import EtgInstance, failure_rate, peel_decode, sample_regular_graph
 from twemac_jcf.threshold import find_threshold
 
-from oracles import lattice_chk, lattice_var, scalar_bec_trajectory, scalar_coupled_threshold
+from oracles import (
+    MI_QUANTITIES,
+    brute_force_jcf,
+    is_cycle_free,
+    lattice_chk,
+    lattice_var,
+    mi_enumerate,
+    parity_matrix,
+    scalar_bec_trajectory,
+    scalar_coupled_threshold,
+    tanner_edges,
+)
 from test_message_types import chk_combine, var_combine  # the peeler's mask operators
 
 pytestmark = pytest.mark.acceptance
@@ -184,8 +189,9 @@ def test_criterion_7_oracle_agreement():
         np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]),
     ]
     for h in small_h:
-        g = graph_from_parity(h)
-        tree = g.is_cycle_free()
+        edges = tanner_edges(h)
+        g = EtgInstance(*edges)
+        tree = is_cycle_free(*edges)
         n = h.shape[1]
         for types in itertools.product(ALL5, repeat=n):
             out = peel_decode(g, types)
@@ -203,8 +209,9 @@ def test_criterion_7_oracle_agreement():
         n = int(rng.choice([8, 12]))
         d_c = 4 if d_v == 2 else 6
         g = sample_regular_graph(d_v, d_c, n, rng)
-        h = g.parity_matrix()
-        tree = g.is_cycle_free()
+        edges = (g.n_vars, g.n_checks, g.evar, g.echeck)
+        h = parity_matrix(*edges)
+        tree = is_cycle_free(*edges)
         for _ in range(4):
             types = rng.integers(1, 6, size=n)
             out = peel_decode(g, types)

@@ -1,12 +1,19 @@
-"""End-to-end command-line checks (via main(argv), no subprocesses)."""
+"""End-to-end command-line checks, via main(argv) and, where a command
+could hang, via a subprocess under a timeout."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from twemac_jcf.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -86,7 +93,7 @@ def test_coupled_commands_reject_bad_caps(monkeypatch):
     # Caps checks l_max and the success target for chains as for the
     # regular ensemble
     chains = (
-        ["de-coupled", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2", "--eps", "0.3"],
+        ["de", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2", "--eps", "0.3"],
         ["threshold", "--coupled", "3", "6", "4", "2"],
         ["figure6", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2"],
     )
@@ -110,13 +117,15 @@ def test_reruns_byte_identical(capsys):
 def test_de_regular_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out = run_cli(
-        ["de-regular", "--dv", "3", "--dc", "6", "--eps", "0.3",
+        ["de", "--dv", "3", "--dc", "6", "--eps", "0.3",
          "--channel", "xor-only", "--trace", str(trace)],
         capsys,
     )
     assert code == 0
     _, rows = parse_csv(out)
+    assert list(rows[0]) == ["min_p_dec", "iterations", "status", "nominal_rate"]
     assert rows[0]["status"] == "success"
+    assert float(rows[0]["nominal_rate"]) == 0.5
     meta, trows = parse_csv(trace.read_text())
     assert set(trows[0]) == {"iter"} | {f"pvc{i}" for i in range(1, 6)} | {
         f"pcv{i}" for i in range(1, 6)
@@ -127,7 +136,7 @@ def test_de_regular_with_trace(tmp_path, capsys):
 
 
 def test_success_target_env_applies_to_de_commands(capsys, monkeypatch):
-    argv = ["de-regular", "--dv", "3", "--dc", "6", "--eps", "0.4", "--channel", "xor-only"]
+    argv = ["de", "--dv", "3", "--dc", "6", "--eps", "0.4", "--channel", "xor-only"]
     _, out = run_cli(argv, capsys)
     default_iters = int(parse_csv(out)[1][0]["iterations"])
     monkeypatch.setenv("TWEMAC_SUCCESS_TARGET", "0.5")
@@ -141,7 +150,7 @@ def test_success_target_env_applies_to_de_commands(capsys, monkeypatch):
 def test_de_coupled_with_profile(tmp_path, capsys):
     profile = tmp_path / "profile.csv"
     code, out = run_cli(
-        ["de-coupled", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
+        ["de", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
          "--eps", "0.45", "--channel", "xor-only", "--lmax", "500",
          "--profile", str(profile)],
         capsys,
@@ -154,6 +163,80 @@ def test_de_coupled_with_profile(tmp_path, capsys):
     assert len(prows) == 21
     assert int(prows[0]["position"]) == -10
     assert int(prows[-1]["position"]) == 10
+
+
+def test_de_profile_and_window_defaults(tmp_path, capsys):
+    # the regular ensemble has one position; a chain without --w has w = 1
+    # and the coupled cap of 20000 iterations
+    profile = tmp_path / "profile.csv"
+    base = ["de", "--dv", "3", "--dc", "6", "--eps", "0.3", "--channel", "xor-only"]
+    code, _ = run_cli(base + ["--profile", str(profile)], capsys)
+    assert code == 0
+    _, prows = parse_csv(profile.read_text())
+    assert [r["position"] for r in prows] == ["0"]
+    code, out = run_cli(base + ["--L", "3"], capsys)
+    assert code == 0
+    meta, rows = parse_csv(out)
+    assert meta["lmax"] == "20000"
+    assert float(rows[0]["nominal_rate"]) == pytest.approx(0.5)
+
+
+def test_de_usage_errors_exit_2(tmp_path):
+    # --w needs a chain; a trace of a chain would copy all of it every iteration
+    base = ["de", "--dv", "3", "--dc", "6", "--eps", "0.3"]
+    for extra in (["--w", "2"], ["--L", "4", "--trace", str(tmp_path / "t.csv")],
+                  ["--L", "0"],
+                  ["--trace", str(tmp_path / "t.csv"), "--profile", str(tmp_path / "p.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+
+
+def test_removed_commands_exit_2(tmp_path):
+    # `de` replaces de-regular and de-coupled; the exhaustive comparison of
+    # `oracle` lives on in the tests (tests/oracles.py, criterion 7)
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1 3\n111\n")
+    ensemble = ["--dv", "3", "--dc", "6", "--eps", "0.3"]
+    for argv in (["de-regular", *ensemble], ["de-coupled", *ensemble, "--L", "4", "--w", "2"],
+                 ["oracle", "--H", str(hfile), "--exhaustive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--regular", "3", "6", "--tol", "0"], {}),
+    (["--regular", "3", "6", "--tol", "-1"], {}),
+    (["--regular", "3", "6", "--tol", "nan"], {}),
+    (["--regular", "3", "6"], {"TWEMAC_TOL_REGULAR": "0"}),
+    (["--coupled", "3", "6", "3", "2"], {"TWEMAC_TOL_COUPLED": "0"}),
+])
+def test_threshold_rejects_nonpositive_tol(argv, env):
+    # a bisection to tol <= 0 never ends, and tol = NaN ends at once with a
+    # meaningless bracket; both are usage errors
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run_env = {**os.environ, **env, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "twemac_jcf.cli", "threshold", *argv,
+         "--channel", "xor-only", "--lmax", "20"],
+        capture_output=True, text=True, env=run_env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "tol" in proc.stderr
+
+
+def test_nonmonotone_verify_scan_exits_3(tmp_path, capsys):
+    # the bump family erases most at eps = 1/2 and least at both ends
+    cfg = tmp_path / "bump.ini"
+    cfg.write_text("[bump]\nkind = custom-polynomial\n"
+                   "p1 = 0 4 -4\np2 = 0\np3 = 0\np4 = 1 -4 4\np5 = 0\n")
+    code = main(["threshold", "--regular", "3", "6", "--channel", "bump",
+                 "--channel-config", str(cfg), "--verify-scan", "9"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "not monotone" in err
 
 
 def test_simulate_regular(capsys):
@@ -190,18 +273,6 @@ def test_simulate_coupled_default_window(capsys):
     )
     assert code == 0
     assert int(parse_csv(out)[1][0]["n_vars"]) == 5 * 12
-
-
-def test_oracle_exhaustive(tmp_path, capsys):
-    hfile = tmp_path / "h.txt"
-    hfile.write_text("1 3\n111\n")
-    code, out = run_cli(["oracle", "--H", str(hfile), "--exhaustive"], capsys)
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert int(rows[0]["patterns"]) == 125
-    assert rows[0]["cycle_free"] == "True"
-    assert int(rows[0]["sound_violations"]) == 0
-    assert int(rows[0]["completeness_mismatches"]) == 0
 
 
 def test_figure6_small_sweep(tmp_path, capsys):

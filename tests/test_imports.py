@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it or re-exported, and
-every module is imported by the package."""
+"""Every name a package module imports is used in it or re-exported, every
+module is imported by the package, and every function, class and method
+is used by the package (test-only code lives in tests/)."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,59 @@ def test_every_module_is_imported_by_another():
                     importers[dep].add(module)
     dead = [m for m in MODULES if m not in ("__init__", "cli") and not importers[m]]
     assert dead == []
+
+
+def definitions(source: str) -> list:
+    """Top-level functions and classes, and methods as Class.method;
+    dunder methods, which Python calls itself, are left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            ]
+    return found
+
+
+def used_names(source: str) -> set:
+    """Names the module reads, and attributes it reads off any object."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_usage_scanner():
+    src = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.x = 1\n"
+        "    def used(self):\n"
+        "        return self.x\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "def f():\n"
+        "    return A().used()\n"
+    )
+    assert definitions(src) == ["A", "A.used", "A.unused", "f"]
+    names = used_names(src)
+    assert [d for d in definitions(src) if d.split(".")[-1] not in names] == ["A.unused", "f"]
+
+
+def test_every_definition_is_used_by_the_package():
+    # a function only the tests call belongs in tests/ (oracles.py); the
+    # use must come from a module other than __init__, which only re-exports
+    used = set().union(*(used_names((PACKAGE / f"{m}.py").read_text())
+                         for m in MODULES if m != "__init__"))
+    unused = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in definitions((PACKAGE / f"{module}.py").read_text())
+        if name.split(".")[-1] not in used
+    ]
+    assert [u for u in unused if u != "cli.main"] == []

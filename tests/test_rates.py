@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.rates import MI_QUANTITIES, mi_enumerate, rate_bounds
+from twemac_jcf.rates import rate_bounds
+
+from oracles import MI_QUANTITIES, mi_enumerate
 
 CLOSED_FORM = {
     "i_joint": lambda p: p[1] + p[2] + p[3] + 2 * p[4],

@@ -1,5 +1,5 @@
-"""Graph sampling, peel decoding, the exhaustive reference decoder,
-and Monte Carlo failure rates."""
+"""Graph sampling, peel decoding against the exhaustive reference decoder
+of the oracles, and Monte Carlo failure rates."""
 
 import itertools
 
@@ -9,19 +9,23 @@ import pytest
 from twemac_jcf.channel import BUILTINS
 from twemac_jcf.de_coupled import Ensemble
 from twemac_jcf.simulate import (
-    brute_force_jcf,
-    enumerate_codewords,
+    EtgInstance,
     failure_rate,
-    gf2_nullspace,
-    graph_from_parity,
-    load_parity_matrix,
     peel_decode,
     sample_coupled_graph,
     sample_regular_graph,
     wilson_interval,
 )
 
-from oracles import naive_peel
+from oracles import (
+    brute_force_jcf,
+    enumerate_codewords,
+    gf2_nullspace,
+    is_cycle_free,
+    naive_peel,
+    parity_matrix,
+    tanner_edges,
+)
 
 # single parity check over 3 bits plus a repetition constraint
 H_SMALL = np.array([[1, 1, 1, 0], [0, 0, 1, 1]])
@@ -98,7 +102,7 @@ def test_peel_trivial_type_patterns():
 def test_peel_repetition_code_combines_halves():
     # two variables joined by one repetition check: one side knows x_A,
     # the other knows x_B; message passing gives both full knowledge
-    g = graph_from_parity(np.array([[1, 1]]))
+    g = EtgInstance(*tanner_edges([[1, 1]]))
     out = peel_decode(g, np.array([2, 3]))
     assert list(out) == [5, 5]
     # a single xor observer resolves the partner through the check
@@ -107,7 +111,7 @@ def test_peel_repetition_code_combines_halves():
 
 
 def test_peel_single_parity_check_example():
-    g = graph_from_parity(np.array([[1, 1, 1]]))
+    g = EtgInstance(*tanner_edges([[1, 1, 1]]))
     # two fully known neighbours resolve the erased third bit
     out = peel_decode(g, np.array([5, 5, 1]))
     assert list(out) == [5, 5, 5]
@@ -118,19 +122,20 @@ def test_peel_single_parity_check_example():
 
 
 def test_peel_rejects_bad_type_arrays():
-    g = graph_from_parity(H_SMALL)
+    g = EtgInstance(*tanner_edges(H_SMALL))
     assert list(peel_decode(g, [5, 5, 1, 4])) == [5, 5, 5, 5]
     with pytest.raises(ValueError):
         peel_decode(g, np.array([5, 5]))
     # a type outside 1..5 must not index the mask table (-1 read as type 5,
     # 0 as type 1, 6 past its end)
-    g = graph_from_parity(np.array([[1, 1, 0], [0, 1, 1]]))
+    g = EtgInstance(*tanner_edges([[1, 1, 0], [0, 1, 1]]))
     for bad in (-1, 0, 6):
         with pytest.raises(ValueError):
             peel_decode(g, np.array([bad, 4, 4]))
 
 
 def test_gf2_nullspace_and_enumeration():
+    np.testing.assert_array_equal(parity_matrix(*tanner_edges(H_SMALL)), H_SMALL)
     basis = gf2_nullspace(H_SMALL)
     assert basis.shape[0] == 2
     assert np.all((H_SMALL @ basis.T) % 2 == 0)
@@ -139,7 +144,7 @@ def test_gf2_nullspace_and_enumeration():
     assert np.all((H_SMALL @ code.T) % 2 == 0)
     assert len({tuple(c) for c in code}) == 4
     with pytest.raises(ValueError):
-        enumerate_codewords(np.zeros((1, 20), dtype=int), max_dim=12)
+        enumerate_codewords(np.zeros((1, 20), dtype=int))  # dimension 20 > 12
 
 
 def test_brute_force_examples():
@@ -160,7 +165,7 @@ def test_peel_sound_against_brute_force(seed):
     # whatever peeling recovers must be pinned by exhaustive enumeration
     rng = np.random.default_rng(seed)
     g = sample_regular_graph(2, 4, 8, rng)
-    h = g.parity_matrix()
+    h = parity_matrix(g.n_vars, g.n_checks, g.evar, g.echeck)
     types = rng.integers(1, 6, size=8)
     out = peel_decode(g, types)
     recoverable = brute_force_jcf(h, types)
@@ -175,8 +180,9 @@ def test_peel_complete_on_trees():
         [1, 1, 1, 0, 0],
         [0, 0, 1, 1, 1],
     ])
-    g = graph_from_parity(h)
-    assert g.is_cycle_free()
+    edges = tanner_edges(h)
+    g = EtgInstance(*edges)
+    assert is_cycle_free(*edges)
     for types in itertools.product(range(1, 6), repeat=5):
         out = peel_decode(g, types)
         np.testing.assert_array_equal((out == 4) | (out == 5), brute_force_jcf(h, types))
@@ -251,15 +257,3 @@ def test_failure_rate_deterministic_and_coupled():
     assert a.block_rate == b.block_rate
     assert a.n_vars == 5 * 12
 
-
-def test_load_parity_matrix_round_trip(tmp_path):
-    path = tmp_path / "h.txt"
-    path.write_text("2 4\n1110\n0011\n")
-    h = load_parity_matrix(str(path))
-    np.testing.assert_array_equal(h, H_SMALL)
-    g = graph_from_parity(h)
-    np.testing.assert_array_equal(g.parity_matrix(), H_SMALL)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 4\n111\n")
-    with pytest.raises(ValueError):
-        load_parity_matrix(str(bad))
