@@ -12,10 +12,11 @@ one pair is one of five types:
 A channel observation is a type array, one type per variable; the all-zero
 codeword pair is assumed, since on erasure-type channels decodability
 depends only on the type pattern.  `peel_decode` runs type-level message
-passing to its fixed point (knowledge only grows, so the fixed point is
-schedule-independent).  The exact reference decoder, which enumerates the
-codeword pairs consistent with an observation of a small code, is test
-code (`tests/oracles.py`).
+passing to its fixed point in flooding rounds in which only the nodes whose
+inputs changed recompute, so each round sends a full flooding round's
+messages (knowledge only grows, so the fixed point is schedule-independent).
+The exact reference decoder, which enumerates the codeword pairs consistent
+with an observation of a small code, is test code (`tests/oracles.py`).
 
 Knowledge is a 3-bit mask (bit 1 = x_A, bit 2 = x_B, bit 4 = xor), and the
 types are the five closed masks 0, 1, 2, 4 and 7.  The check operator, the
@@ -44,6 +45,16 @@ MASK_TO_TYPE[[0, 1, 2, 4, 7]] = [1, 2, 3, 4, 5]
 def closure(m: np.ndarray) -> np.ndarray:
     """Two distinct known components imply full knowledge."""
     return np.where(_POPC[m] >= 2, 7, m)
+
+
+# _PACK[m]: bits 1, 2, 4 of mask m as counts in 21-bit fields (node degree < 2**21)
+_SHIFT, _BITS = 21, TYPE_TO_MASK[2:5].tolist()
+_PACK = np.array([sum(1 << (_SHIFT * i) for i, b in enumerate(_BITS) if m & b) for m in range(8)])
+
+
+def _present(q: np.ndarray) -> np.ndarray:
+    """Mask of the bits whose packed count in q is nonzero."""
+    return sum((((q >> (_SHIFT * i)) & ((1 << _SHIFT) - 1)) != 0) * b for i, b in enumerate(_BITS))
 
 
 @dataclass
@@ -126,32 +137,31 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     it (boundary sockets, type 5, never lack one).  The final per-variable
     type folds the channel type with all incoming check messages; x_xor is
     recovered at a variable iff its final type is 4 or 5.
+
+    Each round equals a flooding round, but only nodes with a changed input
+    recompute; per-node bit counts grow by the bits the changed messages gain.
     """
     ch = TYPE_TO_MASK[_type_array(types, g.n_vars)]
     evar, echeck = g.evar, g.echeck
-    ch_e = ch[evar]
-    v2c = ch_e
-    bits = (1, 2, 4)
-    while True:
-        # check -> variable: bit survives iff no other socket lacks it
-        c2v = np.zeros_like(v2c)
-        for b in bits:
-            lack = (v2c & b) == 0
-            cnt = np.bincount(echeck, weights=lack, minlength=g.n_checks)
-            c2v |= b * (cnt[echeck] == lack)
-        # variable -> check: channel plus any other incoming check message
-        out = np.zeros_like(v2c)
-        heard = np.zeros_like(ch)  # bits carried by any incoming check message
-        for b in bits:
-            has = (c2v & b) != 0
-            cnt = np.bincount(evar, weights=has, minlength=g.n_vars)
-            out |= b * ((cnt[evar] - has) >= 1)
-            heard |= b * (cnt >= 1)
-        out = closure(out | ch_e)
-        if np.array_equal(out, v2c):
-            break
-        v2c = out
-    return MASK_TO_TYPE[closure(ch | heard)]
+    if max(np.bincount(evar).max(initial=0), np.bincount(echeck).max(initial=0)) >> _SHIFT:
+        raise ValueError(f"node degrees must be below 2**{_SHIFT}")
+    v2c, c2v = ch[evar].astype(np.int8), np.zeros(evar.size, np.int8)  # message masks
+    lack = np.zeros(g.n_checks, np.int64)  # per check: sockets lacking each bit
+    np.add.at(lack, echeck, _PACK[7 ^ v2c])
+    has = np.zeros(g.n_vars, np.int64)  # per variable: incoming messages with each bit
+    e = np.arange(evar.size)  # the edges to recompute; round 1 visits every check
+    while e.size:
+        new = 7 ^ _present(lack[echeck[e]] - _PACK[7 ^ v2c[e]])  # bits no other socket lacks
+        gain = new ^ c2v[e]
+        np.add.at(has, evar[e], _PACK[gain])
+        c2v[e] = new
+        e = np.flatnonzero((np.bincount(evar[e[gain != 0]], minlength=g.n_vars) > 0)[evar])
+        new = closure(ch[evar[e]] | _present(has[evar[e]] - _PACK[c2v[e]]))  # channel | others
+        gain = new ^ v2c[e]
+        np.subtract.at(lack, echeck[e], _PACK[gain])
+        v2c[e] = new
+        e = np.flatnonzero((np.bincount(echeck[e[gain != 0]], minlength=g.n_checks) > 0)[echeck])
+    return MASK_TO_TYPE[closure(ch | _present(has))]
 
 
 def wilson_interval(failures: int, trials: int):
@@ -200,8 +210,8 @@ def failure_rate(
     coupled one.  The all-zero codeword pair is assumed; for erasure-type
     channels decodability depends only on the type pattern.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials < 1 or size < 1:
+        raise ValueError(f"trials and size must be >= 1, got {trials} and {size}")
     rng = np.random.default_rng(seed)
     pch = family.eval(eps)
     if p_pi:

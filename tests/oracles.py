@@ -6,9 +6,9 @@ component-set lattice, the node updates from powers of explicit 5x5
 transition matrices and from exhaustive lattice folds, erasure-only
 evolutions from scalar BEC recursions, the coupled five-type evolution from
 a loop over every position of the whole chain, peeling from a slow
-sequential fold, recoverability from every codeword pair of a small code,
-and the mutual informations of the rate bounds from a sum over the full
-joint distribution.
+sequential fold and from flooding rounds over every edge, recoverability
+from every codeword pair of a small code, and the mutual informations of
+the rate bounds from a sum over the full joint distribution.
 """
 
 from __future__ import annotations
@@ -323,6 +323,49 @@ def naive_peel(g, types, rng=None, pad_to=None):
         incoming = [c2v[key] for key in var_edges.get(v, [])]
         final[v] = int(var_fold([int(types[v])] + incoming))
     return final
+
+
+# --- flooding peeling on knowledge bitmasks ----------------------------------
+# Component a is bit 1, b bit 2 and x bit 4; the tables come from _SETS.
+
+_COMPONENT_BIT = {"a": 1, "b": 2, "x": 4}
+_MASK_OF_TYPE = np.array([0] + [sum(_COMPONENT_BIT[c] for c in s) for s in _SETS])
+_TYPE_OF_MASK = np.zeros(8, dtype=np.int64)
+_TYPE_OF_MASK[_MASK_OF_TYPE[1:]] = np.arange(1, 6)
+_CLOSED_MASK = np.array([7 if bin(m).count("1") >= 2 else m for m in range(8)])
+
+
+def flooding_peel(n_vars, n_checks, evar, echeck, types):
+    """Flooding message passing over every edge each round, to the fixed point.
+
+    Every round recomputes all check-to-variable messages from the last
+    variable-to-check messages, then all variable-to-check messages, with
+    per-bit counts rebuilt from scratch.  Returns per-variable types 1..5.
+    """
+    ch = _MASK_OF_TYPE[np.asarray(types, dtype=np.int64)]
+    ch_e = ch[evar]
+    v2c = ch_e
+    bits = (1, 2, 4)
+    while True:
+        # check -> variable: bit survives iff no other socket lacks it
+        c2v = np.zeros_like(v2c)
+        for b in bits:
+            lack = (v2c & b) == 0
+            cnt = np.bincount(echeck, weights=lack, minlength=n_checks)
+            c2v |= b * (cnt[echeck] == lack)
+        # variable -> check: channel plus any other incoming check message
+        out = np.zeros_like(v2c)
+        heard = np.zeros_like(ch)  # bits carried by any incoming check message
+        for b in bits:
+            has = (c2v & b) != 0
+            cnt = np.bincount(evar, weights=has, minlength=n_vars)
+            out |= b * ((cnt[evar] - has) >= 1)
+            heard |= b * (cnt >= 1)
+        out = _CLOSED_MASK[out | ch_e]
+        if np.array_equal(out, v2c):
+            break
+        v2c = out
+    return _TYPE_OF_MASK[_CLOSED_MASK[ch | heard]]
 
 
 # --- Tanner graphs as plain edge lists (n_vars, n_checks, evar, echeck) ------

@@ -258,7 +258,8 @@ def test_simulate_usage_errors_exit_2(capsys):
     # dropped: --N sizes the regular ensemble, --w and --M a chain (--L)
     for extra in ([], ["--L", "2", "--w", "2"], ["--N", "120", "--trials", "0"],
                   ["--N", "600", "--L", "2", "--w", "2", "--M", "12"],
-                  ["--N", "600", "--w", "3"], ["--N", "600", "--M", "12"]):
+                  ["--N", "600", "--w", "3"], ["--N", "600", "--M", "12"],
+                  ["--N", "0"], ["--L", "2", "--w", "2", "--M", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2

@@ -2,12 +2,13 @@
 of the oracles, and Monte Carlo failure rates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_coupled import Ensemble
+from twemac_jcf.channel import BUILTINS, sample_states
+from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 from twemac_jcf.simulate import (
     EtgInstance,
     failure_rate,
@@ -20,6 +21,7 @@ from twemac_jcf.simulate import (
 from oracles import (
     brute_force_jcf,
     enumerate_codewords,
+    flooding_peel,
     gf2_nullspace,
     is_cycle_free,
     naive_peel,
@@ -134,6 +136,22 @@ def test_peel_rejects_bad_type_arrays():
             peel_decode(g, np.array([bad, 4, 4]))
 
 
+def test_peel_rejects_degrees_past_the_packed_counts():
+    # per-node bit counts are packed 21 bits each; a node of degree 2**21
+    # would carry into the next bit's count
+    n = 2**21
+    star = np.arange(n)
+    for g in (EtgInstance(n, 1, star, np.zeros(n, dtype=np.int64)),
+              EtgInstance(1, n, np.zeros(n, dtype=np.int64), star)):
+        with pytest.raises(ValueError):
+            peel_decode(g, np.full(g.n_vars, 5))
+    # one degree less is decoded: the erased bit gets everything from the rest
+    g = EtgInstance(n - 1, 1, star[:-1], np.zeros(n - 1, dtype=np.int64))
+    types = np.full(n - 1, 5)
+    types[7] = 1
+    assert np.all(peel_decode(g, types) == 5)
+
+
 def test_gf2_nullspace_and_enumeration():
     np.testing.assert_array_equal(parity_matrix(*tanner_edges(H_SMALL)), H_SMALL)
     basis = gf2_nullspace(H_SMALL)
@@ -212,6 +230,93 @@ def test_peel_schedule_independence_coupled():
     )
 
 
+def _flood(g, types):
+    return flooding_peel(g.n_vars, g.n_checks, g.evar, g.echeck, types)
+
+
+def _small_random_graph(rng):
+    """A regular or coupled graph of at most a few hundred edges, with
+    multi-edges likely and chains with L < w among them, and its ensemble."""
+    d_v, d_c = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+    if rng.random() < 0.5:
+        n = d_c // math.gcd(d_v, d_c) * int(rng.integers(1, 9))
+        return sample_regular_graph(d_v, d_c, n, rng), Ensemble(d_v, d_c)
+    e = Ensemble(d_v, d_c, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+    step = math.lcm(d_c, e.w)
+    m = step // math.gcd(step, d_v) * int(rng.integers(1, 3))  # w and d_c divide M*d_v
+    return sample_coupled_graph(e, m, rng), e
+
+
+def test_peel_matches_flooding_and_sequential_on_random_graphs():
+    # the frontier peeler must send flooding's messages: same fixed point on
+    # graphs of every shape, under type distributions that favour few types
+    rng = np.random.default_rng(20)
+    seen = set()
+    multi_edges = short_chains = 0
+    for _ in range(320):
+        g, e = _small_random_graph(rng)
+        probs = rng.dirichlet(np.full(5, 0.5))
+        types = rng.choice(np.arange(1, 6), size=g.n_vars, p=probs)
+        seen.update(types.tolist())
+        multi_edges += len(set(zip(g.evar, g.echeck))) < g.evar.size
+        short_chains += 0 < e.L < e.w
+        out = peel_decode(g, types)
+        np.testing.assert_array_equal(out, _flood(g, types))
+        pad = e.d_c if e.coupled else None
+        np.testing.assert_array_equal(out, naive_peel(g, types, rng=rng, pad_to=pad))
+    assert seen == {1, 2, 3, 4, 5}
+    assert multi_edges > 50 and short_chains > 20
+
+
+@pytest.mark.parametrize("channel, below, above", [
+    ("primary", 0.20, 0.30), ("xor-only", 0.38, 0.48), ("full-reveal", 0.38, 0.48),
+])
+def test_peel_matches_flooding_at_n_1e4(channel, below, above):
+    # (3,6) at N = 1e4 on either side of its BP threshold (0.245 on primary,
+    # 0.429 on the others): almost everything decodes below, much fails above
+    rng = np.random.default_rng(4)
+    failed = []
+    for eps in (below, above):
+        g = sample_regular_graph(3, 6, 10**4, rng)
+        types = sample_states(BUILTINS[channel].eval(eps), g.n_vars, rng)
+        out = peel_decode(g, types)
+        np.testing.assert_array_equal(out, _flood(g, types))
+        failed.append(np.mean((out != 4) & (out != 5)))
+    assert failed[0] < 0.01 < 0.1 < failed[1]
+
+
+def test_peel_matches_flooding_on_coupled_stall():
+    # the third trial of `simulate --dv 3 --dc 6 --L 20 --w 3 --M 1200
+    # --eps 0.46 --channel xor-only --seed 5574893550004`: the wave stalls
+    e = Ensemble(3, 6, 20, 3)
+    pch = BUILTINS["xor-only"].eval(0.46)
+    rng = np.random.default_rng(5574893550004)
+    for _ in range(3):
+        g = sample_coupled_graph(e, 1200, rng)
+        types = sample_states(pch, g.n_vars, rng)
+    out = peel_decode(g, types)
+    np.testing.assert_array_equal(out, _flood(g, types))
+    assert 0.1 < np.mean((out != 4) & (out != 5)) < 0.2
+
+
+def test_bit_rate_concentrates_on_de_residual():
+    # above the (3,6) BP threshold (0.4294) peeling stops at a residual that
+    # must match the evolution's fixed point within k = 4 standard errors
+    # of the mean over the trials
+    pch = BUILTINS["xor-only"].eval(0.50)
+    rng = np.random.default_rng(8)
+    rates = []
+    for _ in range(10):
+        g = sample_regular_graph(3, 6, 10**5, rng)
+        out = peel_decode(g, sample_states(pch, g.n_vars, rng))
+        rates.append(np.mean((out != 4) & (out != 5)))
+    res = de_coupled(Ensemble(3, 6), pch, Caps(success_target=np.nextafter(1.0, 0.0)))
+    residual = 1.0 - res.min_p_dec
+    stderr = np.std(rates, ddof=1) / np.sqrt(len(rates))
+    assert residual > 0.4
+    assert abs(np.mean(rates) - residual) <= 4 * stderr
+
+
 def test_failure_rate_extremes():
     xor = BUILTINS["xor-only"]
     good = failure_rate(Ensemble(3, 6), xor, 0.0, size=120, trials=3, seed=1)
@@ -237,6 +342,8 @@ def test_failure_rate_wilson_interval(n):
     assert bad.block_hi == 1.0
     with pytest.raises(ValueError):
         failure_rate(Ensemble(3, 6), xor, 0.0, size=120, trials=0, seed=1)
+    with pytest.raises(ValueError):
+        failure_rate(Ensemble(3, 6), xor, 0.0, size=0, trials=n, seed=1)
 
 
 def test_wilson_interval_inside_unit_interval():
