@@ -7,17 +7,15 @@ Every output starts with a metadata header (version, full config, seed) so
 that identical configs reproduce identical files.  CSV is the default
 format; --format json mirrors the same fields.  Exit codes: 2 for usage
 errors, 3 for numerical failures (a distribution off the simplex, or
-decodability that is not monotone on a --verify-scan grid).
-
-Environment overrides for default tolerances:
-    TWEMAC_TOL_REGULAR, TWEMAC_TOL_COUPLED, TWEMAC_SUCCESS_TARGET
+decodability that is not monotone on a --verify-scan grid).  The header
+of `de` echoes the iteration cap in force, and those of `threshold` and
+`figure6` the cap and the bisection tolerance, defaults included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelError, get_family
-from .de_coupled import DEFAULT_SUCCESS_TARGET, Caps, Ensemble, de_coupled, nominal_rate
+from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from .rates import rate_bounds
 from .simulate import failure_rate
 from .threshold import find_threshold, sweep
@@ -34,22 +32,14 @@ from .threshold import find_threshold, sweep
 EXIT_NUMERICAL = 3
 
 
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    val = os.environ.get(name)
-    return float(val) if val else default
-
-
-def _caps(args) -> Caps:
-    return Caps(
-        l_max=getattr(args, "lmax", None),
-        success_target=_env_float("TWEMAC_SUCCESS_TARGET", DEFAULT_SUCCESS_TARGET),
-    )
-
-
-def _tol(args, coupled: bool) -> Optional[float]:
-    if args.tol is not None:
-        return args.tol
-    return _env_float("TWEMAC_TOL_COUPLED" if coupled else "TWEMAC_TOL_REGULAR", None)
+def _caps(args, e: Ensemble) -> Caps:
+    """The stopping settings in force for e.  They go back into args, so
+    the header echoes the cap, and the tolerance where the command has one."""
+    caps = Caps(l_max=args.lmax, tol=getattr(args, "tol", None)).for_ensemble(e)
+    args.lmax = caps.l_max
+    if hasattr(args, "tol"):
+        args.tol = caps.tol
+    return caps
 
 
 def _meta(args) -> dict:
@@ -125,12 +115,11 @@ def cmd_de(args) -> int:
     if args.trace and e.coupled:
         # a trace copies the whole chain every iteration: O(l_max * L) memory
         raise ValueError("--trace needs the regular ensemble; a chain (--L) takes --profile")
-    caps = _caps(args)
-    args.lmax = caps.l_max_for(e)  # the header echoes the effective cap
+    caps = _caps(args, e)
     if args.trace:
-        snapshot_iters = range(1, args.lmax + 1)
+        snapshot_iters = range(1, caps.l_max + 1)
     else:
-        snapshot_iters = {2**k for k in range(args.lmax.bit_length())} if args.profile else ()
+        snapshot_iters = {2**k for k in range(caps.l_max.bit_length())} if args.profile else ()
     res = de_coupled(e, _family(args).eval(args.eps), caps, snapshot_iters)
     if args.trace:
         cols = (
@@ -180,12 +169,7 @@ def cmd_threshold(args) -> int:
     family = _family(args)
     e = Ensemble(*args.regular) if args.regular is not None else _coupled(*args.coupled)
     res = find_threshold(
-        e,
-        family,
-        tol=_tol(args, e.coupled),
-        caps=_caps(args),
-        p_pi=args.p_pi,
-        verify_scan=args.verify_scan,
+        e, family, caps=_caps(args, e), p_pi=args.p_pi, verify_scan=args.verify_scan
     )
     _emit(
         args,
@@ -216,10 +200,14 @@ def _parse_dv_list(spec: str) -> List[int]:
 def cmd_figure6(args) -> int:
     family = _family(args)
     ensembles = [_coupled(dv, args.dc, args.L, args.w) for dv in _parse_dv_list(args.dv)]
+    if not ensembles:
+        raise ValueError(f"--dv {args.dv} names no d_v")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     p_grid = [float(x) for x in args.p_pi.split(",")]
-    rows_out = []
-    for row in sweep(ensembles, family, p_grid, tol=_tol(args, True), caps=_caps(args), jobs=args.jobs):
-        rows_out.append(asdict(row))
+    # every ensemble is a chain, so the first one's defaults are all of theirs
+    caps = _caps(args, ensembles[0])
+    rows_out = [asdict(row) for row in sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)]
     cols = [
         "d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi",
         "eps_thresh", "eps_lo", "eps_hi", "evals", "cap_limited",
@@ -227,7 +215,7 @@ def cmd_figure6(args) -> int:
     _emit(args, _meta(args), cols, rows_out)
 
     # analytic overlay curves on an eps grid
-    curve_path = (args.out + ".curves.csv") if args.out else None
+    curve_path = f"{args.out}.curves.{args.format}" if args.out else None
     _emit(args, _meta(args), RATE_COLUMNS, _rate_rows(family, args.curve_grid), path=curve_path)
     return 0
 

@@ -28,7 +28,7 @@ closed-form kernels of `de_core` to all updated rows at once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, NamedTuple, Optional
 
 import numpy as np
@@ -42,6 +42,8 @@ DEFAULT_SUCCESS_TARGET = 1.0 - 1e-5
 DEFAULT_STALL_TOL = 1e-12
 DEFAULT_REGULAR_LMAX = 5000
 DEFAULT_COUPLED_LMAX = 20000
+DEFAULT_REGULAR_TOL = 1e-4
+DEFAULT_COUPLED_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,22 +85,32 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class Caps:
-    """Termination settings of an evolution run."""
+    """Stopping settings of a run: the iteration cap, success target and
+    stall tolerance of each evolution, and the tolerance of a threshold
+    bisection (bracket width <= 2*tol).  l_max and tol left at None take
+    the ensemble's defaults in `for_ensemble`."""
 
-    l_max: Optional[int] = None  # DEFAULT_COUPLED_LMAX or DEFAULT_REGULAR_LMAX when None
+    l_max: Optional[int] = None
+    tol: Optional[float] = None
     success_target: float = DEFAULT_SUCCESS_TARGET
     stall_tol: float = DEFAULT_STALL_TOL
 
     def __post_init__(self):
         if self.l_max is not None and self.l_max < 1:
             raise ValueError(f"l_max must be >= 1, got {self.l_max}")
+        if self.tol is not None and not self.tol > 0:  # also NaN
+            raise ValueError(f"tol must be > 0, got {self.tol}")
         if not 0.0 < self.success_target < 1.0:
             raise ValueError(f"success_target must be in (0,1), got {self.success_target}")
 
-    def l_max_for(self, e: Ensemble) -> int:
-        if self.l_max is not None:
-            return self.l_max
-        return DEFAULT_COUPLED_LMAX if e.coupled else DEFAULT_REGULAR_LMAX
+    def for_ensemble(self, e: Ensemble) -> "Caps":
+        """These settings with e's default cap and tolerance in place of None:
+        5000 and 1e-4 for the regular ensemble, 20000 and 1e-3 for a chain."""
+        return replace(
+            self,
+            l_max=self.l_max or (DEFAULT_COUPLED_LMAX if e.coupled else DEFAULT_REGULAR_LMAX),
+            tol=self.tol or (DEFAULT_COUPLED_TOL if e.coupled else DEFAULT_REGULAR_TOL),
+        )
 
 
 def nominal_rate(e: Ensemble) -> float:
@@ -201,7 +213,7 @@ def de_coupled(
     and, when snapshot_iters is non-empty, after the last one.
     """
     pch = validate_dist(pch)
-    l_max = caps.l_max_for(e)
+    l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
     pvc = pch[:, None].repeat(L + 1, axis=1)

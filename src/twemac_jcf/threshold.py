@@ -17,9 +17,6 @@ import numpy as np
 from .channel import ChannelFamily, puncture
 from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 
-DEFAULT_TOL_REGULAR = 1e-4
-DEFAULT_TOL_COUPLED = 1e-3
-
 
 @dataclass
 class EvalMeta:
@@ -58,28 +55,21 @@ def is_decodable(
                     res.converged, res.min_p_dec)
 
 
-def default_tol(e: Ensemble) -> float:
-    return DEFAULT_TOL_COUPLED if e.coupled else DEFAULT_TOL_REGULAR
-
-
 def find_threshold(
     e: Ensemble,
     family: ChannelFamily,
-    tol: Optional[float] = None,
     caps: Caps = Caps(),
     p_pi: float = 0.0,
     verify_scan: Optional[int] = None,
 ) -> ThresholdResult:
-    """Bisect for the largest decodable eps; bracket width <= 2*tol, tol > 0.
+    """Bisect for the largest decodable eps to a bracket width <= 2*tol,
+    under the settings `caps.for_ensemble(e)`.
 
     With verify_scan=n, an n-point grid is evaluated first and a
     non-monotone decodability pattern raises RuntimeError; the bisection
     reuses the grid's outcomes at eps 0 and 1.
     """
-    if tol is None:
-        tol = default_tol(e)
-    if not tol > 0:  # also NaN; at tol <= 0 the bisection would never end
-        raise ValueError(f"tol must be > 0, got {tol}")
+    caps = caps.for_ensemble(e)
     evals: List[EvalMeta] = []
 
     def check(eps: float) -> EvalMeta:
@@ -106,7 +96,7 @@ def find_threshold(
         return ends[eps] if eps in ends else check(eps)
 
     def result(lo: float, hi: float, hi_meta: EvalMeta, degenerate: bool = False):
-        return ThresholdResult(0.5 * (lo + hi), lo, hi, tol, len(evals), evals,
+        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, len(evals), evals,
                                degenerate, hi_meta.status == "cap")
 
     at_zero = check_end(0.0)
@@ -116,7 +106,7 @@ def find_threshold(
     if hi_meta.decodable:
         return result(1.0, 1.0, hi_meta)
     lo, hi = 0.0, 1.0
-    while hi - lo > 2 * tol:
+    while hi - lo > 2 * caps.tol:
         mid = 0.5 * (lo + hi)
         meta = check(mid)
         if meta.decodable:
@@ -143,8 +133,8 @@ class SweepRow:
 
 
 def _sweep_point(args) -> SweepRow:
-    e, family, p_pi, tol, caps = args
-    res = find_threshold(e, family, tol=tol, caps=caps, p_pi=p_pi)
+    e, family, p_pi, caps = args
+    res = find_threshold(e, family, caps=caps, p_pi=p_pi)
     rate = nominal_rate(e)
     return SweepRow(
         d_v=e.d_v,
@@ -166,13 +156,13 @@ def sweep(
     ensembles: Sequence[Ensemble],
     family: ChannelFamily,
     puncture_grid: Sequence[float] = (0.0,),
-    tol: Optional[float] = None,
     caps: Caps = Caps(),
     jobs: int = 1,
 ) -> List[SweepRow]:
-    """Threshold and rate for every (ensemble, p_pi) pair, in input order."""
+    """Threshold and rate for every (ensemble, p_pi) pair, in input order,
+    each bisected under `caps.for_ensemble` of its ensemble."""
     tasks = [
-        (e, family, float(p_pi), tol, caps)
+        (e, family, float(p_pi), caps)
         for e in ensembles
         for p_pi in puncture_grid
     ]

@@ -111,7 +111,7 @@ def test_criterion_3_bec_reduction():
         for (it, snap), (x_vc, x_cv) in zip(sorted(res.snapshots.items()), traj):
             worst = max(worst, abs(snap.pvc[0, 0] - x_vc), abs(snap.pcv[0, 0] - x_cv))
     ok &= worst <= 1e-12
-    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-4)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], caps=Caps(tol=1e-4))
     ok &= abs(res.eps_thresh - 0.4294) <= 0.0005
     _report(
         3,
@@ -123,7 +123,7 @@ def test_criterion_3_bec_reduction():
 
 def test_criterion_4_threshold_saturation():
     sys_ = Ensemble(3, 6, 100, 5)
-    res = find_threshold(sys_, BUILTINS["xor-only"], tol=1e-3)
+    res = find_threshold(sys_, BUILTINS["xor-only"], caps=Caps(tol=1e-3))
     oracle = scalar_coupled_threshold(3, 6, 100, 5, tol=1e-3)
     ok = abs(res.eps_thresh - 0.4881) <= 0.005 and abs(res.eps_thresh - oracle) <= 2e-3
     _report(
@@ -145,7 +145,7 @@ def test_criterion_5_desk_scale_rate_thresholds():
     details = []
     for d_v in (3, 5, 7, 9):
         e = Ensemble(d_v, 10, 200, 10)
-        res = find_threshold(e, fam, tol=1e-3)
+        res = find_threshold(e, fam, caps=Caps(tol=1e-3))
         rate = nominal_rate(e)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= rate <= curve + 0.02
@@ -166,7 +166,7 @@ def test_criterion_6_puncturing_coverage():
     ok = True
     details = []
     for p_pi in (0.0, 0.2, 0.4, 0.6, 0.8):
-        res = find_threshold(e, fam, tol=1e-3, p_pi=p_pi)
+        res = find_threshold(e, fam, caps=Caps(tol=1e-3), p_pi=p_pi)
         r_pi = rate / (1 - p_pi)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= r_pi <= curve + 0.02
@@ -256,9 +256,8 @@ def test_criterion_9_paper_scale_smoke():
     paper = Ensemble(9, 10, 10000, 100)
     p_pi_desk = 1.0 - nominal_rate(desk) / 0.5
     p_pi_paper = 1.0 - nominal_rate(paper) / 0.5
-    caps = Caps(l_max=400000)
-    res_desk = find_threshold(desk, fam, tol=1e-3, p_pi=p_pi_desk)
-    res_paper = find_threshold(paper, fam, tol=1e-3, p_pi=p_pi_paper, caps=caps)
+    res_desk = find_threshold(desk, fam, caps=Caps(tol=1e-3), p_pi=p_pi_desk)
+    res_paper = find_threshold(paper, fam, caps=Caps(l_max=400000, tol=1e-3), p_pi=p_pi_paper)
     ok = abs(res_paper.eps_thresh - res_desk.eps_thresh) <= 0.01
     _report(
         9,

@@ -89,9 +89,8 @@ def test_threshold_invalid_coupled_degree_exits_2(capsys):
         assert exc.value.code == 2
 
 
-def test_coupled_commands_reject_bad_caps(monkeypatch):
-    # Caps checks l_max and the success target for chains as for the
-    # regular ensemble
+def test_coupled_commands_reject_bad_caps():
+    # Caps checks l_max for chains as for the regular ensemble
     chains = (
         ["de", "--dv", "3", "--dc", "6", "--L", "4", "--w", "2", "--eps", "0.3"],
         ["threshold", "--coupled", "3", "6", "4", "2"],
@@ -101,10 +100,6 @@ def test_coupled_commands_reject_bad_caps(monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--lmax", "0"])
         assert exc.value.code == 2
-    monkeypatch.setenv("TWEMAC_SUCCESS_TARGET", "1.5")
-    with pytest.raises(SystemExit) as exc:
-        main(chains[1])
-    assert exc.value.code == 2
 
 
 def test_reruns_byte_identical(capsys):
@@ -135,16 +130,23 @@ def test_de_regular_with_trace(tmp_path, capsys):
     assert decs == sorted(decs)
 
 
-def test_success_target_env_applies_to_de_commands(capsys, monkeypatch):
-    argv = ["de", "--dv", "3", "--dc", "6", "--eps", "0.4", "--channel", "xor-only"]
-    _, out = run_cli(argv, capsys)
-    default_iters = int(parse_csv(out)[1][0]["iterations"])
-    monkeypatch.setenv("TWEMAC_SUCCESS_TARGET", "0.5")
-    _, out = run_cli(argv, capsys)
-    meta, rows = parse_csv(out)
-    assert rows[0]["status"] == "success"
-    assert int(rows[0]["iterations"]) < default_iters
-    assert meta["lmax"] == "5000"
+def test_header_echoes_settings_in_force(capsys):
+    # without --lmax and --tol the header names the defaults that ran: 5000
+    # iterations and 1e-4 for the regular ensemble, 20000 and 1e-3 for a chain
+    chain = ["--L", "5", "--w", "2"]
+    cases = (
+        (["threshold", "--regular", "3", "6"], ("5000", "0.0001")),
+        (["threshold", "--coupled", "3", "6", "5", "2"], ("20000", "0.001")),
+        (["figure6", "--dv", "3", "--dc", "6", *chain, "--curve-grid", "3"], ("20000", "0.001")),
+        (["de", "--dv", "3", "--dc", "6", "--eps", "0.4"], ("5000", None)),
+        (["de", "--dv", "3", "--dc", "6", "--eps", "0.4", *chain], ("20000", None)),
+    )
+    for argv, (lmax, tol) in cases:
+        code, out = run_cli([*argv, "--channel", "xor-only"], capsys)
+        assert code == 0
+        meta, _ = parse_csv(out)
+        assert meta["lmax"] == lmax
+        assert meta.get("tol") == tol  # `de` bisects nothing, so it has no tol
 
 
 def test_de_coupled_with_profile(tmp_path, capsys):
@@ -209,8 +211,6 @@ def test_removed_commands_exit_2(tmp_path):
     (["--regular", "3", "6", "--tol", "0"], {}),
     (["--regular", "3", "6", "--tol", "-1"], {}),
     (["--regular", "3", "6", "--tol", "nan"], {}),
-    (["--regular", "3", "6"], {"TWEMAC_TOL_REGULAR": "0"}),
-    (["--coupled", "3", "6", "3", "2"], {"TWEMAC_TOL_COUPLED": "0"}),
 ])
 def test_threshold_rejects_nonpositive_tol(argv, env):
     # a bisection to tol <= 0 never ends, and tol = NaN ends at once with a
@@ -293,6 +293,35 @@ def test_figure6_small_sweep(tmp_path, capsys):
     curves = out_path.with_name(out_path.name + ".curves.csv")
     _, crows = parse_csv(curves.read_text())
     assert len(crows) == 11
+
+
+def test_figure6_json_curves_file(tmp_path, capsys):
+    # the curves file is named after the format it holds
+    out_path = tmp_path / "f6.json"
+    code, _ = run_cli(
+        ["figure6", "--dc", "6", "--dv", "3", "--L", "3", "--w", "2", "--tol", "5e-3",
+         "--curve-grid", "5", "--format", "json", "--out", str(out_path),
+         "--channel", "xor-only"],
+        capsys,
+    )
+    assert code == 0
+    assert len(json.loads(out_path.read_text())["rows"]) == 1
+    assert not out_path.with_name("f6.json.curves.csv").exists()
+    curves = json.loads(out_path.with_name("f6.json.curves.json").read_text())
+    assert len(curves["rows"]) == 5
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dv", "3..2"],
+    ["--dv", "3", "--jobs", "0"],
+    ["--dv", "3", "--jobs", "-4"],
+])
+def test_figure6_usage_errors_exit_2(extra):
+    # an empty --dv range would print no threshold rows, and --jobs below 1
+    # would run serially without a word
+    with pytest.raises(SystemExit) as exc:
+        main(["figure6", "--dc", "6", "--L", "3", "--w", "2", "--curve-grid", "3", *extra])
+    assert exc.value.code == 2
 
 
 def test_channel_config_flag(tmp_path, capsys):

@@ -264,6 +264,9 @@ def test_config_validation():
         regular(3, 6, [0.5, 0, 0, 0.5, 0], l_max=0)
     with pytest.raises(ValueError):
         regular(3, 6, [0.5, 0, 0, 0.5, 0], target=1.0)
+    for tol in (0.0, -1.0, float("nan")):  # a bisection to tol <= 0 never ends
+        with pytest.raises(ValueError):
+            Caps(tol=tol)
 
 
 def test_oracles_do_not_import_the_package():

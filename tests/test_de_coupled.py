@@ -113,7 +113,7 @@ def oracle_outcome(e, pch, caps, iters):
             return "success", it, pvc, pcv, p_dec, traj
         if delta < caps.stall_tol:
             return "stall", it, pvc, pcv, p_dec, traj
-        if it == caps.l_max_for(e):
+        if it == caps.for_ensemble(e).l_max:
             return "cap", it, pvc, pcv, p_dec, traj
     raise AssertionError(f"the oracle did not stop within {iters} iterations")
 

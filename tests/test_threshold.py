@@ -29,14 +29,14 @@ def test_is_decodable_with_puncturing_harder():
 
 
 def test_regular_36_xor_threshold_matches_scalar_oracle():
-    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-4)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], caps=Caps(tol=1e-4))
     oracle = scalar_bec_threshold(3, 6, tol=1e-5)
     assert res.eps_thresh == pytest.approx(oracle, abs=5e-4)
     assert res.eps_thresh == pytest.approx(0.4294, abs=5e-4)
 
 
 def test_bracket_invariant():
-    res = find_threshold(Ensemble(3, 6), BUILTINS["primary"], tol=1e-3)
+    res = find_threshold(Ensemble(3, 6), BUILTINS["primary"], caps=Caps(tol=1e-3))
     assert res.eps_lo <= res.eps_thresh <= res.eps_hi
     assert res.eps_hi - res.eps_lo <= 2 * res.tol + 1e-15
     lo_metas = [m for m in res.evals if m.eps == res.eps_lo]
@@ -47,7 +47,7 @@ def test_bracket_invariant():
 
 def test_coupled_36_xor_threshold():
     sys_ = Ensemble(3, 6, 100, 5)
-    res = find_threshold(sys_, BUILTINS["xor-only"], tol=1e-3)
+    res = find_threshold(sys_, BUILTINS["xor-only"], caps=Caps(tol=1e-3))
     oracle = scalar_coupled_threshold(3, 6, 100, 5, tol=1e-3)
     assert res.eps_thresh == pytest.approx(oracle, abs=2e-3)
 
@@ -76,9 +76,9 @@ def test_verify_scan_rejects_nonmonotone_family():
         coeffs=((0.0, 4.0, -4.0), (0.0,), (0.0,), (1.0, -4.0, 4.0), (0.0,)),
     )
     with pytest.raises(RuntimeError):
-        find_threshold(Ensemble(3, 6), bump, tol=1e-3, verify_scan=9)
+        find_threshold(Ensemble(3, 6), bump, caps=Caps(tol=1e-3), verify_scan=9)
     # monotone families pass the same scan
-    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], tol=1e-3,
+    res = find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], caps=Caps(tol=1e-3),
                          verify_scan=9)
     assert res.eps_thresh == pytest.approx(0.4294, abs=2e-3)
 
@@ -86,8 +86,8 @@ def test_verify_scan_rejects_nonmonotone_family():
 def test_verify_scan_reuses_endpoint_outcomes():
     # the scan grid already holds eps 0 and 1; bisection does not repeat them
     fam = BUILTINS["xor-only"]
-    plain = find_threshold(Ensemble(3, 6), fam, tol=1e-3)
-    scanned = find_threshold(Ensemble(3, 6), fam, tol=1e-3, verify_scan=9)
+    plain = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3))
+    scanned = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3), verify_scan=9)
     assert scanned.eps_thresh == plain.eps_thresh
     assert scanned.evaluations == plain.evaluations + 9 - 2
     assert [m.eps for m in scanned.evals].count(1.0) == 1
@@ -96,8 +96,8 @@ def test_verify_scan_reuses_endpoint_outcomes():
 def test_sweep_unpunctured_matches_find_threshold():
     systems = [Ensemble(3, 6)]
     fam = BUILTINS["primary"]
-    rows = sweep(systems, fam, puncture_grid=(0.0,), tol=1e-3)
-    direct = find_threshold(Ensemble(3, 6), fam, tol=1e-3)
+    rows = sweep(systems, fam, puncture_grid=(0.0,), caps=Caps(tol=1e-3))
+    direct = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3))
     assert len(rows) == 1
     assert rows[0].eps_thresh == direct.eps_thresh
     assert rows[0].nominal_rate == pytest.approx(0.5)
@@ -109,7 +109,7 @@ def test_sweep_thresholds_decrease_with_puncturing():
         [Ensemble(3, 6)],
         BUILTINS["primary"],
         puncture_grid=(0.0, 0.1, 0.3),
-        tol=1e-3,
+        caps=Caps(tol=1e-3),
     )
     threshs = [r.eps_thresh for r in rows]
     assert threshs[0] > threshs[1] > threshs[2]
@@ -120,8 +120,8 @@ def test_sweep_thresholds_decrease_with_puncturing():
 
 def test_sweep_deterministic_and_ordered():
     systems = [Ensemble(3, 6), Ensemble(4, 8)]
-    a = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), tol=1e-3)
-    b = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), tol=1e-3)
+    a = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), caps=Caps(tol=1e-3))
+    b = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), caps=Caps(tol=1e-3))
     assert [(r.d_v, r.p_pi, r.eps_thresh) for r in a] == [
         (r.d_v, r.p_pi, r.eps_thresh) for r in b
     ]
@@ -132,7 +132,7 @@ def test_sweep_deterministic_and_ordered():
 
 def test_sweep_coupled_row_metadata():
     e = Ensemble(3, 6, 10, 3)
-    rows = sweep([e], BUILTINS["xor-only"], tol=5e-3)
+    rows = sweep([e], BUILTINS["xor-only"], caps=Caps(tol=5e-3))
     r = rows[0]
     assert (r.d_v, r.d_c, r.L, r.w) == (3, 6, 10, 3)
     assert 0.0 < r.nominal_rate < 0.5
@@ -152,8 +152,8 @@ def test_cap_limited_marks_a_bracket_set_by_the_cap():
     # near its threshold, so the evaluation that sets eps_hi ends at the
     # cap; without the tight cap it ends in a stall
     e, fam = Ensemble(3, 6, 10, 3), BUILTINS["xor-only"]
-    capped = find_threshold(e, fam, tol=5e-3, caps=Caps(l_max=30))
-    full = find_threshold(e, fam, tol=5e-3)
+    capped = find_threshold(e, fam, caps=Caps(l_max=30, tol=5e-3))
+    full = find_threshold(e, fam, caps=Caps(tol=5e-3))
     for res, status in ((capped, "cap"), (full, "stall")):
         hi = [m for m in res.evals if m.eps == res.eps_hi][-1]
         assert hi.status == status
