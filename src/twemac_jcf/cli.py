@@ -5,7 +5,8 @@
 
 Every output starts with a metadata header (version, full config, seed) so
 that identical configs reproduce identical files.  CSV is the default
-format; --format json mirrors the same fields.  Exit codes: 2 for usage
+format; --format json mirrors the same fields (figure6 needs --out with it,
+since it writes two documents).  Exit codes: 2 for usage
 errors, 3 for numerical failures (a distribution off the simplex, or
 decodability that is not monotone on a --verify-scan grid).  The header
 of `de` echoes the iteration cap in force, and those of `threshold` and
@@ -198,6 +199,9 @@ def _parse_dv_list(spec: str) -> List[int]:
 
 
 def cmd_figure6(args) -> int:
+    if args.format == "json" and not args.out:
+        raise ValueError("--format json writes the rows and the rate curves as two "
+                         "documents; give --out to write them to two files")
     family = _family(args)
     ensembles = [_coupled(dv, args.dc, args.L, args.w) for dv in _parse_dv_list(args.dv)]
     if not ensembles:
@@ -290,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--p-pi", type=float, default=0.0)
-    p.add_argument("--verify-scan", type=int, default=None)
+    p.add_argument("--verify-scan", type=int, default=None,
+                   help="first check monotone decodability on an N-point eps grid, N >= 2")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("figure6", help="rate-vs-threshold sweep with analytic curves")

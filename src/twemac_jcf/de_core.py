@@ -21,6 +21,9 @@ input lies in {1, t} and not all are 1:
 
 The two joins share the powers (q1 + q_t)^n, so `var_update` returns the
 join with n and with n + 1 messages from one power and one multiply.
+
+The kernels and `renormalize` write into arrays the caller passes, so an
+evolution allocates its arrays once rather than on every iteration.
 """
 
 from __future__ import annotations
@@ -34,51 +37,59 @@ class SimplexError(RuntimeError):
     """A distribution drifted off the probability simplex beyond tolerance."""
 
 
-def chk_update(p: np.ndarray, n: int) -> np.ndarray:
-    """Distribution of the meet of n iid messages, one per column of p (5, k)."""
-    out = np.empty_like(p)
+def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Distribution of the meet of n iid messages, one per column of p (5, k),
+    written to out (5, k), which is contiguous (see `var_update`)."""
     np.add(p[1:4], p[4], out=out[1:4])
     out[4] = p[4]
     out[1:] **= n
     out[1:4] -= out[4]
-    np.subtract(1.0, out[1:].sum(axis=0), out=out[0])
+    np.subtract(1.0, out[1:].sum(axis=0, out=out[0]), out=out[0])
     return out
 
 
-def var_update(c: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """Distributions of the join of channel c (5,) with n and with n + 1 iid
-    messages, one pair per column of q (5, k), as a (5, 2, k) array: [:, 0]
-    holds the joins with n messages and [:, 1] those with n + 1 (with
-    n = d_v - 1, the outgoing message and the decoder output)."""
+def join_weights(c: np.ndarray) -> np.ndarray:
+    """The channel's weights in `var_update`: c1, then c1 + c_t for t = 2, 3, 4,
+    shaped (4, 1, 1) to broadcast over the (4, 2, k) powers."""
+    weights = c[:4] + c[0]
+    weights[0] = c[0]
+    return weights[:, None, None]
+
+
+def var_update(
+    weights: np.ndarray, q: np.ndarray, n: int, powers: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Distributions of the join of a channel (its `join_weights`) with n and
+    with n + 1 iid messages, one pair per column of q (5, k), written to out
+    (5, 2, k): [:, 0] holds the joins with n messages and [:, 1] those with
+    n + 1 (with n = d_v - 1, the outgoing message and the decoder output).
+    powers is contiguous (2, 4, k) scratch."""
     # (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1].  np.power writes
     # a contiguous half: numpy's SIMD power loop, which strided outputs
     # bypass, rounds differently from the scalar one.
-    powers = np.empty((2, 4, q.shape[1]))
     base = powers[1]
     base[0] = q[0]
     np.add(q[1:4], q[0], out=base[1:])
     np.power(base, n, out=powers[0])
     base *= powers[0]
-    weights = c[:4] + c[0]  # c1, then c1 + c_t
-    weights[0] = c[0]
-    out = np.empty((5, 2, q.shape[1]))
-    np.multiply(weights[:, None, None], powers.transpose(1, 0, 2), out=out[:4])
+    np.multiply(weights, powers.transpose(1, 0, 2), out=out[:4])
     out[1:4] -= out[0]
-    np.subtract(1.0, out[:4].sum(axis=0), out=out[4])
+    np.subtract(1.0, out[:4].sum(axis=0, out=out[4]), out=out[4])
     return out
 
 
-def renormalize(p: np.ndarray) -> np.ndarray:
-    """Renormalize within tolerance; raise SimplexError on real drift.
+def renormalize(p: np.ndarray, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Renormalize p into out within tolerance; raise SimplexError on real drift.
 
     Works on a single distribution (5,) or on a type-major array (5, ...)
-    with one distribution per index of its trailing axes.  The kernels fill
-    one entry per distribution as a remainder, so their sums are always 1;
-    a negative entry is what shows their drift.
+    with one distribution per index of its trailing axes; sums is scratch
+    of the trailing shape, and out may be p itself.  The kernels fill one
+    entry per distribution as a remainder, so their sums are always 1; a
+    negative entry is what shows their drift.
     """
-    s = p.sum(axis=0)
+    s = p.sum(axis=0, out=sums)
     if s.max() - 1.0 > RENORM_ATOL or 1.0 - s.min() > RENORM_ATOL:
         raise SimplexError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
     if p.min() < -RENORM_ATOL:
         raise SimplexError(f"distribution entry {np.min(p):.3e} below zero")
-    return p / s
+    return np.divide(p, s, out=out)

@@ -6,14 +6,16 @@ per-position message distributions: check row q averages variable rows
 q-w+1..q, whose out-of-range rows read as the type-5 point mass (pseudo
 variable nodes fixed to the known all-zero pair), and variable row i
 averages check rows i..i+w-1.  Window averages use fresh prefix sums each
-iteration.
+iteration, starting at the first row a window reads.
 
 The chain is symmetric under the mirror map variable i <-> 2L-i, check
 q <-> 2L+w-1-q, and so is every iteration, so the evolution holds only the
 half chain up to the centre: variable rows 0..L (positions -L..0) and check
 rows 0..L+w-1, the ones those variables read.  A check row near the centre
-reads variable row j > L as its mirror 2L-j, and j > 2L as the type-5 pad.
-Message rows are type-major (5, k) arrays, one contiguous row per type.
+reads variable row j > L as its mirror 2L-j, and j > 2L as the type-5 pad;
+the variable rows sit in one padded buffer with those mirror and pad
+columns, so a check window is a view on it.  Message rows are type-major
+(5, k) arrays, one contiguous row per type.
 `DeOutcome` and its snapshots unfold the half chain to all 2L+1 variable
 and 2L+w check rows.
 
@@ -22,7 +24,7 @@ position, no boundary, and no mirror.  One iteration applies the
 closed-form kernels of `de_core` to all updated rows at once:
 
     pcv[q]   = chk_update(window average of pvc at check q, d_c - 1)
-    pvc[i]   = var_update(pch, window average of pcv at variable i, d_v - 1)[0]
+    pvc[i]   = var_update(join_weights(pch), window average of pcv at i, d_v - 1)[0]
     p_dec[i] = types 4 + 5 of the same var_update's [1], the join with d_v
 """
 
@@ -34,7 +36,7 @@ from typing import Collection, Dict, NamedTuple, Optional
 import numpy as np
 
 from .channel import validate_dist
-from .de_core import chk_update, renormalize, var_update
+from .de_core import chk_update, join_weights, renormalize, var_update
 
 E5 = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])  # the type-5 point mass, one column
 
@@ -122,48 +124,44 @@ def nominal_rate(e: Ensemble) -> float:
     return (1 - ratio) - ratio * boundary
 
 
-def _window_mean(rows: np.ndarray, w: int) -> np.ndarray:
-    """Means of w consecutive columns: out[:, i] = mean of rows[:, i..i+w-1].
+def _window_mean(rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Means of w consecutive columns into out (5, k-w+1): out[:, i] = mean of
+    rows[:, i..i+w-1], from prefix sums in cs (5, k+1), whose first column
+    must hold 0; rows itself when w = 1.
 
     Prefix sums run from the first column, so a column's mean depends only
     on the columns up to its window's end.
     """
-    cs = np.empty((rows.shape[0], rows.shape[1] + 1))
-    cs[:, 0] = 0.0
+    if w == 1:
+        return rows
     np.add.accumulate(rows, axis=1, out=cs[:, 1:])
-    out = cs[:, w:] - cs[:, :-w]
+    np.subtract(cs[:, w:], cs[:, :-w], out=out)
     out /= w
     return out
 
 
-def eff_vc_window(pvc: np.ndarray, L: int, w: int, lo: int) -> np.ndarray:
-    """Effective check inputs (5, L+w-lo) for check rows lo..L+w-1.
+def eff_vc_window(padded: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Effective check inputs (5, k) for check rows lo..L+w-1, k = L+w-lo.
 
-    pvc holds variable rows 0..L (positions -L..0).  Check row q averages
-    variable rows q-w+1..q; row j reads as its mirror 2L-j for L < j <= 2L,
-    and as the type-5 point mass for j < 0 or j > 2L.
+    padded (5, k+w-1) holds variable rows lo-w+1..L+w-1: row j reads as its
+    mirror 2L-j for L < j <= 2L, and as the type-5 point mass for j < 0 or
+    j > 2L.  Check row q averages variable rows q-w+1..q.
     """
-    if w == 1:
-        return pvc[:, lo:]
-    first = lo - w + 1
-    m = min(w - 1, L)
-    parts = [pvc[:, max(0, first) :], pvc[:, L - m : L][:, ::-1]]
-    if first < 0:
-        parts.insert(0, E5.repeat(-first, axis=1))
-    if m < w - 1:
-        parts.append(E5.repeat(w - 1 - m, axis=1))
-    return _window_mean(np.concatenate(parts, axis=1), w)
+    return _window_mean(padded, w, cs, out)
 
 
-def eff_cv_window(pcv: np.ndarray, w: int, lo: int) -> np.ndarray:
+def eff_cv_window(pcv: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Effective variable inputs (5, L+1-lo) for variable rows lo..L.
 
-    pcv holds check rows 0..L+w-1.  Variable row i averages check rows
+    pcv holds check rows lo..L+w-1.  Variable row i averages check rows
     i..i+w-1 (always in range).
     """
-    if w == 1:
-        return pcv[:, lo:]
-    return _window_mean(pcv[:, lo:], w)
+    return _window_mean(pcv, w, cs, out)
+
+
+def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """A contiguous view of the given shape on the start of buf's memory."""
+    return buf.reshape(-1)[: int(np.prod(shape))].reshape(shape)
 
 
 def _unfold(half: np.ndarray, n: int) -> np.ndarray:
@@ -208,42 +206,98 @@ def de_coupled(
     Each iteration updates only the positions from w before the first
     unsaturated one, whose variable-to-check distribution is more than
     stall_tol from the type-5 point mass, to the centre and their mirrors;
-    the rest stay frozen (the decoded wave leaves large saturated regions
-    behind).  A snapshot is kept after each iteration in snapshot_iters
-    and, when snapshot_iters is non-empty, after the last one.
+    the rest stay frozen.  This left-edge pruning engages only where
+    decoded rows reach the type-5 point mass: on full-reveal, a BEC on
+    types 1 and 5, the decoded wave leaves such rows behind, while on
+    primary and xor-only the decoded rows settle on a mixture of types
+    4 and 5, or on type 4, and every row stays updated.  A snapshot is
+    kept after each iteration in snapshot_iters and, when snapshot_iters
+    is non-empty, after the last one.
+
+    Every array is allocated once per call, at full width, and the views
+    on them that depend on the left edge are cut only when it moves.
     """
     pch = validate_dist(pch)
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
-    pvc = pch[:, None].repeat(L + 1, axis=1)
+    m = min(w - 1, L)  # variable rows past the centre that checks read
+    # vbuf[0] holds the padded variable rows -w+1..L+w-1: the type-5 pad,
+    # rows 0..L, their mirrors L+1..L+m, and the type-5 pad again.
+    # vbuf[1] is the type-5 point mass in every column, so that one
+    # subtraction gives each new row's change and its distance from type 5.
+    vbuf = np.empty((2, 5, L + 2 * w - 1))
+    vbuf[:] = E5
+    vbuf[0, :, w - 1 : L + w + m] = pch[:, None]
+    pvc = vbuf[0, :, w - 1 : L + w]
     pcv = pch[:, None].repeat(L + w, axis=1)
     p_dec = np.zeros(L + 1)
-    snapshots: Dict[int, Snapshot] = {}
+    weights = join_weights(pch)
+    # scratch at the widths of lo = 0; `bind` cuts contiguous views from it
+    kc, kv = L + w, L + 1
+    vc_cs, vc_mean, chk = np.empty((5, kc + w)), np.empty((5, kc)), np.empty((5, kc))
+    chk_sums = np.empty(kc)
+    cv_cs, cv_mean = np.empty((5, kv + w)), np.empty((5, kv))
+    powers, out, var_sums = np.empty((2, 4, kv)), np.empty((5, 2, kv)), np.empty((2, kv))
+    diff, dist, unsat = np.empty((5, 2, kv)), np.empty(kv), np.empty(kv, dtype=bool)
+
+    def bind(lo: int):
+        """One iteration over check rows lo..L+w-1 and variable rows lo..L,
+        on views cut once for this lo.  The step returns the sup-norm change
+        of the variable rows and leaves in the returned mask which of them
+        are still unsaturated."""
+        kc, kv = L + w - lo, L + 1 - lo
+        padded, pcv_lo, pvc_lo, p_dec_lo = vbuf[0, :, lo:], pcv[:, lo:], pvc[:, lo:], p_dec[lo:]
+        vc_cs_lo, vc_mean_lo = _head(vc_cs, 5, kc + w), _head(vc_mean, 5, kc)
+        chk_lo, chk_sums_lo = _head(chk, 5, kc), _head(chk_sums, kc)
+        cv_cs_lo, cv_mean_lo = _head(cv_cs, 5, kv + w), _head(cv_mean, 5, kv)
+        vc_cs_lo[:, 0] = cv_cs_lo[:, 0] = 0.0
+        powers_lo, out_lo, var_sums_lo = (_head(powers, 2, 4, kv), _head(out, 5, 2, kv),
+                                          _head(var_sums, 2, kv))
+        new, dec4, dec5 = out_lo[:, 0], out_lo[3, 1], out_lo[4, 1]
+        # the new rows broadcast against the old rows and type 5 side by side
+        new_b, old_e5 = out_lo[:, :1], vbuf[:, :, w - 1 + lo : w + L].transpose(1, 0, 2)
+        diff_lo = _head(diff, 5, 2, kv)
+        change, from_e5 = diff_lo[:, 0], diff_lo[:, 1]
+        dist_lo, unsat_lo = _head(dist, kv), _head(unsat, kv)
+        mirror, mirror_src = vbuf[0, :, w + L : w + L + m], new[:, kv - 1 - m : kv - 1][:, ::-1]
+
+        def step() -> float:
+            # check half-iteration over check rows lo..L+w-1
+            p = eff_vc_window(padded, w, vc_cs_lo, vc_mean_lo)
+            renormalize(chk_update(p, e.d_c - 1, chk_lo), pcv_lo, chk_sums_lo)
+            # variable half-iteration and decoder output over variable rows lo..L
+            q = eff_cv_window(pcv_lo, w, cv_cs_lo, cv_mean_lo)
+            renormalize(var_update(weights, q, e.d_v - 1, powers_lo, out_lo), out_lo, var_sums_lo)
+            np.add(dec4, dec5, out=p_dec_lo)
+            np.subtract(new_b, old_e5, out=diff_lo)
+            np.abs(diff_lo, out=diff_lo)
+            np.greater(from_e5.max(axis=0, out=dist_lo), caps.stall_tol, out=unsat_lo)
+            pvc_lo[...] = new
+            mirror[...] = mirror_src
+            return float(change.max())
+
+        return step, unsat_lo
 
     def snapshot() -> Snapshot:
         return Snapshot(_unfold(pvc.T, nv), _unfold(pcv.T, nc), _unfold(p_dec, nv))
 
+    snapshots: Dict[int, Snapshot] = {}
     status = "cap"
     it = lo = 0
+    step, unsat_lo = bind(lo)
+    np.greater(np.abs(pvc - E5).max(axis=0), caps.stall_tol, out=unsat_lo)
     for it in range(1, l_max + 1):
         # rows before lo are saturated and have not changed since the last scan
-        unsat = np.abs(pvc[:, lo:] - E5).max(axis=0) > caps.stall_tol
-        first = int(unsat.argmax())
-        if not unsat[first]:
+        first = int(unsat_lo.argmax())
+        if not unsat_lo[first]:
             p_dec[:] = 1.0
             status = "success"
             break
-        lo = max(0, lo + first - w)
-
-        # check half-iteration over check rows lo..L+w-1
-        pcv[:, lo:] = renormalize(chk_update(eff_vc_window(pvc, L, w, lo), e.d_c - 1))
-
-        # variable half-iteration and decoder output over variable rows lo..L
-        out = renormalize(var_update(pch, eff_cv_window(pcv, w, lo), e.d_v - 1))
-        np.add(out[3, 1], out[4, 1], out=p_dec[lo:])
-        delta = float(np.abs(out[:, 0] - pvc[:, lo:]).max())
-        pvc[:, lo:] = out[:, 0]
+        if max(0, lo + first - w) != lo:
+            lo = max(0, lo + first - w)
+            step, unsat_lo = bind(lo)
+        delta = step()
 
         if it in snapshot_iters:
             snapshots[it] = snapshot()

@@ -65,10 +65,13 @@ def find_threshold(
     """Bisect for the largest decodable eps to a bracket width <= 2*tol,
     under the settings `caps.for_ensemble(e)`.
 
-    With verify_scan=n, an n-point grid is evaluated first and a
+    With verify_scan=n >= 2, an n-point grid is evaluated first and a
     non-monotone decodability pattern raises RuntimeError; the bisection
-    reuses the grid's outcomes at eps 0 and 1.
+    reuses the grid's outcomes at eps 0 and 1.  A grid of fewer than two
+    points cannot show a non-monotone pattern and raises ValueError.
     """
+    if verify_scan is not None and verify_scan < 2:
+        raise ValueError(f"verify_scan must be >= 2 grid points, got {verify_scan}")
     caps = caps.for_ensemble(e)
     evals: List[EvalMeta] = []
 
@@ -78,7 +81,7 @@ def find_threshold(
         return meta
 
     ends: Dict[float, EvalMeta] = {}
-    if verify_scan:
+    if verify_scan is not None:
         metas = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
         # decodable must form a prefix of the grid
         seen_false = False

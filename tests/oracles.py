@@ -5,10 +5,12 @@ and nothing here imports the package: the operator tables come from a
 component-set lattice, the node updates from powers of explicit 5x5
 transition matrices and from exhaustive lattice folds, erasure-only
 evolutions from scalar BEC recursions, the coupled five-type evolution from
-a loop over every position of the whole chain, peeling from a slow
-sequential fold and from flooding rounds over every edge, recoverability
-from every codeword pair of a small code, and the mutual informations of
-the rate bounds from a sum over the full joint distribution.
+a loop over every position of the whole chain and from a frozen copy of
+the package's half-chain loop (which the package must equal bit for bit),
+peeling from a slow sequential fold and from flooding rounds over every
+edge, recoverability from every codeword pair of a small code, and the
+mutual informations of the rate bounds from a sum over the full joint
+distribution.
 """
 
 from __future__ import annotations
@@ -253,6 +255,134 @@ def five_type_coupled_trajectory(pch, d_v, d_c, L, w, iters):
             p_dec.append(dec[3] + dec[4])
         out.append((np.array(x), np.array(y), np.array(p_dec)))
     return out
+
+
+# --- frozen half-chain five-type evolution -----------------------------------
+# The package's evolution loop as it stood before it bound its buffers once
+# per pruning step: fresh arrays on every pass, concatenated check windows
+# and copying renormalisation.  The package must keep its outcome bitwise:
+# same floating-point operations, in the same order, on the same values.
+
+_HALF_E5 = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])
+_HALF_RENORM_ATOL = 1e-9
+
+
+def _half_window_mean(rows, w):
+    cs = np.empty((rows.shape[0], rows.shape[1] + 1))
+    cs[:, 0] = 0.0
+    np.add.accumulate(rows, axis=1, out=cs[:, 1:])
+    out = cs[:, w:] - cs[:, :-w]
+    out /= w
+    return out
+
+
+def _half_eff_vc(pvc, L, w, lo):
+    if w == 1:
+        return pvc[:, lo:]
+    first = lo - w + 1
+    m = min(w - 1, L)
+    parts = [pvc[:, max(0, first) :], pvc[:, L - m : L][:, ::-1]]
+    if first < 0:
+        parts.insert(0, _HALF_E5.repeat(-first, axis=1))
+    if m < w - 1:
+        parts.append(_HALF_E5.repeat(w - 1 - m, axis=1))
+    return _half_window_mean(np.concatenate(parts, axis=1), w)
+
+
+def _half_eff_cv(pcv, w, lo):
+    if w == 1:
+        return pcv[:, lo:]
+    return _half_window_mean(pcv[:, lo:], w)
+
+
+def _half_chk(p, n):
+    out = np.empty_like(p)
+    np.add(p[1:4], p[4], out=out[1:4])
+    out[4] = p[4]
+    out[1:] **= n
+    out[1:4] -= out[4]
+    np.subtract(1.0, out[1:].sum(axis=0), out=out[0])
+    return out
+
+
+def _half_var(c, q, n):
+    powers = np.empty((2, 4, q.shape[1]))
+    base = powers[1]
+    base[0] = q[0]
+    np.add(q[1:4], q[0], out=base[1:])
+    np.power(base, n, out=powers[0])
+    base *= powers[0]
+    weights = c[:4] + c[0]
+    weights[0] = c[0]
+    out = np.empty((5, 2, q.shape[1]))
+    np.multiply(weights[:, None, None], powers.transpose(1, 0, 2), out=out[:4])
+    out[1:4] -= out[0]
+    np.subtract(1.0, out[:4].sum(axis=0), out=out[4])
+    return out
+
+
+def _half_renormalize(p):
+    s = p.sum(axis=0)
+    if s.max() - 1.0 > _HALF_RENORM_ATOL or 1.0 - s.min() > _HALF_RENORM_ATOL:
+        raise RuntimeError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
+    if p.min() < -_HALF_RENORM_ATOL:
+        raise RuntimeError(f"distribution entry {np.min(p):.3e} below zero")
+    return p / s
+
+
+def _half_unfold(half, n):
+    return np.concatenate([half, half[: n - len(half)][::-1]])
+
+
+def half_chain_de(pch, d_v, d_c, L, w, l_max, success_target, stall_tol, snapshot_iters=()):
+    """The half-chain evolution of the (d_v, d_c, L, w) chain, L = 0 and
+    w = 1 for the regular ensemble, with the package's stopping rules.
+
+    Returns (status, iterations, p_dec, min_p_dec, final_pvc, final_pcv,
+    snapshots, lo_moves): outputs unfolded to the whole chain as in the
+    package's `DeOutcome`, snapshots as {iteration: (pvc, pcv, p_dec)},
+    and the number of iterations in which the left edge of the updated
+    rows moved.
+    """
+    pch = np.asarray(pch, dtype=float)
+    nv, nc = 2 * L + 1, 2 * L + w
+    pvc = pch[:, None].repeat(L + 1, axis=1)
+    pcv = pch[:, None].repeat(L + w, axis=1)
+    p_dec = np.zeros(L + 1)
+    snapshots = {}
+
+    def snapshot():
+        return (_half_unfold(pvc.T, nv), _half_unfold(pcv.T, nc), _half_unfold(p_dec, nv))
+
+    status = "cap"
+    it = lo = lo_moves = 0
+    for it in range(1, l_max + 1):
+        unsat = np.abs(pvc[:, lo:] - _HALF_E5).max(axis=0) > stall_tol
+        first = int(unsat.argmax())
+        if not unsat[first]:
+            p_dec[:] = 1.0
+            status = "success"
+            break
+        new_lo = max(0, lo + first - w)
+        lo_moves += new_lo != lo
+        lo = new_lo
+        pcv[:, lo:] = _half_renormalize(_half_chk(_half_eff_vc(pvc, L, w, lo), d_c - 1))
+        out = _half_renormalize(_half_var(pch, _half_eff_cv(pcv, w, lo), d_v - 1))
+        np.add(out[3, 1], out[4, 1], out=p_dec[lo:])
+        delta = float(np.abs(out[:, 0] - pvc[:, lo:]).max())
+        pvc[:, lo:] = out[:, 0]
+        if it in snapshot_iters:
+            snapshots[it] = snapshot()
+        if float(p_dec.min()) >= success_target:
+            status = "success"
+            break
+        if delta < stall_tol:
+            status = "stall"
+            break
+    if snapshot_iters:
+        snapshots[it] = snapshot()
+    return (status, it, _half_unfold(p_dec, nv), float(p_dec.min()), _half_unfold(pvc.T, nv),
+            _half_unfold(pcv.T, nc), snapshots, lo_moves)
 
 
 # --- slow sequential peeling on the extended Tanner graph --------------------

@@ -324,6 +324,26 @@ def test_figure6_usage_errors_exit_2(extra):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_verify_scan_below_two_points_exits_2(points, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--regular", "3", "6", "--channel", "xor-only",
+              "--verify-scan", points])
+    assert exc.value.code == 2
+    assert "verify_scan" in capsys.readouterr().err
+
+
+def test_figure6_json_needs_out(capsys):
+    # rows and curves are two JSON documents, which one stream cannot hold
+    with pytest.raises(SystemExit) as exc:
+        main(["figure6", "--dc", "6", "--dv", "3", "--L", "3", "--w", "2",
+              "--curve-grid", "3", "--channel", "xor-only", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+
+
 def test_channel_config_flag(tmp_path, capsys):
     cfg = tmp_path / "fams.ini"
     cfg.write_text("[const]\nkind = fixed-table\ntable = 0 0 0 1 0\n")

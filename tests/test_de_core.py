@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_core import SimplexError, chk_update, renormalize, var_update
+from twemac_jcf.de_core import SimplexError, chk_update, join_weights, renormalize, var_update
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 
 from oracles import (
@@ -38,13 +38,20 @@ NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before it
 
 
 def chk(p, n):
-    return chk_update(np.asarray(p, dtype=float)[:, None], n)[:, 0]
+    p = np.asarray(p, dtype=float)[:, None]
+    return chk_update(p, n, np.empty_like(p))[:, 0]
 
 
 def var_pair(c, q, n):
     """The joins of c with n and with n + 1 messages q."""
-    out = var_update(np.asarray(c, dtype=float), np.asarray(q, dtype=float)[:, None], n)
+    weights = join_weights(np.asarray(c, dtype=float))
+    q = np.asarray(q, dtype=float)[:, None]
+    out = var_update(weights, q, n, np.empty((2, 4, 1)), np.empty((5, 2, 1)))
     return out[:, 0, 0], out[:, 1, 0]
+
+
+def renorm(p):
+    return renormalize(p, np.empty_like(p), np.empty(p.shape[1:]))
 
 
 def var(c, q, n):
@@ -241,9 +248,9 @@ def test_decoder_output_consistency():
 
 def test_renormalize_guard():
     with pytest.raises(SimplexError):
-        renormalize(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
+        renorm(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
     p = np.array([0.2, 0.2, 0.2, 0.2, 0.2 + 1e-10])
-    out = renormalize(p)
+    out = renorm(p)
     assert out.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -251,8 +258,8 @@ def test_renormalize_rejects_negative_entry():
     # a remainder entry keeps the sum at 1 however far the others drift;
     # arrays are type-major, one distribution per column
     with pytest.raises(SimplexError):
-        renormalize(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
-    renormalize(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
+        renorm(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
+    renorm(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
 
 
 def test_config_validation():

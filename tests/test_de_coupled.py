@@ -1,5 +1,6 @@
 """Spatially coupled type distribution evolution."""
 
+import collections
 import math
 
 import numpy as np
@@ -15,10 +16,30 @@ from twemac_jcf.de_coupled import (
     nominal_rate,
 )
 
-from oracles import five_type_coupled_trajectory, scalar_coupled_trajectory
+from oracles import five_type_coupled_trajectory, half_chain_de, scalar_coupled_trajectory
 
 NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
 E5 = np.array([0, 0, 0, 0, 1.0])
+
+
+def padded(pvc, L, w):
+    """Variable rows -w+1..L+w-1 of the half chain: row j > L reads as its
+    mirror 2L-j, and rows off the chain as type 5."""
+    m = min(w - 1, L)
+    pad = np.repeat(E5[:, None], w - 1, axis=1)
+    return np.hstack([pad, pvc, pvc[:, L - m : L][:, ::-1], pad[:, : w - 1 - m]])
+
+
+def eff_vc(pvc, L, w, lo):
+    rows = padded(pvc, L, w)[:, lo:]
+    k = rows.shape[1]
+    return eff_vc_window(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
+
+
+def eff_cv(pcv, w, lo):
+    rows = pcv[:, lo:]
+    k = rows.shape[1]
+    return eff_cv_window(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
 
 
 def test_nominal_rate_frozen_values():
@@ -51,9 +72,9 @@ def test_effective_dists_w1_is_identity():
     # type-major rows of the half chain: variables 0..L, checks 0..L+w-1
     pvc = rng.dirichlet(np.ones(5), size=e.L + 1).T
     pcv = rng.dirichlet(np.ones(5), size=e.L + e.w).T
-    eff_vc, eff_cv = eff_vc_window(pvc, e.L, e.w, 0), eff_cv_window(pcv, e.w, 0)
-    np.testing.assert_allclose(eff_vc, pvc)
-    np.testing.assert_allclose(eff_cv, pcv)
+    vc, cv = eff_vc(pvc, e.L, e.w, 0), eff_cv(pcv, e.w, 0)
+    np.testing.assert_allclose(vc, pvc)
+    np.testing.assert_allclose(cv, pcv)
 
 
 def test_effective_dists_uniform_interior():
@@ -63,13 +84,13 @@ def test_effective_dists_uniform_interior():
     row = np.array([0.2, 0.2, 0.2, 0.4, 0.0])
     pvc = np.tile(row, (e.L + 1, 1)).T
     pcv = np.tile(row, (e.L + e.w, 1)).T
-    eff_vc, eff_cv = eff_vc_window(pvc, e.L, e.w, 0), eff_cv_window(pcv, e.w, 0)
+    vc, cv = eff_vc(pvc, e.L, e.w, 0), eff_cv(pcv, e.w, 0)
     for q in range(e.w - 1, e.L + e.w):
-        np.testing.assert_allclose(eff_vc[:, q], row, atol=1e-15)
-    np.testing.assert_allclose(eff_cv, np.tile(row, (e.L + 1, 1)).T, atol=1e-15)
+        np.testing.assert_allclose(vc[:, q], row, atol=1e-15)
+    np.testing.assert_allclose(cv, np.tile(row, (e.L + 1, 1)).T, atol=1e-15)
     # leftmost check sees w-1 pseudo rows
     expect = (row + (e.w - 1) * np.array([0, 0, 0, 0, 1.0])) / e.w
-    np.testing.assert_allclose(eff_vc[:, 0], expect, atol=1e-15)
+    np.testing.assert_allclose(vc[:, 0], expect, atol=1e-15)
 
 
 def test_effective_dists_boundary_formula():
@@ -83,15 +104,15 @@ def test_effective_dists_boundary_formula():
         full_pvc = [pvc[:, min(j, 2 * L - j)] for j in range(e.n_var_positions)]
         e5 = np.array([0, 0, 0, 0, 1.0])
         for lo in (0, L):
-            eff_vc = eff_vc_window(pvc, L, w, lo)
-            eff_cv = eff_cv_window(pcv, w, lo)
-            assert eff_vc.shape == (5, L + w - lo) and eff_cv.shape == (5, L + 1 - lo)
+            vc = eff_vc(pvc, L, w, lo)
+            cv = eff_cv(pcv, w, lo)
+            assert vc.shape == (5, L + w - lo) and cv.shape == (5, L + 1 - lo)
             for q in range(lo, L + w):
                 rows = [full_pvc[q - j] if 0 <= q - j < e.n_var_positions else e5
                         for j in range(w)]
-                np.testing.assert_allclose(eff_vc[:, q - lo], np.mean(rows, axis=0), atol=1e-14)
+                np.testing.assert_allclose(vc[:, q - lo], np.mean(rows, axis=0), atol=1e-14)
             for i in range(lo, L + 1):
-                np.testing.assert_allclose(eff_cv[:, i - lo], pcv[:, i : i + w].mean(axis=1),
+                np.testing.assert_allclose(cv[:, i - lo], pcv[:, i : i + w].mean(axis=1),
                                            atol=1e-14)
 
 
@@ -148,6 +169,95 @@ def test_half_chain_matches_full_chain_oracle(channel, shape, target):
         if k < iters:
             for got, want in zip(snap, traj[k - 1]):
                 np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+# The frozen half chain: every outcome must equal it bitwise.
+FROZEN_SHAPES = {
+    "L=0": (3, 6), "L<w": (3, 6, 2, 5), "w=1": (3, 6, 4, 1), "odd-w": (5, 10, 4, 3),
+    "even-w": (3, 6, 5, 2),
+}
+FROZEN_OUTCOMES = {  # eps, caps
+    "success": (0.2, Caps()),
+    "stall": (0.8, Caps()),
+    "cap": (0.46, Caps(l_max=5, success_target=NOT_FINAL)),
+}
+
+
+def assert_matches_frozen(e, pch, caps, snaps):
+    """de_coupled's outcome, after checking it bit for bit against the
+    frozen half chain; also returns how often the left edge moved."""
+    c = caps.for_ensemble(e)
+    res = de_coupled(e, pch, caps, snaps)
+    status, iters, p_dec, min_p_dec, pvc, pcv, snapshots, lo_moves = half_chain_de(
+        pch, e.d_v, e.d_c, e.L, e.w, c.l_max, c.success_target, c.stall_tol, snaps)
+    assert (res.converged, res.iterations_used, res.min_p_dec) == (status, iters, min_p_dec)
+    pairs = [(res.p_dec, p_dec), (res.final_pvc, pvc), (res.final_pcv, pcv)]
+    assert sorted(res.snapshots) == sorted(snapshots)
+    for k, snap in snapshots.items():
+        pairs += zip(res.snapshots[k], snap)
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return res, lo_moves
+
+
+@pytest.mark.parametrize("outcome", sorted(FROZEN_OUTCOMES))
+@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal"])
+@pytest.mark.parametrize("shape", list(FROZEN_SHAPES.values()), ids=list(FROZEN_SHAPES))
+def test_matches_frozen_half_chain(shape, channel, outcome):
+    eps, caps = FROZEN_OUTCOMES[outcome]
+    res, _ = assert_matches_frozen(Ensemble(*shape), BUILTINS[channel].eval(eps), caps,
+                                   {1, 2, 7, 25})
+    assert res.converged == outcome
+
+
+def test_matches_frozen_half_chain_as_left_edge_moves():
+    # full-reveal decodes rows to the type-5 point mass, so the left edge of
+    # the updated rows follows the wave; at eps 0 every row starts there
+    e = Ensemble(3, 6, 20, 3)
+    res, lo_moves = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.46), Caps(),
+                                          {1, 60, 120})
+    assert res.converged == "success" and lo_moves > 0
+    res, _ = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.0), Caps(), {1})
+    assert (res.converged, res.iterations_used) == ("success", 1)
+
+
+def _arrays(res):
+    return [res.p_dec, res.final_pvc, res.final_pcv,
+            *(x for snap in res.snapshots.values() for x in snap)]
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (3, 6, 20, 3)])
+def test_outcomes_own_their_memory(shape):
+    # calls A, B, A: no outcome shares memory with another array of its own
+    # or of a later call, and A's second outcome repeats its first
+    e, snaps = Ensemble(*shape), {1, 60}
+    a, b = BUILTINS["full-reveal"].eval(0.46), BUILTINS["primary"].eval(0.3)
+    first, second, again = (de_coupled(e, pch, Caps(), snaps) for pch in (a, b, a))
+    ours, later = _arrays(first), _arrays(second) + _arrays(again)
+    for i, x in enumerate(ours):
+        assert x.flags.owndata
+        assert not any(np.shares_memory(x, y) for y in ours[i + 1 :] + later)
+    assert (again.converged, again.iterations_used, again.min_p_dec) == (
+        first.converged, first.iterations_used, first.min_p_dec)
+    assert sorted(again.snapshots) == sorted(first.snapshots)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(_arrays(first), _arrays(again)))
+
+
+def test_iterations_call_no_array_constructor(monkeypatch):
+    # numpy's concatenate, repeat and empty run per call, not per iteration
+    calls = collections.Counter()
+    for name in ("concatenate", "repeat", "empty", "empty_like", "zeros"):
+        def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    e, pch = Ensemble(5, 10, 20, 4), BUILTINS["primary"].eval(0.27)
+    counts = []
+    for l_max in (5, 50):
+        calls.clear()
+        assert de_coupled(e, pch, Caps(l_max=l_max, success_target=NOT_FINAL)).converged == "cap"
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
 
 
 def test_coupled_equals_regular_at_w1():

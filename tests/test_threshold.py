@@ -83,6 +83,14 @@ def test_verify_scan_rejects_nonmonotone_family():
     assert res.eps_thresh == pytest.approx(0.4294, abs=2e-3)
 
 
+@pytest.mark.parametrize("points", [0, 1, -3])
+def test_verify_scan_needs_two_points(points):
+    # no grid, or eps 0 alone, cannot show a non-monotone pattern
+    with pytest.raises(ValueError, match="verify_scan"):
+        find_threshold(Ensemble(3, 6), BUILTINS["xor-only"], caps=Caps(tol=1e-3),
+                       verify_scan=points)
+
+
 def test_verify_scan_reuses_endpoint_outcomes():
     # the scan grid already holds eps 0 and 1; bisection does not repeat them
     fam = BUILTINS["xor-only"]
