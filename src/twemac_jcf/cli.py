@@ -25,10 +25,11 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelError, get_family
+from .de_core import SimplexError
 from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from .rates import rate_bounds
 from .simulate import failure_rate
-from .threshold import find_threshold, sweep
+from .threshold import MonotonicityError, find_threshold, sweep
 
 EXIT_NUMERICAL = 3
 
@@ -99,6 +100,8 @@ RATE_COLUMNS = ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"]
 
 def _rate_rows(family, n: int) -> List[dict]:
     """Rate bounds on an n-point eps grid over [0, 1], one row per point."""
+    if n < 2:
+        raise ValueError(f"an eps grid spans [0, 1] with >= 2 points, got {n}")
     rows = []
     for eps in np.linspace(0.0, 1.0, n):
         rb = rate_bounds(family.eval(float(eps)))
@@ -211,6 +214,7 @@ def cmd_figure6(args) -> int:
     p_grid = [float(x) for x in args.p_pi.split(",")]
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
+    curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
     rows_out = [asdict(row) for row in sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)]
     cols = [
         "d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi",
@@ -220,7 +224,7 @@ def cmd_figure6(args) -> int:
 
     # analytic overlay curves on an eps grid
     curve_path = f"{args.out}.curves.{args.format}" if args.out else None
-    _emit(args, _meta(args), RATE_COLUMNS, _rate_rows(family, args.curve_grid), path=curve_path)
+    _emit(args, _meta(args), RATE_COLUMNS, curve_rows, path=curve_path)
     return 0
 
 
@@ -329,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RuntimeError as exc:  # SimplexError, or a non-monotone --verify-scan
+    except (SimplexError, MonotonicityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ChannelError, ValueError) as exc:

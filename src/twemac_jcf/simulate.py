@@ -9,6 +9,9 @@ one pair is one of five types:
     4 = x_A xor x_B known
     5 = everything known
 
+Graphs of both ensembles come from `sample_coupled_graph`; the regular
+ensemble is its chain of one position, whose M variables are the code's N.
+
 A channel observation is a type array, one type per variable; the all-zero
 codeword pair is assumed, since on erasure-type channels decodability
 depends only on the type pattern.  `peel_decode` runs type-level message
@@ -73,24 +76,6 @@ class EtgInstance:
     echeck: np.ndarray
 
 
-def _from_sockets(n_vars: int, sockets: np.ndarray, d_c: int) -> EtgInstance:
-    """Graph whose check c owns sockets[c*d_c : (c+1)*d_c]; negative
-    entries are boundary sockets and are dropped."""
-    echeck = np.repeat(np.arange(sockets.size // d_c), d_c)
-    real = sockets >= 0
-    return EtgInstance(n_vars, sockets.size // d_c, sockets[real], echeck[real])
-
-
-def sample_regular_graph(
-    d_v: int, d_c: int, n_vars: int, rng: np.random.Generator
-) -> EtgInstance:
-    """Uniform configuration-model (d_v, d_c) graph; multi-edges allowed."""
-    if (n_vars * d_v) % d_c != 0:
-        raise ValueError(f"N*d_v = {n_vars * d_v} not divisible by d_c = {d_c}")
-    sockets = rng.permutation(np.repeat(np.arange(n_vars), d_v))
-    return _from_sockets(n_vars, sockets, d_c)
-
-
 def sample_coupled_graph(
     e: Ensemble, m_per_pos: int, rng: np.random.Generator
 ) -> EtgInstance:
@@ -100,24 +85,31 @@ def sample_coupled_graph(
     check positions above it; check sockets that would reach variables
     outside -L..L are boundary sockets.  Variable v sits at position
     v // M - L and check c at c // (M*d_v/d_c) - L.  Requires w | M*d_v on
-    top of the usual d_c | M*d_v so that degrees come out exact.
+    top of the usual d_c | M*d_v so that degrees come out exact.  The regular
+    ensemble (L = 0, w = 1) is one position of N = M variables, and its
+    sample is the configuration model: one shuffle of the sockets.
     """
     md = m_per_pos * e.d_v
-    if md % e.d_c != 0:
-        raise ValueError(f"M*d_v = {md} not divisible by d_c = {e.d_c}")
-    if md % e.w != 0:
-        raise ValueError(f"M*d_v = {md} not divisible by w = {e.w}")
+    for k, name in ((e.d_c, "d_c"), (e.w, "w")):
+        if md % k != 0:
+            raise ValueError(f"size*d_v = {md} is not divisible by {name} = {k}")
     nvp, ncp = e.n_var_positions, e.n_chk_positions
-    pseudo = -1  # boundary socket, dropped by _from_sockets
 
-    # chunks[q, j] = sockets of variable position q - j matched to check position q
-    chunks = np.full((ncp, e.w, md // e.w), pseudo, dtype=np.int64)
+    # chunks[q, j] = sockets of variable position q - j matched to check position q;
+    # -1 marks a boundary socket
+    chunks = np.full((ncp, e.w, md // e.w), -1, dtype=np.int64)
     for p in range(nvp):
-        var_ids = np.arange(p * m_per_pos, (p + 1) * m_per_pos)
-        order = rng.permutation(np.repeat(var_ids, e.d_v)).reshape(e.w, -1)
-        chunks[p + np.arange(e.w), np.arange(e.w)] = order
-    sockets = np.concatenate([rng.permutation(row) for row in chunks.reshape(ncp, md)])
-    return _from_sockets(nvp * m_per_pos, sockets, e.d_c)
+        own = np.repeat(np.arange(p * m_per_pos, (p + 1) * m_per_pos), e.d_v)
+        if e.w > 1:  # a check row of one chunk needs only the row shuffle below
+            rng.shuffle(own)
+        chunks[p + np.arange(e.w), np.arange(e.w)] = own.reshape(e.w, -1)
+    for row in chunks.reshape(ncp, md):
+        rng.shuffle(row)
+    sockets = chunks.ravel()  # check c owns sockets[c*d_c : (c+1)*d_c]
+    edges = np.flatnonzero(sockets >= 0)
+    evar = sockets[edges]
+    edges //= e.d_c
+    return EtgInstance(nvp * m_per_pos, sockets.size // e.d_c, evar, edges)
 
 
 def _type_array(types, n: int) -> np.ndarray:
@@ -206,9 +198,11 @@ def failure_rate(
 ) -> FailureStats:
     """Average peel-decoding failure over sampled graphs and observations.
 
-    `size` is N for a regular ensemble and M (variables per position) for a
-    coupled one.  The all-zero codeword pair is assumed; for erasure-type
-    channels decodability depends only on the type pattern.
+    `size` is M, the variables per position, and each trial samples its
+    graph with `sample_coupled_graph`.  The regular ensemble is the chain of
+    one position, so there `size` is the code length N.  The all-zero
+    codeword pair is assumed; for erasure-type channels decodability depends
+    only on the type pattern.
     """
     if trials < 1 or size < 1:
         raise ValueError(f"trials and size must be >= 1, got {trials} and {size}")
@@ -218,15 +212,10 @@ def failure_rate(
         pch = puncture(pch, p_pi)
     bit_rates = np.zeros(trials)
     failures = 0
-    n_vars = 0
     for t in range(trials):
-        if e.coupled:
-            g = sample_coupled_graph(e, size, rng)
-        else:
-            g = sample_regular_graph(e.d_v, e.d_c, size, rng)
-        n_vars = g.n_vars
+        g = sample_coupled_graph(e, size, rng)
         out = peel_decode(g, sample_states(pch, g.n_vars, rng))
-        failed = ~((out == 4) | (out == 5))
+        failed = out < 4  # types 4 and 5 hold the xor
         bit_rates[t] = failed.mean()
         failures += bool(failed.any())
     lo, hi = wilson_interval(failures, trials)
@@ -236,5 +225,5 @@ def failure_rate(
         block_lo=lo,
         block_hi=hi,
         trials=trials,
-        n_vars=n_vars,
+        n_vars=e.n_var_positions * size,
     )

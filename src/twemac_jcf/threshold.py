@@ -18,6 +18,10 @@ from .channel import ChannelFamily, puncture
 from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 
 
+class MonotonicityError(RuntimeError):
+    """Decodability is not monotone in eps on a verification grid."""
+
+
 @dataclass
 class EvalMeta:
     eps: float
@@ -66,7 +70,7 @@ def find_threshold(
     under the settings `caps.for_ensemble(e)`.
 
     With verify_scan=n >= 2, an n-point grid is evaluated first and a
-    non-monotone decodability pattern raises RuntimeError; the bisection
+    non-monotone decodability pattern raises MonotonicityError; the bisection
     reuses the grid's outcomes at eps 0 and 1.  A grid of fewer than two
     points cannot show a non-monotone pattern and raises ValueError.
     """
@@ -89,7 +93,7 @@ def find_threshold(
             if not m.decodable:
                 seen_false = True
             elif seen_false:
-                raise RuntimeError(
+                raise MonotonicityError(
                     "decodability is not monotone in eps on the scan grid; "
                     "bisection would be unsound for this channel family"
                 )
@@ -163,13 +167,15 @@ def sweep(
     jobs: int = 1,
 ) -> List[SweepRow]:
     """Threshold and rate for every (ensemble, p_pi) pair, in input order,
-    each bisected under `caps.for_ensemble` of its ensemble."""
+    each bisected under `caps.for_ensemble` of its ensemble.  The pairs run
+    on min(jobs, pairs) worker processes, or serially when that is 1."""
     tasks = [
         (e, family, float(p_pi), caps)
         for e in ensembles
         for p_pi in puncture_grid
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]

@@ -16,7 +16,7 @@ import pytest
 from twemac_jcf.channel import BUILTINS, puncture
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from twemac_jcf.rates import rate_bounds
-from twemac_jcf.simulate import EtgInstance, failure_rate, peel_decode, sample_regular_graph
+from twemac_jcf.simulate import EtgInstance, failure_rate, peel_decode, sample_coupled_graph
 from twemac_jcf.threshold import find_threshold
 
 from oracles import (
@@ -208,7 +208,7 @@ def test_criterion_7_oracle_agreement():
         d_v = int(rng.choice([2, 3]))
         n = int(rng.choice([8, 12]))
         d_c = 4 if d_v == 2 else 6
-        g = sample_regular_graph(d_v, d_c, n, rng)
+        g = sample_coupled_graph(Ensemble(d_v, d_c), n, rng)
         edges = (g.n_vars, g.n_checks, g.evar, g.echeck)
         h = parity_matrix(*edges)
         tree = is_cycle_free(*edges)

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from concurrent.futures.process import BrokenProcessPool
+
+from twemac_jcf import cli
 from twemac_jcf.cli import main
+from twemac_jcf.de_core import SimplexError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,6 +243,25 @@ def test_nonmonotone_verify_scan_exits_3(tmp_path, capsys):
     assert "not monotone" in err
 
 
+def test_only_numerical_failures_exit_3(monkeypatch, capsys):
+    # a killed --jobs worker or a recursion overflow is a crash, not a
+    # numerical verdict on the ensemble
+    argv = ["de", "--dv", "3", "--dc", "6", "--eps", "0.3"]
+
+    def raising(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    monkeypatch.setattr(cli, "de_coupled", raising(SimplexError("entry -1e-3 below zero")))
+    assert main(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    for exc in (RuntimeError("boom"), BrokenProcessPool("a worker died"), RecursionError()):
+        monkeypatch.setattr(cli, "de_coupled", raising(exc))
+        with pytest.raises(type(exc)):
+            main(argv)
+
+
 def test_simulate_regular(capsys):
     code, out = run_cli(
         ["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.2",
@@ -331,6 +354,21 @@ def test_verify_scan_below_two_points_exits_2(points, capsys):
               "--verify-scan", points])
     assert exc.value.code == 2
     assert "verify_scan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--grid"],
+    ["figure6", "--dc", "6", "--dv", "3", "--L", "3", "--w", "2", "--curve-grid"],
+])
+@pytest.mark.parametrize("points", ["0", "1", "-2"])
+def test_eps_grid_below_two_points_exits_2(argv, points, tmp_path, capsys):
+    # a grid over [0, 1] needs both ends; fewer points gave a bare header
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [points, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure6_json_needs_out(capsys):

@@ -14,7 +14,6 @@ from twemac_jcf.simulate import (
     failure_rate,
     peel_decode,
     sample_coupled_graph,
-    sample_regular_graph,
     wilson_interval,
 )
 
@@ -34,21 +33,32 @@ H_SMALL = np.array([[1, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def test_regular_sampling_degrees_and_determinism():
-    g = sample_regular_graph(3, 6, 60, np.random.default_rng(5))
+    g = sample_coupled_graph(Ensemble(3, 6), 60, np.random.default_rng(5))
     assert g.n_vars == 60
     assert g.n_checks == 30
     assert np.all(np.bincount(g.echeck, minlength=30) == 6)
     assert np.all(np.bincount(g.evar, minlength=60) == 3)
     # check-major socket order
     np.testing.assert_array_equal(g.echeck, np.repeat(np.arange(30), 6))
-    h = sample_regular_graph(3, 6, 60, np.random.default_rng(5))
+    h = sample_coupled_graph(Ensemble(3, 6), 60, np.random.default_rng(5))
     np.testing.assert_array_equal(g.evar, h.evar)
     np.testing.assert_array_equal(g.echeck, h.echeck)
 
 
+def test_regular_sample_is_the_configuration_model():
+    # one shuffle of the sockets, listed check-major, and no further draw:
+    # the graph streams of regular simulations depend on it
+    for d_v, d_c, n in [(3, 6, 60), (4, 8, 1000), (2, 4, 8), (5, 10, 2)]:
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        g = sample_coupled_graph(Ensemble(d_v, d_c), n, rng)
+        np.testing.assert_array_equal(g.evar, ref.permutation(np.repeat(np.arange(n), d_v)))
+        np.testing.assert_array_equal(g.echeck, np.repeat(np.arange(n * d_v // d_c), d_c))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_regular_sampling_divisibility():
-    with pytest.raises(ValueError):
-        sample_regular_graph(3, 6, 7, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"size\*d_v = 21 is not divisible by d_c = 6"):
+        sample_coupled_graph(Ensemble(3, 6), 7, np.random.default_rng(0))
 
 
 def test_coupled_sampling_shapes_and_degrees():
@@ -92,7 +102,7 @@ def test_coupled_sampling_divisibility():
 
 
 def test_peel_trivial_type_patterns():
-    g = sample_regular_graph(3, 6, 30, np.random.default_rng(1))
+    g = sample_coupled_graph(Ensemble(3, 6), 30, np.random.default_rng(1))
     out = peel_decode(g, np.full(30, 4))
     assert np.all(out == 4)
     out = peel_decode(g, np.full(30, 5))
@@ -182,7 +192,7 @@ def test_brute_force_examples():
 def test_peel_sound_against_brute_force(seed):
     # whatever peeling recovers must be pinned by exhaustive enumeration
     rng = np.random.default_rng(seed)
-    g = sample_regular_graph(2, 4, 8, rng)
+    g = sample_coupled_graph(Ensemble(2, 4), 8, rng)
     h = parity_matrix(g.n_vars, g.n_checks, g.evar, g.echeck)
     types = rng.integers(1, 6, size=8)
     out = peel_decode(g, types)
@@ -209,7 +219,7 @@ def test_peel_complete_on_trees():
 @pytest.mark.parametrize("seed", range(4))
 def test_peel_schedule_independence(seed):
     rng = np.random.default_rng(seed)
-    g = sample_regular_graph(3, 6, 24, rng)
+    g = sample_coupled_graph(Ensemble(3, 6), 24, rng)
     types = rng.integers(1, 6, size=24)
     flood = peel_decode(g, types)
     seq = naive_peel(g, types, rng=np.random.default_rng(seed + 100))
@@ -240,7 +250,8 @@ def _small_random_graph(rng):
     d_v, d_c = int(rng.integers(2, 5)), int(rng.integers(2, 7))
     if rng.random() < 0.5:
         n = d_c // math.gcd(d_v, d_c) * int(rng.integers(1, 9))
-        return sample_regular_graph(d_v, d_c, n, rng), Ensemble(d_v, d_c)
+        e = Ensemble(d_v, d_c)
+        return sample_coupled_graph(e, n, rng), e
     e = Ensemble(d_v, d_c, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
     step = math.lcm(d_c, e.w)
     m = step // math.gcd(step, d_v) * int(rng.integers(1, 3))  # w and d_c divide M*d_v
@@ -277,7 +288,7 @@ def test_peel_matches_flooding_at_n_1e4(channel, below, above):
     rng = np.random.default_rng(4)
     failed = []
     for eps in (below, above):
-        g = sample_regular_graph(3, 6, 10**4, rng)
+        g = sample_coupled_graph(Ensemble(3, 6), 10**4, rng)
         types = sample_states(BUILTINS[channel].eval(eps), g.n_vars, rng)
         out = peel_decode(g, types)
         np.testing.assert_array_equal(out, _flood(g, types))
@@ -307,7 +318,7 @@ def test_bit_rate_concentrates_on_de_residual():
     rng = np.random.default_rng(8)
     rates = []
     for _ in range(10):
-        g = sample_regular_graph(3, 6, 10**5, rng)
+        g = sample_coupled_graph(Ensemble(3, 6), 10**5, rng)
         out = peel_decode(g, sample_states(pch, g.n_vars, rng))
         rates.append(np.mean((out != 4) & (out != 5)))
     res = de_coupled(Ensemble(3, 6), pch, Caps(success_target=np.nextafter(1.0, 0.0)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS, ChannelFamily
+from twemac_jcf import threshold
 from twemac_jcf.de_coupled import Caps, Ensemble
 from twemac_jcf.threshold import find_threshold, is_decodable, sweep
 
@@ -170,3 +171,35 @@ def test_cap_limited_marks_a_bracket_set_by_the_cap():
     # a bracket that never needed the undecodable end is not cap limited
     always = ChannelFamily(name="always", kind="fixed-table", table=(0.0, 0.0, 0.0, 1.0, 0.0))
     assert not find_threshold(Ensemble(3, 6), always, caps=Caps(l_max=1)).cap_limited
+
+
+def test_sweep_starts_no_more_workers_than_points(monkeypatch):
+    # a pool forks all its workers on the first submit, so --jobs 64 for one
+    # threshold would fork 64 processes; a recording fake runs in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(threshold, "ProcessPoolExecutor", RecordingPool)
+    fam, caps = BUILTINS["xor-only"], Caps(tol=1e-2)
+    one = sweep([Ensemble(3, 6)], fam, caps=caps, jobs=64)
+    assert sizes == []
+    systems, grid = [Ensemble(3, 6), Ensemble(4, 8)], (0.0, 0.2)
+    four = sweep(systems, fam, grid, caps=caps, jobs=64)
+    assert sizes == [4]
+    assert sweep(systems, fam, grid, caps=caps, jobs=3) == four
+    assert sizes == [4, 3]
+    assert sweep(systems, fam, grid, caps=caps, jobs=1) == four
+    assert sizes == [4, 3]
+    assert one == four[:1]
