@@ -11,7 +11,7 @@ from .channel import (
     puncture,
     validate_dist,
 )
-from .de_coupled import Caps, DeOutcome, Ensemble, de_coupled, nominal_rate
+from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
 from .rates import RateBundle, rate_bounds
 from .threshold import find_threshold, is_decodable, sweep
 
@@ -24,6 +24,7 @@ __all__ = [
     "Caps",
     "DeOutcome",
     "Ensemble",
+    "de_batch",
     "de_coupled",
     "nominal_rate",
     "RateBundle",

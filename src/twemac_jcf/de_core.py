@@ -50,10 +50,11 @@ def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 def join_weights(c: np.ndarray) -> np.ndarray:
     """The channel's weights in `var_update`: c1, then c1 + c_t for t = 2, 3, 4,
-    shaped (4, 1, 1) to broadcast over the (4, 2, k) powers."""
+    shaped (4, 1, B) to broadcast over the (4, 2, k) powers, for one channel
+    c (5,) (B = 1) or one per column of c (5, B)."""
     weights = c[:4] + c[0]
     weights[0] = c[0]
-    return weights[:, None, None]
+    return weights.reshape(4, 1, -1)
 
 
 def var_update(

@@ -26,12 +26,18 @@ closed-form kernels of `de_core` to all updated rows at once:
     pcv[q]   = chk_update(window average of pvc at check q, d_c - 1)
     pvc[i]   = var_update(join_weights(pch), window average of pcv at i, d_v - 1)[0]
     p_dec[i] = types 4 + 5 of the same var_update's [1], the join with d_v
+
+`de_batch` evolves the regular ensemble under many channels in the same
+loop: the channels sit side by side as its columns, like the positions of
+a w = 1 chain, and each column stops by its own rules and then leaves the
+batch.  Every kernel acts on each column alone, so each outcome is bit for
+bit the one `de_coupled` gives for that channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Collection, Dict, NamedTuple, Optional
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -217,24 +223,59 @@ def de_coupled(
     Every array is allocated once per call, at full width, and the views
     on them that depend on the left edge are cut only when it moves.
     """
-    pch = validate_dist(pch)
+    return _evolve(e, validate_dist(pch)[None], caps, snapshot_iters)[0]
+
+
+def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[DeOutcome]:
+    """The regular ensemble evolved under every channel of pchs at once.
+
+    Each channel is one column of the same loop as `de_coupled`'s, and
+    each column stops by its own saturation, success, stall or cap, at its
+    own iteration count, and then leaves the batch.  The kernels act on
+    each column alone, so every outcome equals `de_coupled(e, pch, caps)`
+    bit for bit.  A chain raises ValueError: its columns are the positions
+    of one evolution.
+    """
+    if e.coupled:
+        raise ValueError(f"a batch of channels needs the regular ensemble (L = 0), got L = {e.L}")
+    if not len(pchs):
+        return []
+    return _evolve(e, np.array([validate_dist(p) for p in pchs]), caps)
+
+
+def _evolve(
+    e: Ensemble, pchs: np.ndarray, caps: Caps, snapshot_iters: Collection[int] = ()
+) -> List[DeOutcome]:
+    """The evolution loop: one outcome per channel, a row of pchs (B, 5).
+
+    With B = 1 the columns are the positions of one evolution, which ends
+    as a whole.  With B > 1 (the regular ensemble only) they are B
+    evolutions side by side, one channel each; a column that ends is
+    recorded and dropped by moving the others to the end of every column
+    array and re-cutting the views, as a moving left edge does.
+    """
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
+    runs = len(pchs)
+    batch = runs > 1
     m = min(w - 1, L)  # variable rows past the centre that checks read
+    # variable and check columns: rows 0..L and 0..L+w-1 of the chain, or
+    # one of each per channel of a regular batch
+    kv_all, kc_all = (L + 1) * runs, (L + w) * runs
     # vbuf[0] holds the padded variable rows -w+1..L+w-1: the type-5 pad,
     # rows 0..L, their mirrors L+1..L+m, and the type-5 pad again.
     # vbuf[1] is the type-5 point mass in every column, so that one
     # subtraction gives each new row's change and its distance from type 5.
-    vbuf = np.empty((2, 5, L + 2 * w - 1))
+    vbuf = np.empty((2, 5, kv_all + 2 * w - 2))
     vbuf[:] = E5
-    vbuf[0, :, w - 1 : L + w + m] = pch[:, None]
-    pvc = vbuf[0, :, w - 1 : L + w]
-    pcv = pch[:, None].repeat(L + w, axis=1)
-    p_dec = np.zeros(L + 1)
-    weights = join_weights(pch)
+    vbuf[0, :, w - 1 : w - 1 + kv_all + m] = np.repeat(pchs.T, L + 1 + m, axis=1)
+    pvc = vbuf[0, :, w - 1 : w - 1 + kv_all]
+    pcv = np.repeat(pchs.T, L + w, axis=1)
+    p_dec = np.zeros(kv_all)
+    weights = np.repeat(join_weights(pchs.T), L + 1, axis=2)  # each variable column's channel
     # scratch at the widths of lo = 0; `bind` cuts contiguous views from it
-    kc, kv = L + w, L + 1
+    kc, kv = kc_all, kv_all
     vc_cs, vc_mean, chk = np.empty((5, kc + w)), np.empty((5, kc)), np.empty((5, kc))
     chk_sums = np.empty(kc)
     cv_cs, cv_mean = np.empty((5, kv + w)), np.empty((5, kv))
@@ -242,12 +283,13 @@ def de_coupled(
     diff, dist, unsat = np.empty((5, 2, kv)), np.empty(kv), np.empty(kv, dtype=bool)
 
     def bind(lo: int):
-        """One iteration over check rows lo..L+w-1 and variable rows lo..L,
-        on views cut once for this lo.  The step returns the sup-norm change
-        of the variable rows and leaves in the returned mask which of them
+        """One iteration over check columns lo.. and variable columns lo..,
+        on views cut once for this lo.  The step returns each variable
+        row's change (5, k) and leaves in the returned mask which of them
         are still unsaturated."""
-        kc, kv = L + w - lo, L + 1 - lo
+        kc, kv = kc_all - lo, kv_all - lo
         padded, pcv_lo, pvc_lo, p_dec_lo = vbuf[0, :, lo:], pcv[:, lo:], pvc[:, lo:], p_dec[lo:]
+        weights_lo = weights[:, :, lo:]
         vc_cs_lo, vc_mean_lo = _head(vc_cs, 5, kc + w), _head(vc_mean, 5, kc)
         chk_lo, chk_sums_lo = _head(chk, 5, kc), _head(chk_sums, kc)
         cv_cs_lo, cv_mean_lo = _head(cv_cs, 5, kv + w), _head(cv_mean, 5, kv)
@@ -256,65 +298,111 @@ def de_coupled(
                                           _head(var_sums, 2, kv))
         new, dec4, dec5 = out_lo[:, 0], out_lo[3, 1], out_lo[4, 1]
         # the new rows broadcast against the old rows and type 5 side by side
-        new_b, old_e5 = out_lo[:, :1], vbuf[:, :, w - 1 + lo : w + L].transpose(1, 0, 2)
+        new_b, old_e5 = out_lo[:, :1], vbuf[:, :, w - 1 + lo : w - 1 + kv_all].transpose(1, 0, 2)
         diff_lo = _head(diff, 5, 2, kv)
         change, from_e5 = diff_lo[:, 0], diff_lo[:, 1]
         dist_lo, unsat_lo = _head(dist, kv), _head(unsat, kv)
-        mirror, mirror_src = vbuf[0, :, w + L : w + L + m], new[:, kv - 1 - m : kv - 1][:, ::-1]
+        mirror = vbuf[0, :, w - 1 + kv_all : w - 1 + kv_all + m]
+        mirror_src = new[:, kv - 1 - m : kv - 1][:, ::-1]
 
-        def step() -> float:
+        def step() -> np.ndarray:
             # check half-iteration over check rows lo..L+w-1
             p = eff_vc_window(padded, w, vc_cs_lo, vc_mean_lo)
             renormalize(chk_update(p, e.d_c - 1, chk_lo), pcv_lo, chk_sums_lo)
             # variable half-iteration and decoder output over variable rows lo..L
             q = eff_cv_window(pcv_lo, w, cv_cs_lo, cv_mean_lo)
-            renormalize(var_update(weights, q, e.d_v - 1, powers_lo, out_lo), out_lo, var_sums_lo)
+            renormalize(var_update(weights_lo, q, e.d_v - 1, powers_lo, out_lo), out_lo,
+                        var_sums_lo)
             np.add(dec4, dec5, out=p_dec_lo)
             np.subtract(new_b, old_e5, out=diff_lo)
             np.abs(diff_lo, out=diff_lo)
             np.greater(from_e5.max(axis=0, out=dist_lo), caps.stall_tol, out=unsat_lo)
             pvc_lo[...] = new
             mirror[...] = mirror_src
-            return float(change.max())
+            return change
 
         return step, unsat_lo
+
+    snapshots: Dict[int, Snapshot] = {}
+    outcomes: List[Optional[DeOutcome]] = [None] * runs
+    ids = np.arange(runs)  # the channel of each batch column
 
     def snapshot() -> Snapshot:
         return Snapshot(_unfold(pvc.T, nv), _unfold(pcv.T, nc), _unfold(p_dec, nv))
 
-    snapshots: Dict[int, Snapshot] = {}
+    def finish(s: int, status: str) -> None:
+        """Record the outcome of the evolution in column s (the chain: 0)."""
+        if snapshot_iters:
+            snapshots[it] = snapshot()
+        v, c = slice(s * (L + 1), (s + 1) * (L + 1)), slice(s * (L + w), (s + 1) * (L + w))
+        outcomes[ids[s]] = DeOutcome(
+            p_dec=_unfold(p_dec[v], nv),
+            min_p_dec=float(p_dec[v].min()),
+            iterations_used=it,
+            converged=status,
+            final_pvc=_unfold(pvc[:, v].T, nv),
+            final_pcv=_unfold(pcv[:, c].T, nc),
+            snapshots=dict(snapshots),
+        )
+
+    def drop(done: np.ndarray, reached: np.ndarray) -> int:
+        """Record the batch columns lo + j with done[j] (success where
+        reached[j], else stall), move the others to the end of the column
+        arrays, and return the new first column."""
+        for j in np.flatnonzero(done):
+            finish(lo + j, "success" if reached[j] else "stall")
+        keep = ~done
+        new_lo = kv_all - int(keep.sum())
+        for a in (pvc, pcv, p_dec, weights, ids):
+            a[..., new_lo:] = a[..., lo:][..., keep]
+        unsat[: kv_all - new_lo] = unsat_lo[keep]
+        return new_lo
+
     status = "cap"
     it = lo = 0
     step, unsat_lo = bind(lo)
     np.greater(np.abs(pvc - E5).max(axis=0), caps.stall_tol, out=unsat_lo)
     for it in range(1, l_max + 1):
-        # rows before lo are saturated and have not changed since the last scan
-        first = int(unsat_lo.argmax())
-        if not unsat_lo[first]:
-            p_dec[:] = 1.0
-            status = "success"
-            break
-        if max(0, lo + first - w) != lo:
-            lo = max(0, lo + first - w)
-            step, unsat_lo = bind(lo)
-        delta = step()
+        if batch:
+            # a column whose messages all sit at type 5 has decoded
+            if not unsat_lo.all():
+                done = ~unsat_lo
+                p_dec[lo:][done] = 1.0
+                lo = drop(done, done)
+                if lo == kv_all:
+                    break
+                step, unsat_lo = bind(lo)
+        else:
+            # rows before lo are saturated and have not changed since the last scan
+            first = int(unsat_lo.argmax())
+            if not unsat_lo[first]:
+                p_dec[:] = 1.0
+                status = "success"
+                break
+            if max(0, lo + first - w) != lo:
+                lo = max(0, lo + first - w)
+                step, unsat_lo = bind(lo)
+        change = step()
 
         if it in snapshot_iters:
             snapshots[it] = snapshot()
-        if float(p_dec.min()) >= caps.success_target:
+        if batch:
+            p_lo, col_change = p_dec[lo:], change.max(axis=0)
+            if p_lo.max() >= caps.success_target or col_change.min() < caps.stall_tol:
+                reached = p_lo >= caps.success_target
+                lo = drop(reached | (col_change < caps.stall_tol), reached)
+                if lo == kv_all:
+                    break
+                step, unsat_lo = bind(lo)
+        elif float(p_dec.min()) >= caps.success_target:
             status = "success"
             break
-        if delta < caps.stall_tol:
+        elif float(change.max()) < caps.stall_tol:
             status = "stall"
             break
-    if snapshot_iters:
-        snapshots[it] = snapshot()
-    return DeOutcome(
-        p_dec=_unfold(p_dec, nv),
-        min_p_dec=float(p_dec.min()),
-        iterations_used=it,
-        converged=status,
-        final_pvc=_unfold(pvc.T, nv),
-        final_pcv=_unfold(pcv.T, nc),
-        snapshots=snapshots,
-    )
+    if batch:
+        for s in range(lo, kv_all):
+            finish(s, "cap")
+    else:
+        finish(0, status)
+    return outcomes

@@ -10,6 +10,7 @@ from twemac_jcf.channel import BUILTINS, puncture
 from twemac_jcf.de_coupled import (
     Caps,
     Ensemble,
+    de_batch,
     de_coupled,
     eff_cv_window,
     eff_vc_window,
@@ -258,6 +259,58 @@ def test_iterations_call_no_array_constructor(monkeypatch):
         assert de_coupled(e, pch, Caps(l_max=l_max, success_target=NOT_FINAL)).converged == "cap"
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+BATCH_CHANNELS = {
+    "primary": BUILTINS["primary"].eval,
+    "xor-only": BUILTINS["xor-only"].eval,
+    "full-reveal": BUILTINS["full-reveal"].eval,
+    "punctured-primary": lambda eps: puncture(BUILTINS["primary"].eval(eps), 0.2),
+}
+# eps 0 and 1, a coarse grid, and points close to the (3,6) thresholds,
+# where columns run longest and end at different iterations
+BATCH_EPS = sorted({0.0, 1.0, *np.linspace(0.0, 1.0, 33), 0.2453, 0.2506, 0.3347, 0.4294,
+                    0.4297, 0.4828})
+
+
+@pytest.mark.parametrize("caps", [Caps(), Caps(l_max=12)], ids=["default", "tight-cap"])
+@pytest.mark.parametrize("degrees", [(3, 6), (4, 8), (7, 10)])
+@pytest.mark.parametrize("channel", sorted(BATCH_CHANNELS))
+def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
+    e = Ensemble(*degrees)
+    pchs = [BATCH_CHANNELS[channel](eps) for eps in BATCH_EPS]
+    batch = de_batch(e, pchs, caps)
+    assert len(batch) == len(pchs)
+    for got, pch in zip(batch, pchs):
+        want = de_coupled(e, pch, caps)
+        assert (got.converged, got.iterations_used, got.min_p_dec) == (
+            want.converged, want.iterations_used, want.min_p_dec)
+        for x, y in ((got.p_dec, want.p_dec), (got.final_pvc, want.final_pvc),
+                     (got.final_pcv, want.final_pcv)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert got.snapshots == {}
+    arrays = [x for res in batch for x in (res.p_dec, res.final_pvc, res.final_pcv)]
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+    statuses = collections.Counter(res.converged for res in batch)
+    assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
+    if channel == "full-reveal":  # eps 0 is the type-5 point mass: saturated before iterating
+        assert (batch[0].converged, batch[0].iterations_used) == ("success", 1)
+
+
+def test_batch_ends_when_every_column_saturates_at_once():
+    pchs = [BUILTINS["full-reveal"].eval(0.0)] * 3
+    batch = de_batch(Ensemble(3, 6), pchs)
+    assert [(r.converged, r.iterations_used, r.min_p_dec) for r in batch] == [("success", 1, 1.0)] * 3
+    assert de_batch(Ensemble(3, 6), []) == []
+
+
+def test_batch_rejects_a_chain():
+    # a chain's columns are the positions of one evolution, not channels
+    pch = BUILTINS["full-reveal"].eval(0.45)
+    for pchs in ([pch, pch], [pch]):
+        with pytest.raises(ValueError, match="regular ensemble"):
+            de_batch(Ensemble(3, 6, 10, 3), pchs)
 
 
 def test_coupled_equals_regular_at_w1():

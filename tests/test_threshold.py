@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, ChannelFamily
+from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily
 from twemac_jcf import threshold
+from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import Caps, Ensemble
-from twemac_jcf.threshold import find_threshold, is_decodable, sweep
+from twemac_jcf.threshold import (
+    MonotonicityError,
+    ThresholdResult,
+    find_threshold,
+    is_decodable,
+    sweep,
+)
 
 from oracles import scalar_bec_threshold, scalar_coupled_threshold
 
@@ -203,3 +210,137 @@ def test_sweep_starts_no_more_workers_than_points(monkeypatch):
     assert sweep(systems, fam, grid, caps=caps, jobs=1) == four
     assert sizes == [4, 3]
     assert one == four[:1]
+
+
+XOR = BUILTINS["xor-only"]
+ALWAYS = ChannelFamily(name="always", kind="fixed-table", table=(0.0, 0.0, 0.0, 1.0, 0.0))
+NEVER = ChannelFamily(name="never", kind="fixed-table", table=(1.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def plain_bisection(e, family, caps=Caps(), p_pi=0.0, verify_scan=None):
+    """The bisection one `is_decodable` at a time, in the order it needs them."""
+    caps = caps.for_ensemble(e)
+    evals = []
+
+    def check(eps):
+        evals.append(is_decodable(e, family, eps, caps, p_pi))
+        return evals[-1]
+
+    ends = {}
+    if verify_scan is not None:
+        metas = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
+        decodable = [m.decodable for m in metas]
+        if decodable != sorted(decodable, reverse=True):
+            raise MonotonicityError("not monotone")
+        ends = {0.0: metas[0], 1.0: metas[-1]}
+
+    def result(lo, hi, hi_meta, degenerate=False):
+        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, len(evals), evals,
+                               degenerate, hi_meta.status == "cap")
+
+    at_zero = ends.get(0.0) or check(0.0)
+    if not at_zero.decodable:
+        return result(0.0, 0.0, at_zero, degenerate=True)
+    hi_meta = ends.get(1.0) or check(1.0)
+    if hi_meta.decodable:
+        return result(1.0, 1.0, hi_meta)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 2 * caps.tol:
+        mid = 0.5 * (lo + hi)
+        meta = check(mid)
+        if meta.decodable:
+            lo = mid
+        else:
+            hi, hi_meta = mid, meta
+    return result(lo, hi, hi_meta)
+
+
+SPECULATIVE_CASES = {  # ensemble, family, caps, keyword arguments
+    "(3,6) xor-only 1e-4": (Ensemble(3, 6), XOR, Caps(tol=1e-4), {}),
+    "(4,8) primary 1e-3": (Ensemble(4, 8), BUILTINS["primary"], Caps(tol=1e-3), {}),
+    "(7,10) full-reveal 1e-4": (Ensemble(7, 10), BUILTINS["full-reveal"], Caps(tol=1e-4), {}),
+    "(3,6) primary punctured": (Ensemble(3, 6), BUILTINS["primary"], Caps(tol=1e-4),
+                                {"p_pi": 0.2}),
+    "(3,6) xor-only scan 9": (Ensemble(3, 6), XOR, Caps(tol=1e-3), {"verify_scan": 9}),
+    "(4,8) full-reveal scan 4": (Ensemble(4, 8), BUILTINS["full-reveal"], Caps(tol=1e-4),
+                                 {"verify_scan": 4}),
+    "always decodable": (Ensemble(3, 6), ALWAYS, Caps(), {}),
+    "never decodable": (Ensemble(3, 6), NEVER, Caps(), {}),
+    "(3,6) xor-only l_max 30": (Ensemble(3, 6), XOR, Caps(l_max=30, tol=1e-4), {}),
+    "(3,6,10,3) xor-only": (Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECULATIVE_CASES))
+def test_speculative_bisection_equals_plain_bisection(case):
+    e, family, caps, kwargs = SPECULATIVE_CASES[case]
+    got = find_threshold(e, family, caps, **kwargs)
+    assert got == plain_bisection(e, family, caps, **kwargs)
+    if "l_max" in case:
+        assert got.cap_limited
+
+
+def record_evolutions(monkeypatch):
+    """Sizes of the batches that find_threshold evaluates, and its count of
+    one-channel evolutions."""
+    sizes, singles = [], []
+    de_batch, de_coupled = threshold.de_batch, threshold.de_coupled
+    monkeypatch.setattr(threshold, "de_batch",
+                        lambda e, pchs, caps: sizes.append(len(pchs)) or de_batch(e, pchs, caps))
+    monkeypatch.setattr(threshold, "de_coupled",
+                        lambda e, pch, caps: singles.append(pch) or de_coupled(e, pch, caps))
+    return sizes, singles
+
+
+def test_regular_bisection_evaluates_levels_in_batches(monkeypatch):
+    d = threshold.SPECULATIVE_DEPTH
+    sizes, singles = record_evolutions(monkeypatch)
+    # 13 levels at tol 1e-4: eps 0 and 1 with the first d levels, then the rest
+    res = find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-4))
+    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1, 2 ** (13 - d) - 1], 0,
+                                                      2 + 13)
+    # 9 levels at tol 1e-3, after the scan grid in one batch
+    sizes.clear()
+    find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-3), verify_scan=9)
+    assert (sizes, len(singles)) == ([9, 2**d - 1, 2 ** (9 - d) - 1], 0)
+    # a chain evaluates one point at a time
+    sizes.clear()
+    res = find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
+    assert (sizes, len(singles)) == ([], res.evaluations)
+
+
+class FailsAt:
+    """xor-only, except at the eps in bad: there eval raises ChannelError,
+    or returns a distribution that passes validation but on which the
+    evolution raises SimplexError (its first variable update leaves type 4
+    at -1.00000008e-9, below renormalize's -1e-9)."""
+
+    def __init__(self, bad, error):
+        self.bad, self.error = set(bad), error
+
+    def eval(self, eps):
+        if eps not in self.bad:
+            return XOR.eval(eps)
+        if self.error is ChannelError:
+            raise ChannelError(f"no channel at eps {eps}")
+        return np.array([1.0 + 1e-9, 0.0, 0.0, -1e-9, 0.0])
+
+
+@pytest.mark.parametrize("error", [ChannelError, SimplexError])
+def test_off_path_failures_do_not_surface(error, monkeypatch):
+    e, caps = Ensemble(3, 6), Caps(tol=1e-3)
+    plain = plain_bisection(e, XOR, caps)
+    off = {0.125, 0.75}  # in the first batch, never on the bisection path
+    assert not off & {m.eps for m in plain.evals}
+    sizes, singles = record_evolutions(monkeypatch)
+    assert find_threshold(e, FailsAt(off, error), caps) == plain
+    # the first batch raised, so eps 0 and 1 and its d levels ran one point
+    # at a time; the other 9 - d levels ran as a batch again
+    d = threshold.SPECULATIVE_DEPTH
+    assert (sizes[-1:], len(singles)) == ([2 ** (9 - d) - 1], 2 + d)
+    # on the path, the error surfaces as it does in the plain bisection
+    on = FailsAt({0.375}, error)
+    with pytest.raises(error):
+        plain_bisection(e, on, caps)
+    with pytest.raises(error):
+        find_threshold(e, on, caps)
