@@ -37,6 +37,8 @@ def validate_dist(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (5,):
         raise ChannelError(f"type distribution must have 5 entries, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ChannelError(f"type distribution entries not finite: {arr}")
     if np.any(arr < -atol) or np.any(arr > 1 + atol):
         raise ChannelError(f"type distribution entries outside [0,1]: {arr}")
     s = arr.sum()
@@ -112,8 +114,9 @@ def puncture(pch, p_pi: float) -> np.ndarray:
 
 
 def sample_states(pch, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n channel states; returned as integers 1..5."""
-    p = validate_dist(pch)
+    """Draw n channel states; returned as integers 1..5.  Entries that
+    `validate_dist` tolerates below 0 count as 0."""
+    p = np.clip(validate_dist(pch), 0.0, None)
     return rng.choice(5, size=n, p=p / p.sum()) + 1
 
 

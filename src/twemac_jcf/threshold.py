@@ -5,15 +5,18 @@ per-position success probability past the target (1 - 1e-5 by default)
 within the iteration cap.  Bisection assumes decodability is monotone in
 eps; a scan mode can verify this on a grid for unfamiliar channels.
 
-On the regular ensemble the bisection evaluates speculatively: one
-`de_batch` evolution holds every midpoint of the next SPECULATIVE_DEPTH
-levels of the bisection tree (and eps 0 and 1 in the first batch), and the
-walk down the tree reads each level's outcome from it.  The points off the
-walk's path are computed and dropped.  A batch that raises is evaluated
-again one point at a time as the walk reaches its points, so an error
-surfaces only where the plain bisection would raise it.  Chains bisect one
-`de_coupled` evaluation at a time.  Either way the result, `evals`
-included, is the plain bisection's.
+The bisection evaluates speculatively: one `de_batch` evolution holds every
+midpoint of the next SPECULATIVE_DEPTH levels of the bisection tree on the
+regular ensemble, or CHAIN_SPECULATIVE_DEPTH levels on a chain (and eps 0
+and 1 in the first batch), and the walk down the tree reads each level's
+outcome from it.  The points off the walk's path are computed and dropped.
+A point the batch returns no outcome for (a chain whose left edge would
+move), and every point of a batch that raises, is evaluated alone with
+`de_coupled` when the walk reaches it, so an error surfaces only where the
+plain bisection would raise it.  Once a batch has returned no outcome for
+some point, the bisection goes on one point at a time: such chains leave
+their batch only after hundreds of iterations, which are lost.  The result,
+`evals` included, is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -28,18 +31,26 @@ from .channel import ChannelError, ChannelFamily, puncture
 from .de_core import SimplexError
 from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
 
-# Levels of the bisection tree that one batched evolution covers on the
-# regular ensemble.  A regular iteration is ~40 numpy calls whatever its
-# width, and most of a batch's iterations run with only the few columns
-# nearest the threshold left.  Against one evaluation at a time (50,316
-# iterations), the 18 regular thresholds at tol 1e-4 (3 channels, 6 degree
-# pairs) took median time ratios of 0.71 at d = 5, 0.77 at d = 6, 0.65 at
-# d = 7 (30,570 iterations), 0.69 at d = 8, 0.80 at d = 9 and 2.7 at d = 13
-# (all levels in one batch of 8191), 5 runs each, pinned to one CPU of a
-# shared 2-core x86-64 VM.  A chain's iteration costs ~0.18 us per position
-# on top of ~60 us, so batching chains saves little; they bisect one point
-# at a time.
+# Levels of the bisection tree that one batched evolution covers.  An
+# iteration costs a fixed part plus a part per column, and most of a
+# batch's iterations run with only the few points nearest the threshold
+# left.  The regular ensemble's fixed part (~40 numpy calls) dominates:
+# against one evaluation at a time (50,316 iterations), the 18 regular
+# thresholds at tol 1e-4 (3 channels, 6 degree pairs) took median time
+# ratios of 0.71 at d = 5, 0.77 at d = 6, 0.65 at d = 7 (30,570
+# iterations), 0.69 at d = 8, 0.80 at d = 9 and 2.7 at d = 13 (all levels in
+# one batch of 8191), 5 runs each, pinned to one CPU of a shared 2-core
+# x86-64 VM.
 SPECULATIVE_DEPTH = 7
+# A chain's column part is larger: one (5,10,200,10) iteration costs about
+# 80 us alone and 30 us more per chain in the batch.  What a batch gains is
+# that the last levels, whose points lie nearest the threshold and run
+# longest, overlap rather than run one after another.  At tol 1e-3 the 9
+# levels are three batches.  Against one evaluation at a time, the three
+# bisections of the coupled-thresholds benchmark took median time ratios
+# of 0.93 and 0.99 at d = 2, 0.80 and 0.89 at d = 3, 0.94 and 1.08 at d = 4,
+# and 0.85 at d = 5, in two sweeps of 3 runs each, pinned as above.
+CHAIN_SPECULATIVE_DEPTH = 3
 
 
 class MonotonicityError(RuntimeError):
@@ -113,29 +124,32 @@ def find_threshold(
     reuses the grid's outcomes at eps 0 and 1.  A grid of fewer than two
     points cannot show a non-monotone pattern and raises ValueError.
 
-    On the regular ensemble the points are evaluated ahead, in batches (see
-    the module docstring); the result is the plain bisection's all the same.
+    The points are evaluated ahead, in batches (see the module docstring);
+    the result is the plain bisection's all the same.
     """
     if verify_scan is not None and verify_scan < 2:
         raise ValueError(f"verify_scan must be >= 2 grid points, got {verify_scan}")
     caps = caps.for_ensemble(e)
     width = 2 * caps.tol
-    depth = 1 if e.coupled else SPECULATIVE_DEPTH
+    depth = CHAIN_SPECULATIVE_DEPTH if e.coupled else SPECULATIVE_DEPTH
     evals: List[EvalMeta] = []
-    # outcomes evaluated ahead; None: evaluate alone when reached (a chain's
-    # points, and those of a batch that raised)
+    # outcomes evaluated ahead; None: evaluate alone when reached (a chain
+    # that left its batch, and the points of a batch that raised)
     ahead: Dict[float, Optional[EvalMeta]] = {}
 
     def speculate(points: List[float]) -> None:
+        nonlocal depth
         ahead.clear()
         ahead.update(dict.fromkeys(points))
-        if e.coupled:
-            return
         try:
             pchs = [_channel(family, eps, p_pi) for eps in points]
-            ahead.update(zip(points, map(_meta, points, de_batch(e, pchs, caps))))
+            outcomes = de_batch(e, pchs, caps)
         except (ChannelError, SimplexError):
-            pass  # each point is evaluated alone when reached, and raises there
+            return  # each point is evaluated alone when reached, and raises there
+        ahead.update((eps, _meta(eps, res)) for eps, res in zip(points, outcomes)
+                     if res is not None)
+        if any(res is None for res in outcomes):
+            depth = 1  # rows saturate and left edges move here: one point at a time
 
     def check(eps: float) -> EvalMeta:
         meta = ahead.get(eps)

@@ -110,6 +110,31 @@ def test_sample_determinism_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def test_sample_states_builtins_draw_as_before():
+    # the states a seed draws on the built-in channels, as p / p.sum() drew them
+    for family in BUILTINS.values():
+        for eps in (0.0, 0.3, 0.5, 1.0):
+            p = family.eval(eps)
+            got = sample_states(p, 1000, np.random.default_rng(11))
+            want = np.random.default_rng(11).choice(5, size=1000, p=p / p.sum()) + 1
+            np.testing.assert_array_equal(got, want)
+
+
+def test_sample_states_within_tolerance_below_zero():
+    # validate_dist accepts entries down to -1e-9; they draw as 0
+    p = [0.5 + 1e-12, -1e-12, 0.0, 0.5, 0.0]
+    draws = sample_states(p, 1000, np.random.default_rng(3))
+    assert set(np.unique(draws)) == {1, 4}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_dist_rejects_non_finite(bad):
+    with pytest.raises(ChannelError, match="not finite"):
+        validate_dist([bad, 0, 0, 0, 1])
+    with pytest.raises(ChannelError, match="not finite"):
+        ChannelFamily("t", "fixed-table", table=(0.5, 0.5, 0, 0, bad))
+
+
 def test_validate_dist_rejects_bad_vectors():
     with pytest.raises(ChannelError):
         validate_dist([0.5, 0.5, 0.5, 0, 0])

@@ -394,6 +394,16 @@ def test_channel_config_flag(tmp_path, capsys):
     assert all(float(r["r_cf"]) == 1.0 for r in rows)
 
 
+def test_non_finite_table_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[nan]\nkind = fixed-table\ntable = nan 0 0 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--regular", "3", "6", "--channel", "nan",
+              "--channel-config", str(cfg)])
+    assert exc.value.code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_unknown_channel_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rates", "--channel", "no-such"])

@@ -245,7 +245,8 @@ def test_outcomes_own_their_memory(shape):
 
 
 def test_iterations_call_no_array_constructor(monkeypatch):
-    # numpy's concatenate, repeat and empty run per call, not per iteration
+    # numpy's concatenate, repeat and empty run per call, not per iteration,
+    # for a lone chain and a batch of chains
     calls = collections.Counter()
     for name in ("concatenate", "repeat", "empty", "empty_like", "zeros"):
         def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
@@ -253,12 +254,23 @@ def test_iterations_call_no_array_constructor(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np, name, counted)
     e, pch = Ensemble(5, 10, 20, 4), BUILTINS["primary"].eval(0.27)
-    counts = []
-    for l_max in (5, 50):
-        calls.clear()
-        assert de_coupled(e, pch, Caps(l_max=l_max, success_target=NOT_FINAL)).converged == "cap"
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
+    pchs = [pch, BUILTINS["xor-only"].eval(0.45), pch]
+    for run in (lambda caps: [de_coupled(e, pch, caps)], lambda caps: de_batch(e, pchs, caps)):
+        counts = []
+        for l_max in (5, 50):
+            calls.clear()
+            outcomes = run(Caps(l_max=l_max, success_target=NOT_FINAL))
+            assert {res.converged for res in outcomes} == {"cap"}
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+
+
+def assert_same_outcome(got, want):
+    assert (got.converged, got.iterations_used, got.min_p_dec) == (
+        want.converged, want.iterations_used, want.min_p_dec)
+    for x, y in ((got.p_dec, want.p_dec), (got.final_pvc, want.final_pvc),
+                 (got.final_pcv, want.final_pcv)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 BATCH_CHANNELS = {
@@ -282,12 +294,7 @@ def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
     batch = de_batch(e, pchs, caps)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
-        want = de_coupled(e, pch, caps)
-        assert (got.converged, got.iterations_used, got.min_p_dec) == (
-            want.converged, want.iterations_used, want.min_p_dec)
-        for x, y in ((got.p_dec, want.p_dec), (got.final_pvc, want.final_pvc),
-                     (got.final_pcv, want.final_pcv)):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert_same_outcome(got, de_coupled(e, pch, caps))
         assert got.snapshots == {}
     arrays = [x for res in batch for x in (res.p_dec, res.final_pvc, res.final_pcv)]
     for i, x in enumerate(arrays):
@@ -305,12 +312,53 @@ def test_batch_ends_when_every_column_saturates_at_once():
     assert de_batch(Ensemble(3, 6), []) == []
 
 
-def test_batch_rejects_a_chain():
-    # a chain's columns are the positions of one evolution, not channels
-    pch = BUILTINS["full-reveal"].eval(0.45)
-    for pchs in ([pch, pch], [pch]):
-        with pytest.raises(ValueError, match="regular ensemble"):
-            de_batch(Ensemble(3, 6, 10, 3), pchs)
+CHAIN_SHAPES = {"L<w": (3, 6, 2, 5), "w=1": (3, 6, 4, 1), "odd w": (3, 6, 12, 3),
+                "even w": (5, 10, 8, 4)}
+CHAIN_EPS = sorted({*np.linspace(0.0, 1.0, 9), 0.29, 0.3, 0.45, 0.47, 0.48, 0.49})
+
+
+@pytest.mark.parametrize("caps", [Caps(), Caps(l_max=40)], ids=["default", "tight-cap"])
+@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal"])
+@pytest.mark.parametrize("shape", list(CHAIN_SHAPES.values()), ids=list(CHAIN_SHAPES))
+def test_batch_of_chains_equals_single_bit_for_bit(shape, channel, caps):
+    e = Ensemble(*shape)
+    pchs = [BUILTINS[channel].eval(eps) for eps in CHAIN_EPS]
+    batch = de_batch(e, pchs, caps)
+    assert len(batch) == len(pchs)
+    statuses = collections.Counter()
+    for got, pch in zip(batch, pchs):
+        if got is None:
+            # it left the batch as its left edge moved, which only a
+            # row saturated to type 5 makes happen
+            assert channel == "full-reveal"
+            l_max = caps.for_ensemble(e).l_max
+            assert half_chain_de(pch, *shape, l_max, caps.success_target, caps.stall_tol)[-1] > 0
+            continue
+        assert_same_outcome(got, de_coupled(e, pch, caps))
+        assert got.snapshots == {}
+        statuses[got.converged] += 1
+    assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
+    arrays = [x for res in batch if res for x in (res.p_dec, res.final_pvc, res.final_pcv)]
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+
+
+def test_chain_whose_left_edge_moves_leaves_the_batch():
+    e, caps = Ensemble(3, 6, 20, 3), Caps()
+    moving, xor = BUILTINS["full-reveal"].eval(0.46), BUILTINS["xor-only"].eval(0.46)
+    alone = de_coupled(e, moving, caps)
+    *_, lo_moves = half_chain_de(moving, 3, 6, 20, 3, 20000, caps.success_target,
+                                 caps.stall_tol)
+    assert alone.converged == "success" and lo_moves > 0
+    # beside a chain that runs longer it leaves without an outcome; the
+    # other chain's outcome is its own, and a batch of one moves its edge
+    batch = de_batch(e, [moving, xor, moving], caps)
+    assert batch[0] is None and batch[2] is None
+    assert_same_outcome(batch[1], de_coupled(e, xor, caps))
+    assert_same_outcome(de_batch(e, [moving], caps)[0], alone)
+    # eps 0 is the type-5 point mass: every row saturated before iterating
+    zero = de_batch(e, [BUILTINS["full-reveal"].eval(0.0), xor], caps)[0]
+    assert (zero.converged, zero.iterations_used, zero.min_p_dec) == ("success", 1, 1.0)
 
 
 def test_coupled_equals_regular_at_w1():
@@ -410,6 +458,15 @@ def test_wave_propagates_between_thresholds():
     assert res.converged == "success"
     reg = de_coupled(Ensemble(3, 6), BUILTINS["xor-only"].eval(eps))
     assert reg.converged == "stall"
+
+
+@pytest.mark.parametrize("stall_tol", [math.nan, -1e-12])
+def test_caps_reject_nan_or_negative_stall_tol(stall_tol):
+    # a NaN tolerance made every row read as saturated (success after one
+    # iteration at an undecodable point); a negative one disabled stalls
+    with pytest.raises(ValueError, match="stall_tol"):
+        Caps(stall_tol=stall_tol)
+    assert Caps(stall_tol=0.0).stall_tol == 0.0
 
 
 def test_ensemble_validation():

@@ -268,6 +268,11 @@ SPECULATIVE_CASES = {  # ensemble, family, caps, keyword arguments
     "never decodable": (Ensemble(3, 6), NEVER, Caps(), {}),
     "(3,6) xor-only l_max 30": (Ensemble(3, 6), XOR, Caps(l_max=30, tol=1e-4), {}),
     "(3,6,10,3) xor-only": (Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3), {}),
+    "(3,6,10,3) primary punctured": (Ensemble(3, 6, 10, 3), BUILTINS["primary"], Caps(),
+                                     {"p_pi": 0.2}),
+    "(3,6,10,3) xor-only l_max 30": (Ensemble(3, 6, 10, 3), XOR, Caps(l_max=30, tol=5e-3), {}),
+    "(3,6,10,3) xor-only scan 9": (Ensemble(3, 6, 10, 3), XOR, Caps(), {"verify_scan": 9}),
+    "(3,6,20,3) full-reveal": (Ensemble(3, 6, 20, 3), BUILTINS["full-reveal"], Caps(), {}),
 }
 
 
@@ -303,10 +308,26 @@ def test_regular_bisection_evaluates_levels_in_batches(monkeypatch):
     sizes.clear()
     find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-3), verify_scan=9)
     assert (sizes, len(singles)) == ([9, 2**d - 1, 2 ** (9 - d) - 1], 0)
-    # a chain evaluates one point at a time
+
+
+def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
+    d = threshold.CHAIN_SPECULATIVE_DEPTH
+    sizes, singles = record_evolutions(monkeypatch)
+    # 9 levels at tol 1e-3: eps 0 and 1 with the first d levels, then d at a time
+    res = find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps())
+    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
+                                                      0, 2 + 9)
+    # 7 levels at tol 5e-3: the last batch holds the one level left
     sizes.clear()
-    res = find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
-    assert (sizes, len(singles)) == ([], res.evaluations)
+    find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
+    assert (sizes, len(singles)) == ([2 + 2**d - 1, 2**d - 1, 2 ** (7 - 2 * d) - 1], 0)
+    # on full-reveal decoded rows saturate and left edges move: points of
+    # the second batch leave it for that and are evaluated alone when on
+    # the path, and the rest of the bisection goes one point at a time
+    sizes.clear()
+    res = find_threshold(Ensemble(3, 6, 20, 3), BUILTINS["full-reveal"], Caps())
+    assert sizes == [2 + 2**d - 1, 2**d - 1] + [1] * (9 - 2 * d)
+    assert 0 < len(singles) <= d and res.evaluations == 2 + 9
 
 
 class FailsAt:
@@ -326,18 +347,24 @@ class FailsAt:
         return np.array([1.0 + 1e-9, 0.0, 0.0, -1e-9, 0.0])
 
 
-@pytest.mark.parametrize("error", [ChannelError, SimplexError])
-def test_off_path_failures_do_not_surface(error, monkeypatch):
-    e, caps = Ensemble(3, 6), Caps(tol=1e-3)
+@pytest.mark.parametrize("error, e", [
+    pytest.param(error, e, id=error.__name__ + suffix)
+    for suffix, e in (("", Ensemble(3, 6)), ("-chain", Ensemble(3, 6, 10, 3)))
+    for error in (ChannelError, SimplexError)
+])
+def test_off_path_failures_do_not_surface(error, e, monkeypatch):
+    caps = Caps(tol=1e-3)
     plain = plain_bisection(e, XOR, caps)
     off = {0.125, 0.75}  # in the first batch, never on the bisection path
     assert not off & {m.eps for m in plain.evals}
     sizes, singles = record_evolutions(monkeypatch)
     assert find_threshold(e, FailsAt(off, error), caps) == plain
-    # the first batch raised, so eps 0 and 1 and its d levels ran one point
-    # at a time; the other 9 - d levels ran as a batch again
-    d = threshold.SPECULATIVE_DEPTH
-    assert (sizes[-1:], len(singles)) == ([2 ** (9 - d) - 1], 2 + d)
+    # the first batch raised (in de_batch for SimplexError, while building
+    # its channels for ChannelError), so eps 0 and 1 and its d levels ran
+    # one point at a time; the other 9 - d levels ran in batches again
+    d = threshold.CHAIN_SPECULATIVE_DEPTH if e.coupled else threshold.SPECULATIVE_DEPTH
+    later = [2 ** min(d, 9 - k) - 1 for k in range(d, 9, d)]
+    assert (sizes, len(singles)) == ([2 + 2**d - 1] * (error is SimplexError) + later, 2 + d)
     # on the path, the error surfaces as it does in the plain bisection
     on = FailsAt({0.375}, error)
     with pytest.raises(error):
