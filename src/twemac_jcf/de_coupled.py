@@ -179,8 +179,12 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    """A view of a with its last two axes merged; raises rather than copy."""
-    return np.reshape(a, a.shape[:-2] + (-1,), copy=False)
+    """A view of a with its last two axes merged; raises rather than copy,
+    since the kernels write into some of these views."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    if not np.may_share_memory(flat, a):
+        raise ValueError(f"axes of strides {a.strides[-2:]} cannot merge without a copy")
+    return flat
 
 
 def _unfold(half: np.ndarray, n: int) -> np.ndarray:
@@ -227,7 +231,7 @@ def de_coupled(
     stall_tol from the type-5 point mass, to the centre and their mirrors;
     the rest stay frozen.  This left-edge pruning engages only where
     decoded rows reach the type-5 point mass: on full-reveal, a BEC on
-    types 1 and 5, and on primary with d_v >= 7 the decoded wave leaves
+    types 1 and 5, and on primary with d_v >= 6 the decoded wave leaves
     such rows behind, while on xor-only, and on primary with d_v <= 5,
     the decoded rows settle on type 4 or on a mixture of types 4 and 5,
     and every row stays updated.  A snapshot is

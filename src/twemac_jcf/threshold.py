@@ -14,9 +14,10 @@ A point the batch returns no outcome for (a chain whose left edge would
 move), and every point of a batch that raises, is evaluated alone with
 `de_coupled` when the walk reaches it, so an error surfaces only where the
 plain bisection would raise it.  Once a batch has returned no outcome for
-some point, the bisection goes on one point at a time: such chains leave
-their batch only after hundreds of iterations, which are lost.  The result,
-`evals` included, is the plain bisection's.
+some point, the bisection goes on one point at a time: where rows saturate,
+the chains nearest the threshold leave their batches, which then overlap
+little and spend their time on points off the path.  The result, `evals`
+included, is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ SPECULATIVE_DEPTH = 7
 # bisections of the coupled-thresholds benchmark took median time ratios
 # of 0.93 and 0.99 at d = 2, 0.80 and 0.89 at d = 3, 0.94 and 1.08 at d = 4,
 # and 0.85 at d = 5, in two sweeps of 3 runs each, pinned as above.
+# Where decoded rows saturate (full-reveal; primary with d_v >= 6), the
+# bisection goes one point at a time after the first batch that returned
+# no outcome for a point.  Against batching on, that took the
+# (6,10,200,10) primary bisection from 9.99 to 7.38 s and figure6's default
+# primary sweep (d_v 3..9) from 37.8 to 33.2 s, where one evaluation at a
+# time took 34.5 s (wall-time medians of 4 interleaved runs, pinned as
+# above); (3,10,200,10) full-reveal read 1.11 s with it, 1.07 s batching
+# on and 1.07 s one at a time (9 runs).
 CHAIN_SPECULATIVE_DEPTH = 3
 
 

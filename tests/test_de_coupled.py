@@ -10,6 +10,7 @@ from twemac_jcf.channel import BUILTINS, puncture
 from twemac_jcf.de_coupled import (
     Caps,
     Ensemble,
+    _flat,
     de_batch,
     de_coupled,
     eff_cv_window,
@@ -263,6 +264,17 @@ def test_iterations_call_no_array_constructor(monkeypatch):
             assert {res.converged for res in outcomes} == {"cap"}
             counts.append(dict(calls))
         assert counts[0] == counts[1]
+
+
+def test_flat_is_a_view_or_raises():
+    # the kernels write into the merged views, so a copy would lose their output
+    buf = np.zeros((5, 3, 8))
+    flat = _flat(buf[:, 1:])
+    flat += 1.0
+    assert flat.shape == (5, 16) and buf[:, 1:].min() == 1.0 and buf[:, 0].max() == 0.0
+    assert _flat(buf[:, 2:, 3:]).shape == (5, 5)  # one block: any columns merge
+    with pytest.raises(ValueError):
+        _flat(buf[:, :, 3:])
 
 
 def assert_same_outcome(got, want):
