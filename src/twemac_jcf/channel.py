@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -45,6 +45,25 @@ def validate_dist(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     if abs(s - 1.0) > atol:
         raise ChannelError(f"type distribution sums to {s}, not 1")
     return arr
+
+
+def validate_dists(ps: Sequence, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+    """`validate_dist` of every distribution in ps, in one pass over the
+    stacked (len(ps), 5) array, which it returns; raises the first invalid
+    one's own error."""
+    try:
+        arr = np.array(ps, dtype=float)
+    except ValueError:  # ragged, or not numbers
+        arr = np.empty((0, 0))
+    valid = (
+        arr.ndim == 2
+        and arr.shape[1] == 5
+        and np.isfinite(arr).all()
+        and ((arr >= -atol) & (arr <= 1 + atol)).all()
+        # a row's sum is the same reduction as validate_dist's
+        and (np.abs(arr.sum(axis=1) - 1.0) <= atol).all()
+    )
+    return arr if valid else np.array([validate_dist(p, atol) for p in ps])
 
 
 @dataclass(frozen=True)

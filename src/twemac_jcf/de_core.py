@@ -22,8 +22,10 @@ input lies in {1, t} and not all are 1:
 The two joins share the powers (q1 + q_t)^n, so `var_update` returns the
 join with n and with n + 1 messages from one power and one multiply.
 
-The kernels and `renormalize` write into arrays the caller passes, so an
-evolution allocates its arrays once rather than on every iteration.
+The kernels write into arrays the caller passes, so an evolution
+allocates its arrays once rather than on every iteration.  Before it
+renormalizes the outputs by their sums, an evolution runs `check_simplex`
+once per iteration, over both halves' outputs and sums.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     out[4] = p[4]
     out[1:] **= n
     out[1:4] -= out[4]
-    np.subtract(1.0, out[1:].sum(axis=0, out=out[0]), out=out[0])
+    np.subtract(1.0, np.add.reduce(out[1:], axis=0, out=out[0]), out=out[0])
     return out
 
 
@@ -75,22 +77,23 @@ def var_update(
     base *= powers[0]
     np.multiply(weights, powers.transpose(1, 0, 2), out=out[:4])
     out[1:4] -= out[0]
-    np.subtract(1.0, out[:4].sum(axis=0, out=out[4]), out=out[4])
+    np.subtract(1.0, np.add.reduce(out[:4], axis=0, out=out[4]), out=out[4])
     return out
 
 
-def renormalize(p: np.ndarray, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Renormalize p into out within tolerance; raise SimplexError on real drift.
+def check_simplex(sums: np.ndarray, entries: np.ndarray) -> None:
+    """Raise SimplexError unless every one of sums lies within RENORM_ATOL
+    of 1 and no entry of entries lies below -RENORM_ATOL; NaN fails both.
 
-    Works on a single distribution (5,) or on a type-major array (5, ...)
-    with one distribution per index of its trailing axes; sums is scratch
-    of the trailing shape, and out may be p itself.  The kernels fill one
-    entry per distribution as a remainder, so their sums are always 1; a
-    negative entry is what shows their drift.
+    sums are the distributions' sums and entries their entries, in arrays
+    of any shape; the kernels fill one entry per distribution as a
+    remainder, so their sums are always 1, and a negative entry is what
+    shows their drift.
     """
-    s = p.sum(axis=0, out=sums)
-    if s.max() - 1.0 > RENORM_ATOL or 1.0 - s.min() > RENORM_ATOL:
-        raise SimplexError(f"distribution sum off by {np.max(np.abs(s - 1.0)):.3e}")
-    if p.min() < -RENORM_ATOL:
-        raise SimplexError(f"distribution entry {np.min(p):.3e} below zero")
-    return np.divide(p, s, out=out)
+    s_max, s_min = np.maximum.reduce(sums, axis=None), np.minimum.reduce(sums, axis=None)
+    if not (s_max - 1.0 <= RENORM_ATOL and 1.0 - s_min <= RENORM_ATOL):
+        raise SimplexError(f"distribution sum off by {max(s_max - 1.0, 1.0 - s_min):.3e}")
+    p_min = np.minimum.reduce(entries, axis=None)
+    if not p_min >= -RENORM_ATOL:
+        raise SimplexError(f"distribution entry {p_min:.3e} below zero")
+

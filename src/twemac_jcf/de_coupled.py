@@ -40,13 +40,14 @@ evaluated alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import validate_dist
-from .de_core import chk_update, join_weights, renormalize, var_update
+from .channel import validate_dist, validate_dists
+from .de_core import SimplexError, check_simplex, chk_update, join_weights, var_update
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
@@ -175,7 +176,7 @@ def eff_cv_window(pcv: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> n
 
 def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
     """A contiguous view of the given shape on the start of buf's memory."""
-    return buf.reshape(-1)[: int(np.prod(shape))].reshape(shape)
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -259,7 +260,7 @@ def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[Optional[
     """
     if not len(pchs):
         return []
-    return _evolve(e, np.array([validate_dist(p) for p in pchs]), caps)
+    return _evolve(e, validate_dists(pchs), caps)
 
 
 def _evolve(
@@ -292,20 +293,31 @@ def _evolve(
     pcv = np.repeat(pchs.T[:, :, None], L + w, axis=2)
     p_dec = np.zeros((B, L + 1))
     weights = np.repeat(join_weights(pchs.T)[..., None], L + 1, axis=3)  # each column's channel
+    # On the one-position chain (L = 0) a row within stall_tol of type 5 has
+    # p_dec >= 1 - stall_tol, since the decoder output joins one message
+    # more (its roundoff is far below 1e-12), so the row has passed the
+    # success test of the iteration that brought it there, and there is no
+    # left edge to move.  There the loop scans for saturated rows only
+    # before iteration 1, which sees the channel itself, unless stall_tol
+    # comes within 1e-12 of 1 - success_target.
+    saturation = e.coupled or caps.stall_tol > 1.0 - caps.success_target - 1e-12
     # scratch at the widths of lo = 0; `bind` cuts contiguous views from it
     kc, kv = L + w, L + 1
-    vc_cs, vc_mean, chk = np.empty((5, B, kc + w)), np.empty((5, B, kc)), np.empty((5, B * kc))
-    chk_sums = np.empty(B * kc)
+    vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    powers, out, var_sums = np.empty((2, 4, B * kv)), np.empty((5, 2, B * kv)), np.empty((2, B * kv))
+    powers = np.empty((2, 4, B * kv))
+    # the check half's output (5, B*kc) and the variable half's (5, 2, B*kv)
+    # side by side, and so their sums, for one simplex check over both
+    kernel_out, sums = np.empty(5 * B * (kc + 2 * kv)), np.empty(B * (kc + 2 * kv))
     diff, dist, unsat = np.empty((5, 2, B, kv)), np.empty((B, kv)), np.empty((B, kv), dtype=bool)
     block_min, block_change = np.empty(B), np.empty(B)
 
     def bind(b0: int, lo: int):
         """One iteration over blocks b0.. from check and variable column lo
         on, on views cut once for these.  The step returns each block's
-        smallest p_dec and largest change of a variable row, and leaves in
-        the returned mask which variable rows are still unsaturated."""
+        smallest p_dec and largest change of a variable row, and with
+        saturation leaves in the returned mask which variable rows are
+        still unsaturated."""
         nb, kc, kv = B - b0, L + w - lo, L + 1 - lo
         padded, pcv_lo, pvc_lo = vbuf[0, :, b0:, lo:], pcv[:, b0:, lo:], pvc[:, b0:, lo:]
         p_dec_b, p_dec_lo = p_dec[b0:], p_dec[b0:, lo:]
@@ -316,9 +328,12 @@ def _evolve(
         # window means, or with w = 1 the rows themselves
         p, q = _flat(padded if w == 1 else vc_mean_lo), _flat(pcv_lo if w == 1 else cv_mean_lo)
         pcv_f, weights_f = _flat(pcv_lo), _flat(weights[..., b0:, lo:])
-        chk_f, chk_sums_f = _head(chk, 5, nb * kc), _head(chk_sums, nb * kc)
-        powers_f, out_f, var_sums_f = (_head(powers, 2, 4, nb * kv), _head(out, 5, 2, nb * kv),
-                                       _head(var_sums, 2, nb * kv))
+        powers_f = _head(powers, 2, 4, nb * kv)
+        n_chk, n_var = nb * kc, nb * kv
+        entries, sums_f = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
+        chk_f = entries[: 5 * n_chk].reshape(5, n_chk)
+        out_f = entries[5 * n_chk :].reshape(5, 2, n_var)
+        chk_sums_f, var_sums_f = sums_f[:n_chk], sums_f[n_chk:].reshape(2, n_var)
         out_lo = out_f.reshape(5, 2, nb, kv)
         new, dec4, dec5 = out_lo[:, 0], out_lo[3, 1], out_lo[4, 1]
         # the new rows broadcast against the old rows and type 5 side by side
@@ -334,17 +349,31 @@ def _evolve(
         def step():
             # check half-iteration over check rows lo..L+w-1
             eff_vc_window(padded, w, vc_cs_lo, vc_mean_lo)
-            renormalize(chk_update(p, e.d_c - 1, chk_f), pcv_f, chk_sums_f)
+            chk_update(p, e.d_c - 1, chk_f)
+            np.divide(chk_f, np.add.reduce(chk_f, axis=0, out=chk_sums_f), out=pcv_f)
             # variable half-iteration and decoder output over variable rows lo..L
             eff_cv_window(pcv_lo, w, cv_cs_lo, cv_mean_lo)
-            renormalize(var_update(weights_f, q, e.d_v - 1, powers_f, out_f), out_f, var_sums_f)
+            var_update(weights_f, q, e.d_v - 1, powers_f, out_f)
+            np.add.reduce(out_f, axis=0, out=var_sums_f)
+            try:
+                check_simplex(sums_f, entries)
+            except SimplexError:
+                check_simplex(chk_sums_f, chk_f)  # the check half's own error comes first
+                raise
+            np.divide(out_f, var_sums_f, out=out_f)
             np.add(dec4, dec5, out=p_dec_lo)
-            np.subtract(new_b, old_e5, out=diff_lo)
-            np.abs(diff_lo, out=diff_lo)
-            np.greater(from_e5.max(axis=0, out=dist_lo), caps.stall_tol, out=unsat_lo)
+            if saturation:
+                np.subtract(new_b, old_e5, out=diff_lo)
+                np.abs(diff_lo, out=diff_lo)
+                np.maximum.reduce(from_e5, axis=0, out=dist_lo)
+                np.greater(dist_lo, caps.stall_tol, out=unsat_lo)
+            else:
+                np.abs(np.subtract(new, pvc_lo, out=change), out=change)
             pvc_lo[...] = new
-            mirror[...] = mirror_src
-            return p_dec_b.min(axis=1, out=min_lo), change.max(axis=(0, 2), out=change_lo)
+            if m:
+                mirror[...] = mirror_src
+            return (np.minimum.reduce(p_dec_b, axis=1, out=min_lo),
+                    np.maximum.reduce(change, axis=(0, 2), out=change_lo))
 
         return step, unsat_lo
 
@@ -382,7 +411,9 @@ def _evolve(
     step, unsat_lo = bind(b0, lo)
     np.greater(np.abs(pvc - E5).max(axis=0), caps.stall_tol, out=unsat_lo)
     for it in range(1, l_max + 1):
-        if B - b0 > 1:
+        if it > 1 and not saturation:
+            pass  # the one-position chain: no left edge, and saturated rows have ended
+        elif B - b0 > 1:
             # a block whose rows 0..w all sit at type 5 has decoded, if all
             # its rows do, or else would move its left edge: either way it
             # leaves the batch

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_core import SimplexError, chk_update, join_weights, renormalize, var_update
+from twemac_jcf.de_core import SimplexError, check_simplex, chk_update, join_weights, var_update
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 
 from oracles import (
@@ -51,7 +51,11 @@ def var_pair(c, q, n):
 
 
 def renorm(p):
-    return renormalize(p, np.empty_like(p), np.empty(p.shape[1:]))
+    """p (5, ...) divided by its sums, as the evolution does, behind its
+    simplex check."""
+    s = np.add.reduce(p, axis=0)
+    check_simplex(s, p)
+    return p / s
 
 
 def var(c, q, n):
@@ -260,6 +264,16 @@ def test_renormalize_rejects_negative_entry():
     with pytest.raises(SimplexError):
         renorm(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
     renorm(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
+
+
+def test_simplex_check_rejects_nan():
+    # every comparison with NaN is False, so the guard is written to pass
+    # only what lies within tolerance
+    with pytest.raises(SimplexError, match="sum off by nan"):
+        renorm(np.full((5, 3), np.nan))
+    p = np.array([[0.2] * 5, [np.nan, 0.5, 0.0, 0.0, 0.5], [0.2] * 5]).T
+    with pytest.raises(SimplexError):
+        renorm(p)
 
 
 def test_config_validation():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, puncture
+from twemac_jcf.channel import BUILTINS, ChannelError, puncture
+from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import (
     Caps,
     Ensemble,
@@ -223,6 +224,16 @@ def test_matches_frozen_half_chain_as_left_edge_moves():
     assert (res.converged, res.iterations_used) == ("success", 1)
 
 
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.16])
+def test_regular_rows_at_type_5_end_the_run_when_stall_tol_is_wide(eps):
+    # with stall_tol 1e-3 and the default target a regular row comes within
+    # stall_tol of type 5 before its p_dec reaches the target, and the next
+    # iteration's scan ends the run with p_dec 1
+    res, _ = assert_matches_frozen(Ensemble(3, 6), BUILTINS["full-reveal"].eval(eps),
+                                   Caps(stall_tol=1e-3), {1})
+    assert (res.converged, res.min_p_dec) == ("success", 1.0)
+
+
 def _arrays(res):
     return [res.p_dec, res.final_pvc, res.final_pcv,
             *(x for snap in res.snapshots.values() for x in snap)]
@@ -322,6 +333,46 @@ def test_batch_ends_when_every_column_saturates_at_once():
     batch = de_batch(Ensemble(3, 6), pchs)
     assert [(r.converged, r.iterations_used, r.min_p_dec) for r in batch] == [("success", 1, 1.0)] * 3
     assert de_batch(Ensemble(3, 6), []) == []
+
+
+BAD_ROWS = {
+    "shape": [0.5, 0.5, 0.0, 0.0],
+    "nan": [np.nan, 0.0, 0.0, 0.0, 1.0],
+    "negative": [-1e-6, 0.0, 0.0, 0.5, 0.5 + 1e-6],
+    "above-one": [0.0, 0.0, 0.0, 1.5, -0.5],
+    "sum": [0.3, 0.3, 0.3, 0.3, 0.3],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_batch_rejects_a_bad_channel_as_it_would_alone(bad):
+    e, good = Ensemble(3, 6), BUILTINS["xor-only"].eval(0.4)
+    with pytest.raises(ChannelError) as alone:
+        de_coupled(e, bad)
+    with pytest.raises(ChannelError) as batched:
+        de_batch(e, [good, bad, good, [0.1, 0.2, 0.3, 0.4, 0.5]])
+    assert str(batched.value) == str(alone.value)
+
+
+# valid channels whose first check update leaves type 1 below -1e-9, and
+# the error each evolution raises, the check half's: from the second
+# channel, the regular ensemble's variable half goes lower still
+CHECK_HALF_ERRORS = [
+    ([-1e-9, 0.0, 0.0, 1.0 + 1e-9, 0.0], (3, 6), "-5.000e-09"),
+    ([-1e-9, 0.0, 0.0, 1.0 + 1e-9, 0.0], (3, 6, 10, 3), "-5.000e-09"),
+    ([0.3, -1e-9, 0.0, 0.0, 0.7 + 1e-9], (3, 6), "-1.200e-09"),
+    ([0.3, -1e-9, 0.0, 0.0, 0.7 + 1e-9], (3, 6, 10, 3), "-1.365e-09"),
+]
+
+
+@pytest.mark.parametrize("bad, shape, entry", CHECK_HALF_ERRORS)
+def test_check_half_error_comes_first(bad, shape, entry):
+    e, good = Ensemble(*shape), BUILTINS["xor-only"].eval(0.4)
+    for run in (lambda: de_coupled(e, bad), lambda: de_batch(e, [good, bad]),
+                lambda: de_batch(e, [bad, good])):
+        with pytest.raises(SimplexError) as err:
+            run()
+        assert str(err.value) == f"distribution entry {entry} below zero"
 
 
 CHAIN_SHAPES = {"L<w": (3, 6, 2, 5), "w=1": (3, 6, 4, 1), "odd w": (3, 6, 12, 3),
