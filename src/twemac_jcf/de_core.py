@@ -96,4 +96,3 @@ def check_simplex(sums: np.ndarray, entries: np.ndarray) -> None:
     p_min = np.minimum.reduce(entries, axis=None)
     if not p_min >= -RENORM_ATOL:
         raise SimplexError(f"distribution entry {p_min:.3e} below zero")
-

@@ -35,13 +35,13 @@ from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal
 # Levels of the bisection tree that one batched evolution covers.  An
 # iteration costs a fixed part plus a part per column, and most of a
 # batch's iterations run with only the few points nearest the threshold
-# left.  The regular ensemble's fixed part (~40 numpy calls) dominates:
-# against one evaluation at a time (50,316 iterations), the 18 regular
-# thresholds at tol 1e-4 (3 channels, 6 degree pairs) took median time
-# ratios of 0.71 at d = 5, 0.77 at d = 6, 0.65 at d = 7 (30,570
-# iterations), 0.69 at d = 8, 0.80 at d = 9 and 2.7 at d = 13 (all levels in
-# one batch of 8191), 5 runs each, pinned to one CPU of a shared 2-core
-# x86-64 VM.
+# left.  The regular ensemble's fixed part (27 numpy calls) dominates.
+# Measured at 33 calls and a saturation scan per iteration, against one
+# evaluation at a time (50,316 iterations), the 18 regular thresholds at
+# tol 1e-4 (3 channels, 6 degree pairs) took median time ratios of 0.71 at
+# d = 5, 0.77 at d = 6, 0.65 at d = 7 (30,570 iterations), 0.69 at d = 8,
+# 0.80 at d = 9 and 2.7 at d = 13 (all levels in one batch of 8191), 5 runs
+# each, pinned to one CPU of a shared 2-core x86-64 VM.
 SPECULATIVE_DEPTH = 7
 # A chain's column part is larger: one (5,10,200,10) iteration costs about
 # 80 us alone and 30 us more per chain in the batch.  What a batch gains is

@@ -354,9 +354,10 @@ def test_batch_rejects_a_bad_channel_as_it_would_alone(bad):
     assert str(batched.value) == str(alone.value)
 
 
-# valid channels whose first check update leaves type 1 below -1e-9, and
-# the error each evolution raises, the check half's: from the second
-# channel, the regular ensemble's variable half goes lower still
+# valid channels whose first check update leaves an entry below -1e-9
+# (on (3,6), type 1 at -5e-9 and type 2 at -1.2e-9), and the error each evolution
+# raises, the check half's: from the second channel the regular
+# ensemble's variable half goes lower still
 CHECK_HALF_ERRORS = [
     ([-1e-9, 0.0, 0.0, 1.0 + 1e-9, 0.0], (3, 6), "-5.000e-09"),
     ([-1e-9, 0.0, 0.0, 1.0 + 1e-9, 0.0], (3, 6, 10, 3), "-5.000e-09"),
