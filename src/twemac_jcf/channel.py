@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -47,25 +47,6 @@ def validate_dist(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     return arr
 
 
-def validate_dists(ps: Sequence, atol: float = SIMPLEX_ATOL) -> np.ndarray:
-    """`validate_dist` of every distribution in ps, in one pass over the
-    stacked (len(ps), 5) array, which it returns; raises the first invalid
-    one's own error."""
-    try:
-        arr = np.array(ps, dtype=float)
-    except ValueError:  # ragged, or not numbers
-        arr = np.empty((0, 0))
-    valid = (
-        arr.ndim == 2
-        and arr.shape[1] == 5
-        and np.isfinite(arr).all()
-        and ((arr >= -atol) & (arr <= 1 + atol)).all()
-        # a row's sum is the same reduction as validate_dist's
-        and (np.abs(arr.sum(axis=1) - 1.0) <= atol).all()
-    )
-    return arr if valid else np.array([validate_dist(p, atol) for p in ps])
-
-
 @dataclass(frozen=True)
 class ChannelFamily:
     """A named map eps -> type distribution.
@@ -84,29 +65,29 @@ class ChannelFamily:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         if self.kind == "fixed-table":
             if self.table is None:
-                raise ChannelError("fixed-table family needs a table")
+                raise ChannelError(f"fixed-table family {self.name!r} needs a table")
             validate_dist(self.table)
         if self.kind == "custom-polynomial":
             if self.coeffs is None or len(self.coeffs) != 5:
                 raise ChannelError("custom-polynomial family needs 5 coefficient lists")
 
     def eval(self, eps: float) -> np.ndarray:
-        """Type distribution at erasure parameter eps."""
+        """Type distribution at erasure parameter eps; not validated, since
+        every consumer validates it (`validate_dist`)."""
         if not 0.0 <= eps <= 1.0:
             raise ChannelError(f"eps must be in [0, 1], got {eps}")
         if self.kind == "primary":
-            p = np.array(
+            return np.array(
                 [eps * eps, (1 - eps) * eps, eps * (1 - eps), (1 - eps) ** 2, 0.0]
             )
         elif self.kind == "xor-only":
-            p = np.array([eps, 0.0, 0.0, 1 - eps, 0.0])
+            return np.array([eps, 0.0, 0.0, 1 - eps, 0.0])
         elif self.kind == "full-reveal":
-            p = np.array([eps, 0.0, 0.0, 0.0, 1 - eps])
+            return np.array([eps, 0.0, 0.0, 0.0, 1 - eps])
         elif self.kind == "fixed-table":
-            p = np.array(self.table, dtype=float)
+            return np.array(self.table, dtype=float)
         else:  # custom-polynomial
-            p = np.array([npoly.polyval(eps, c) for c in self.coeffs])
-        return validate_dist(p)
+            return np.array([npoly.polyval(eps, c) for c in self.coeffs])
 
 
 PRIMARY = ChannelFamily("primary", "primary")
@@ -167,7 +148,10 @@ def parse_channel_config(path: str) -> dict[str, ChannelFamily]:
     Custom-polynomial families are validated on a 1001-point eps grid.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # syntax errors, duplicate sections or options
+        raise ChannelError(f"malformed channel config: {' '.join(str(exc).split())}") from None
     if not read:
         raise ChannelError(f"cannot read channel config {path!r}")
     families: dict[str, ChannelFamily] = {}
@@ -175,7 +159,8 @@ def parse_channel_config(path: str) -> dict[str, ChannelFamily]:
         sec = cp[name]
         kind = sec.get("kind", "").strip()
         if kind == "fixed-table":
-            fam = ChannelFamily(name, kind, table=_parse_floats(sec["table"]))
+            table = sec.get("table")
+            fam = ChannelFamily(name, kind, table=None if table is None else _parse_floats(table))
         elif kind == "custom-polynomial":
             coeffs = tuple(_parse_floats(sec.get(f"p{i}", "0")) for i in range(1, 6))
             fam = ChannelFamily(name, kind, coeffs=coeffs)

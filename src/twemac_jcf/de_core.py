@@ -2,8 +2,8 @@
 
 Messages on a randomly chosen edge have one of five types, and both node
 updates combine iid messages under the knowledge lattice (types as defined
-in `simulate`).  Arrays are type-major: a (5, k) array holds one
-distribution per column, so that each type is one contiguous row.
+in `simulate`).  Arrays are type-major: a (5, ...) array holds one
+distribution per index of its other axes, each type a contiguous block.
 
 Check node, the meet of n = d_c - 1 iid messages p: the output is type 5
 iff every input is, and type t in {2, 3, 4} iff every input lies in {t, 5}
@@ -40,8 +40,8 @@ class SimplexError(RuntimeError):
 
 
 def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-    """Distribution of the meet of n iid messages, one per column of p (5, k),
-    written to out (5, k), which is contiguous (see `var_update`)."""
+    """Distributions of the meet of n iid messages, one per index of p (5, ...)
+    past the first, written to contiguous out (see `var_update`)."""
     np.add(p[1:4], p[4], out=out[1:4])
     out[4] = p[4]
     out[1:] **= n
@@ -52,8 +52,9 @@ def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
 
 def join_weights(c: np.ndarray) -> np.ndarray:
     """The channel's weights in `var_update`: c1, then c1 + c_t for t = 2, 3, 4,
-    shaped (4, 1, B) to broadcast over the (4, 2, k) powers, for one channel
-    c (5,) (B = 1) or one per column of c (5, B)."""
+    shaped (4, 1, B) for one channel c (5,) (B = 1) or one per column of
+    c (5, B), to broadcast over the (4, 2, k) powers (k = B, or any k when
+    B = 1), or with an axis appended over (4, 2, B, k): B blocks of k."""
     weights = c[:4] + c[0]
     weights[0] = c[0]
     return weights.reshape(4, 1, -1)
@@ -63,10 +64,10 @@ def var_update(
     weights: np.ndarray, q: np.ndarray, n: int, powers: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Distributions of the join of a channel (its `join_weights`) with n and
-    with n + 1 iid messages, one pair per column of q (5, k), written to out
-    (5, 2, k): [:, 0] holds the joins with n messages and [:, 1] those with
-    n + 1 (with n = d_v - 1, the outgoing message and the decoder output).
-    powers is contiguous (2, 4, k) scratch."""
+    with n + 1 iid messages, one pair per index of q (5, ...) past the first,
+    written to out (5, 2, ...): [:, 0] holds the joins with n messages and
+    [:, 1] those with n + 1 (with n = d_v - 1, the outgoing message and the
+    decoder output).  powers is contiguous (2, 4, ...) scratch."""
     # (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1].  np.power writes
     # a contiguous half: numpy's SIMD power loop, which strided outputs
     # bypass, rounds differently from the scalar one.
@@ -75,7 +76,7 @@ def var_update(
     np.add(q[1:4], q[0], out=base[1:])
     np.power(base, n, out=powers[0])
     base *= powers[0]
-    np.multiply(weights, powers.transpose(1, 0, 2), out=out[:4])
+    np.multiply(weights, powers.swapaxes(0, 1), out=out[:4])
     out[1:4] -= out[0]
     np.subtract(1.0, np.add.reduce(out[:4], axis=0, out=out[4]), out=out[4])
     return out

@@ -46,7 +46,7 @@ from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channel import validate_dist, validate_dists
+from .channel import validate_dist
 from .de_core import SimplexError, check_simplex, chk_update, join_weights, var_update
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
@@ -155,37 +155,9 @@ def _window_mean(rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def eff_vc_window(padded: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Effective check inputs (5, ..., k) for check rows lo..L+w-1, k = L+w-lo.
-
-    padded (5, ..., k+w-1) holds variable rows lo-w+1..L+w-1: row j reads
-    as its mirror 2L-j for L < j <= 2L, and as the type-5 point mass for
-    j < 0 or j > 2L.  Check row q averages variable rows q-w+1..q.
-    """
-    return _window_mean(padded, w, cs, out)
-
-
-def eff_cv_window(pcv: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Effective variable inputs (5, ..., L+1-lo) for variable rows lo..L.
-
-    pcv holds check rows lo..L+w-1.  Variable row i averages check rows
-    i..i+w-1 (always in range).
-    """
-    return _window_mean(pcv, w, cs, out)
-
-
 def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
     """A contiguous view of the given shape on the start of buf's memory."""
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """A view of a with its last two axes merged; raises rather than copy,
-    since the kernels write into some of these views."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    if not np.may_share_memory(flat, a):
-        raise ValueError(f"axes of strides {a.strides[-2:]} cannot merge without a copy")
-    return flat
 
 
 def _unfold(half: np.ndarray, n: int) -> np.ndarray:
@@ -260,7 +232,7 @@ def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[Optional[
     """
     if not len(pchs):
         return []
-    return _evolve(e, validate_dists(pchs), caps)
+    return _evolve(e, np.array([validate_dist(p) for p in pchs]), caps)
 
 
 def _evolve(
@@ -292,7 +264,7 @@ def _evolve(
     pvc = vbuf[0, :, :, w - 1 : w + L]
     pcv = np.repeat(pchs.T[:, :, None], L + w, axis=2)
     p_dec = np.zeros((B, L + 1))
-    weights = np.repeat(join_weights(pchs.T)[..., None], L + 1, axis=3)  # each column's channel
+    weights = join_weights(pchs.T)[..., None]  # each block's channel, (4, 1, B, 1)
     # On the one-position chain (L = 0) a row within stall_tol of type 5 has
     # p_dec >= 1 - stall_tol, since the decoder output joins one message
     # more (its roundoff is far below 1e-12), so the row has passed the
@@ -305,8 +277,8 @@ def _evolve(
     kc, kv = L + w, L + 1
     vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    powers = np.empty((2, 4, B * kv))
-    # the check half's output (5, B*kc) and the variable half's (5, 2, B*kv)
+    powers = np.empty((2, 4, B, kv))
+    # the check half's output (5, B, kc) and the variable half's (5, 2, B, kv)
     # side by side, and so their sums, for one simplex check over both
     kernel_out, sums = np.empty(5 * B * (kc + 2 * kv)), np.empty(B * (kc + 2 * kv))
     diff, dist, unsat = np.empty((5, 2, B, kv)), np.empty((B, kv)), np.empty((B, kv), dtype=bool)
@@ -324,17 +296,14 @@ def _evolve(
         vc_cs_lo, vc_mean_lo = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
         cv_cs_lo, cv_mean_lo = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
         vc_cs_lo[..., 0] = cv_cs_lo[..., 0] = 0.0
-        # the kernels see every block's columns as one axis, (5, nb*k): the
-        # window means, or with w = 1 the rows themselves
-        p, q = _flat(padded if w == 1 else vc_mean_lo), _flat(pcv_lo if w == 1 else cv_mean_lo)
-        pcv_f, weights_f = _flat(pcv_lo), _flat(weights[..., b0:, lo:])
-        powers_f = _head(powers, 2, 4, nb * kv)
+        # contiguous kernel outputs and powers (see `de_core.var_update`)
+        powers_lo = _head(powers, 2, 4, nb, kv)
         n_chk, n_var = nb * kc, nb * kv
-        entries, sums_f = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
-        chk_f = entries[: 5 * n_chk].reshape(5, n_chk)
-        out_f = entries[5 * n_chk :].reshape(5, 2, n_var)
-        chk_sums_f, var_sums_f = sums_f[:n_chk], sums_f[n_chk:].reshape(2, n_var)
-        out_lo = out_f.reshape(5, 2, nb, kv)
+        entries, sums_lo = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
+        chk_lo = entries[: 5 * n_chk].reshape(5, nb, kc)
+        out_lo = entries[5 * n_chk :].reshape(5, 2, nb, kv)
+        chk_sums, var_sums = sums_lo[:n_chk].reshape(nb, kc), sums_lo[n_chk:].reshape(2, nb, kv)
+        weights_b = weights[..., b0:, :]
         new, dec4, dec5 = out_lo[:, 0], out_lo[3, 1], out_lo[4, 1]
         # the new rows broadcast against the old rows and type 5 side by side
         new_b = out_lo[:, :1]
@@ -347,20 +316,21 @@ def _evolve(
         mirror_src = new[..., kv - 1 - m : kv - 1][..., ::-1]
 
         def step():
-            # check half-iteration over check rows lo..L+w-1
-            eff_vc_window(padded, w, vc_cs_lo, vc_mean_lo)
-            chk_update(p, e.d_c - 1, chk_f)
-            np.divide(chk_f, np.add.reduce(chk_f, axis=0, out=chk_sums_f), out=pcv_f)
-            # variable half-iteration and decoder output over variable rows lo..L
-            eff_cv_window(pcv_lo, w, cv_cs_lo, cv_mean_lo)
-            var_update(weights_f, q, e.d_v - 1, powers_f, out_f)
-            np.add.reduce(out_f, axis=0, out=var_sums_f)
+            # check half-iteration over check rows lo..L+w-1, whose windows
+            # padded holds: variable rows lo-w+1..L+w-1, mirrors and pads included
+            chk_update(_window_mean(padded, w, vc_cs_lo, vc_mean_lo), e.d_c - 1, chk_lo)
+            np.divide(chk_lo, np.add.reduce(chk_lo, axis=0, out=chk_sums), out=pcv_lo)
+            # variable half-iteration and decoder output over variable rows
+            # lo..L, whose windows pcv_lo holds: check rows lo..L+w-1
+            q = _window_mean(pcv_lo, w, cv_cs_lo, cv_mean_lo)
+            var_update(weights_b, q, e.d_v - 1, powers_lo, out_lo)
+            np.add.reduce(out_lo, axis=0, out=var_sums)
             try:
-                check_simplex(sums_f, entries)
+                check_simplex(sums_lo, entries)
             except SimplexError:
-                check_simplex(chk_sums_f, chk_f)  # the check half's own error comes first
+                check_simplex(chk_sums, chk_lo)  # the check half's own error comes first
                 raise
-            np.divide(out_f, var_sums_f, out=out_f)
+            np.divide(out_lo, var_sums, out=out_lo)
             np.add(dec4, dec5, out=p_dec_lo)
             if saturation:
                 np.subtract(new_b, old_e5, out=diff_lo)

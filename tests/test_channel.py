@@ -1,7 +1,5 @@
 """Channel families, puncturing, state sampling, and config parsing."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from twemac_jcf.channel import (
     puncture,
     sample_states,
     validate_dist,
-    validate_dists,
     validate_family,
 )
 
@@ -145,22 +142,6 @@ def test_validate_dist_rejects_bad_vectors():
         validate_dist([1, 0, 0, 0])
     with pytest.raises(ChannelError):
         validate_dist([-0.1, 0.6, 0.5, 0, 0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1e-9, -2e-9, 1e-9, 2e-9,
-                                          0.25 + 6e-10, 1.0 + 1e-9, 1.0 + 2e-9]),
-                         min_size=5, max_size=5), min_size=1, max_size=4))
-def test_validate_dists_is_validate_dist_per_row(rows):
-    # rows on both sides of every tolerance: the stacked check accepts what
-    # every row's own check accepts, and otherwise raises the first error
-    try:
-        want = np.array([validate_dist(p) for p in rows])
-    except ChannelError as err:
-        with pytest.raises(ChannelError, match=f"^{re.escape(str(err))}$"):
-            validate_dists(rows)
-    else:
-        assert validate_dists(rows).tobytes() == want.tobytes()
 
 
 def test_config_file_round_trip(tmp_path):

@@ -404,6 +404,44 @@ def test_non_finite_table_exits_2(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[a]\nkind = fixed-table\ngarbage line\n",
+    "[a]\nkind = primary\n[a]\nkind = primary\n",
+    "[a]\nkind = primary\nkind = xor-only\n",
+    "kind = primary\n",
+    "[a]\nkind = fixed-table\n",
+], ids=["syntax", "duplicate-section", "duplicate-option", "no-section", "no-table"])
+def test_malformed_channel_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["de", "--dv", "3", "--dc", "6", "--eps", "0.3", "--channel", "a",
+              "--channel-config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(cfg) in err or "'a'" in err  # names the file or the family
+
+
+@pytest.mark.parametrize("argv", [
+    ["de", "--dv", "3", "--dc", "6"],
+    ["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--trials", "2"],
+    ["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--trials", "2", "--p-pi", "0.05"],
+])
+def test_channel_off_the_simplex_between_grid_points_exits_2(tmp_path, capsys, argv):
+    # p2 = 1.5e-8 - 1e-4 eps + 0.1 eps^2 is 1.5e-8 at every point of the
+    # 1001-point load grid but -1e-8 at eps 0.0005, midway between two: the
+    # family loads, and the commands that read it there must reject it
+    cfg = tmp_path / "gap.ini"
+    cfg.write_text("[gap]\nkind = custom-polynomial\np1 = 0\np2 = 1.5e-8 -1e-4 0.1\n"
+                   "p3 = 0\np4 = 0.999999985 1e-4 -0.1\np5 = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--eps", "0.0005", "--channel", "gap", "--channel-config", str(cfg)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: type distribution entries outside [0,1]: [ 0.00000000e+00 -1.00000000e-08")
+
+
 def test_unknown_channel_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rates", "--channel", "no-such"])

@@ -11,11 +11,9 @@ from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import (
     Caps,
     Ensemble,
-    _flat,
+    _window_mean,
     de_batch,
     de_coupled,
-    eff_cv_window,
-    eff_vc_window,
     nominal_rate,
 )
 
@@ -36,13 +34,13 @@ def padded(pvc, L, w):
 def eff_vc(pvc, L, w, lo):
     rows = padded(pvc, L, w)[:, lo:]
     k = rows.shape[1]
-    return eff_vc_window(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
+    return _window_mean(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
 
 
 def eff_cv(pcv, w, lo):
     rows = pcv[:, lo:]
     k = rows.shape[1]
-    return eff_cv_window(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
+    return _window_mean(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
 
 
 def test_nominal_rate_frozen_values():
@@ -275,17 +273,6 @@ def test_iterations_call_no_array_constructor(monkeypatch):
             assert {res.converged for res in outcomes} == {"cap"}
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-
-
-def test_flat_is_a_view_or_raises():
-    # the kernels write into the merged views, so a copy would lose their output
-    buf = np.zeros((5, 3, 8))
-    flat = _flat(buf[:, 1:])
-    flat += 1.0
-    assert flat.shape == (5, 16) and buf[:, 1:].min() == 1.0 and buf[:, 0].max() == 0.0
-    assert _flat(buf[:, 2:, 3:]).shape == (5, 5)  # one block: any columns merge
-    with pytest.raises(ValueError):
-        _flat(buf[:, :, 3:])
 
 
 def assert_same_outcome(got, want):

@@ -131,3 +131,55 @@ def test_every_definition_is_used_by_the_package():
         if name.split(".")[-1] not in used
     ]
     assert [u for u in unused if u != "cli.main"] == []
+
+
+def pass_through_wrappers(source: str) -> list:
+    """Functions whose body, apart from a docstring, is only
+    `return f(<their own parameters, in order>)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call) or call.keywords:
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args]
+        if a.vararg or a.kwonlyargs or a.kwarg:
+            continue
+        if [n.id if isinstance(n, ast.Name) else None for n in call.args] == params:
+            found.append(node.name)
+    return found
+
+
+def test_pass_through_scanner():
+    src = (
+        "def wrapper(a, b):\n"
+        "    '''Only calls f.'''\n"
+        "    return f(a, b)\n"
+        "def method_call(a):\n"
+        "    return mod.g(a)\n"
+        "def swapped(a, b):\n"
+        "    return f(b, a)\n"
+        "def fewer(a, b):\n"
+        "    return f(a)\n"
+        "def constant(a):\n"
+        "    return f(a, 1)\n"
+        "def keyword(a):\n"
+        "    return f(a, w=2)\n"
+        "def two_lines(a):\n"
+        "    b = a\n"
+        "    return f(b)\n"
+    )
+    assert pass_through_wrappers(src) == ["wrapper", "method_call"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_pass_through_wrappers(module):
+    # a function that only renames another is a second name for one path
+    assert pass_through_wrappers((PACKAGE / f"{module}.py").read_text()) == []
