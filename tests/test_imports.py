@@ -149,10 +149,10 @@ def pass_through_wrappers(source: str) -> list:
         if not isinstance(call, ast.Call) or call.keywords:
             continue
         a = node.args
-        params = [p.arg for p in a.posonlyargs + a.args]
         if a.vararg or a.kwonlyargs or a.kwarg:
             continue
-        if [n.id if isinstance(n, ast.Name) else None for n in call.args] == params:
+        names = [n.id if isinstance(n, ast.Name) else None for n in call.args]
+        if names == [p.arg for p in a.posonlyargs + a.args]:
             found.append(node.name)
     return found
 
