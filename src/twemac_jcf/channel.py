@@ -156,21 +156,27 @@ def parse_channel_config(path: str) -> dict[str, ChannelFamily]:
         raise ChannelError(f"cannot read channel config {path!r}")
     families: dict[str, ChannelFamily] = {}
     for name in cp.sections():
-        sec = cp[name]
-        kind = sec.get("kind", "").strip()
-        if kind == "fixed-table":
-            table = sec.get("table")
-            fam = ChannelFamily(name, kind, table=None if table is None else _parse_floats(table))
-        elif kind == "custom-polynomial":
-            coeffs = tuple(_parse_floats(sec.get(f"p{i}", "0")) for i in range(1, 6))
-            fam = ChannelFamily(name, kind, coeffs=coeffs)
-            validate_family(fam)
-        elif kind in BUILTIN_KINDS:
-            fam = ChannelFamily(name, kind)
-        else:
-            raise ChannelError(f"family {name!r}: unknown kind {kind!r}")
-        families[name] = fam
+        try:
+            families[name] = _section_family(name, cp[name])
+        except ValueError as exc:  # ChannelError, or an entry that is not a number
+            raise ChannelError(f"family {name!r} in {path!r}: {exc}") from None
     return families
+
+
+def _section_family(name: str, sec: configparser.SectionProxy) -> ChannelFamily:
+    """The family that config section sec defines under name."""
+    kind = sec.get("kind", "").strip()
+    if kind == "fixed-table":
+        table = sec.get("table")
+        return ChannelFamily(name, kind, table=None if table is None else _parse_floats(table))
+    if kind == "custom-polynomial":
+        coeffs = tuple(_parse_floats(sec.get(f"p{i}", "0")) for i in range(1, 6))
+        fam = ChannelFamily(name, kind, coeffs=coeffs)
+        validate_family(fam)
+        return fam
+    if kind in BUILTIN_KINDS:
+        return ChannelFamily(name, kind)
+    raise ChannelError(f"unknown kind {kind!r}")
 
 
 def get_family(name: str, config_path: Optional[str] = None) -> ChannelFamily:

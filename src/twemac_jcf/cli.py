@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import List, Optional
@@ -51,7 +52,10 @@ def _meta(args) -> dict:
 
 def _emit(args, meta: dict, columns: List[str], rows: List[dict], path=None) -> None:
     out = path or getattr(args, "out", None)
-    fh = open(out, "w") if out else sys.stdout
+    try:
+        fh = open(out, "w") if out else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     try:
         if getattr(args, "format", "csv") == "json":
             json.dump({"meta": meta, "rows": rows}, fh, indent=2, default=str)
@@ -328,10 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Reject an output path in a missing directory before any work runs."""
+    for name in ("out", "trace", "profile"):
+        path = getattr(args, name, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"cannot write --{name} {path}: no directory {os.path.dirname(path)}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (SimplexError, MonotonicityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ and 2L+w check rows.
 
 A regular (d_v, d_c) ensemble is the chain with L = 0 and w = 1: one
 position, no boundary, and no mirror.  One iteration applies the
-closed-form kernels of `de_core` to all updated rows at once:
+closed-form kernels of `de_core` to all rows at once:
 
     pcv[q]   = chk_update(window average of pvc at check q, d_c - 1)
     pvc[i]   = var_update(join_weights(pch), window average of pcv at i, d_v - 1)[0]
@@ -33,9 +33,7 @@ channels' chains sit side by side as blocks of columns, each with its own
 pads and mirror columns, and each block stops by its own rules and then
 leaves the batch.  Every kernel acts on each column alone and every
 window's prefix sums run within its block, so each outcome is bit for bit
-the one `de_coupled` gives for that channel.  The left edge stays at 0 in
-a batch: a block whose edge would move leaves it without an outcome, to be
-evaluated alone.
+the one `de_coupled` gives for that channel.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from .de_core import SimplexError, check_simplex, chk_update, join_weights, var_
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
 DEFAULT_SUCCESS_TARGET = 1.0 - 1e-5
-DEFAULT_STALL_TOL = 1e-12
+STALL_TOL = 1e-12  # an evolution stalls when every variable row changes by less
 DEFAULT_REGULAR_LMAX = 5000
 DEFAULT_COUPLED_LMAX = 20000
 DEFAULT_REGULAR_TOL = 1e-4
@@ -98,15 +96,14 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class Caps:
-    """Stopping settings of a run: the iteration cap, success target and
-    stall tolerance of each evolution, and the tolerance of a threshold
-    bisection (bracket width <= 2*tol).  l_max and tol left at None take
-    the ensemble's defaults in `for_ensemble`."""
+    """Stopping settings of a run: the iteration cap and success target of
+    each evolution, and the tolerance of a threshold bisection (bracket
+    width <= 2*tol).  l_max and tol left at None take the ensemble's
+    defaults in `for_ensemble`."""
 
     l_max: Optional[int] = None
     tol: Optional[float] = None
     success_target: float = DEFAULT_SUCCESS_TARGET
-    stall_tol: float = DEFAULT_STALL_TOL
 
     def __post_init__(self):
         if self.l_max is not None and self.l_max < 1:
@@ -115,8 +112,6 @@ class Caps:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if not 0.0 < self.success_target < 1.0:
             raise ValueError(f"success_target must be in (0,1), got {self.success_target}")
-        if not self.stall_tol >= 0:  # also NaN
-            raise ValueError(f"stall_tol must be >= 0, got {self.stall_tol}")
 
     def for_ensemble(self, e: Ensemble) -> "Caps":
         """These settings with e's default cap and tolerance in place of None:
@@ -198,37 +193,25 @@ def de_coupled(
     The channel distribution is the first variable-to-check message.
     Success means min-over-positions p_dec >= success_target, where p_dec
     is the type-4 + type-5 mass of the decoder output; stall means the
-    sup-norm change of the variable-to-check rows fell below stall_tol.
-    Each iteration updates only the positions from w before the first
-    unsaturated one, whose variable-to-check distribution is more than
-    stall_tol from the type-5 point mass, to the centre and their mirrors;
-    the rest stay frozen.  This left-edge pruning engages only where
-    decoded rows reach the type-5 point mass: on full-reveal, a BEC on
-    types 1 and 5, and on primary with d_v >= 6 the decoded wave leaves
-    such rows behind, while on xor-only, and on primary with d_v <= 5,
-    the decoded rows settle on type 4 or on a mixture of types 4 and 5,
-    and every row stays updated.  A snapshot is
+    sup-norm change of the variable-to-check rows fell below STALL_TOL.
+    Every iteration updates every row of the half chain.  A snapshot is
     kept after each iteration in snapshot_iters and, when snapshot_iters
     is non-empty, after the last one.
 
-    Every array is allocated once per call, at full width, and the views
-    on them that depend on the left edge are cut only when it moves.
+    Every array is allocated once per call, and the views on them are cut
+    once.
     """
     return _evolve(e, validate_dist(pch)[None], caps, snapshot_iters)[0]
 
 
-def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[Optional[DeOutcome]]:
+def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[DeOutcome]:
     """The ensemble evolved under every channel of pchs at once.
 
     Each channel is one block of the same loop as `de_coupled`'s, a chain
-    of its own, and each block stops by its own saturation, success, stall
-    or cap, at its own iteration count, and then leaves the batch.  The
-    kernels act on each column alone and the window sums run within each
-    block, so every outcome equals `de_coupled(e, pch, caps)` bit for bit.
-    While other blocks run, a block whose left edge would move leaves the
-    batch without an outcome: its entry is None.  That happens only where
-    decoded rows saturate to type 5 (see `de_coupled`), and never on the
-    regular ensemble, whose one position has no left edge.
+    of its own, and each block stops by its own success, stall or cap, at
+    its own iteration count, and then leaves the batch.  The kernels act
+    on each column alone and the window sums run within each block, so
+    every outcome equals `de_coupled(e, pch, caps)` bit for bit.
     """
     if not len(pchs):
         return []
@@ -237,43 +220,30 @@ def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[Optional[
 
 def _evolve(
     e: Ensemble, pchs: np.ndarray, caps: Caps, snapshot_iters: Collection[int] = ()
-) -> List[Optional[DeOutcome]]:
+) -> List[DeOutcome]:
     """The evolution loop: one outcome per channel, a row of pchs (B, 5).
 
     Every column array is (..., B, width): B blocks side by side, one chain
     per channel, each with L+1 variable and L+w check columns, and in the
     padded variable buffer its own type-5 pads and mirror columns.  A block
     that ends is recorded and dropped by moving the others to the end of
-    the block axis and re-cutting the views, as a moving left edge does.
-    While more than one block runs, all keep the left edge at 0, and a
-    block whose left edge would move leaves without an outcome; the last
-    block moves its left edge as a lone chain does.
+    the block axis and re-cutting the views.
     """
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
     B = len(pchs)
     m = min(w - 1, L)  # variable rows past the centre that checks read
-    # vbuf[0] holds each block's padded variable rows -w+1..L+w-1: the
-    # type-5 pad, rows 0..L, their mirrors L+1..L+m, and the type-5 pad
-    # again.  vbuf[1] is the type-5 point mass in every column, so that one
-    # subtraction gives each new row's change and its distance from type 5.
-    vbuf = np.empty((2, 5, B, L + 2 * w - 1))
+    # vbuf holds each block's padded variable rows -w+1..L+w-1: the type-5
+    # pad, rows 0..L, their mirrors L+1..L+m, and the type-5 pad again
+    vbuf = np.empty((5, B, L + 2 * w - 1))
     vbuf[:] = E5
-    vbuf[0, :, :, w - 1 : w + L + m] = pchs.T[:, :, None]
-    pvc = vbuf[0, :, :, w - 1 : w + L]
+    vbuf[:, :, w - 1 : w + L + m] = pchs.T[:, :, None]
+    pvc = vbuf[:, :, w - 1 : w + L]
     pcv = np.repeat(pchs.T[:, :, None], L + w, axis=2)
     p_dec = np.zeros((B, L + 1))
     weights = join_weights(pchs.T)[..., None]  # each block's channel, (4, 1, B, 1)
-    # On the one-position chain (L = 0) a row within stall_tol of type 5 has
-    # p_dec >= 1 - stall_tol, since the decoder output joins one message
-    # more (its roundoff is far below 1e-12), so the row has passed the
-    # success test of the iteration that brought it there, and there is no
-    # left edge to move.  There the loop scans for saturated rows only
-    # before iteration 1, which sees the channel itself, unless stall_tol
-    # comes within 1e-12 of 1 - success_target.
-    saturation = e.coupled or caps.stall_tol > 1.0 - caps.success_target - 1e-12
-    # scratch at the widths of lo = 0; `bind` cuts contiguous views from it
+    # scratch for all B blocks; `bind` cuts contiguous views from it
     kc, kv = L + w, L + 1
     vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
@@ -281,74 +251,60 @@ def _evolve(
     # the check half's output (5, B, kc) and the variable half's (5, 2, B, kv)
     # side by side, and so their sums, for one simplex check over both
     kernel_out, sums = np.empty(5 * B * (kc + 2 * kv)), np.empty(B * (kc + 2 * kv))
-    diff, dist, unsat = np.empty((5, 2, B, kv)), np.empty((B, kv)), np.empty((B, kv), dtype=bool)
+    change = np.empty((5, B, kv))
     block_min, block_change = np.empty(B), np.empty(B)
 
-    def bind(b0: int, lo: int):
-        """One iteration over blocks b0.. from check and variable column lo
-        on, on views cut once for these.  The step returns each block's
-        smallest p_dec and largest change of a variable row, and with
-        saturation leaves in the returned mask which variable rows are
-        still unsaturated."""
-        nb, kc, kv = B - b0, L + w - lo, L + 1 - lo
-        padded, pcv_lo, pvc_lo = vbuf[0, :, b0:, lo:], pcv[:, b0:, lo:], pvc[:, b0:, lo:]
-        p_dec_b, p_dec_lo = p_dec[b0:], p_dec[b0:, lo:]
-        vc_cs_lo, vc_mean_lo = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
-        cv_cs_lo, cv_mean_lo = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
-        vc_cs_lo[..., 0] = cv_cs_lo[..., 0] = 0.0
+    def bind(b0: int):
+        """One iteration over blocks b0.., on views cut once for these.  The
+        step returns each block's smallest p_dec and largest change of a
+        variable row."""
+        nb = B - b0
+        padded, pcv_b, pvc_b, p_dec_b = vbuf[:, b0:], pcv[:, b0:], pvc[:, b0:], p_dec[b0:]
+        vc_cs_b, vc_mean_b = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
+        cv_cs_b, cv_mean_b = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
+        vc_cs_b[..., 0] = cv_cs_b[..., 0] = 0.0
         # contiguous kernel outputs and powers (see `de_core.var_update`)
-        powers_lo = _head(powers, 2, 4, nb, kv)
+        powers_b = _head(powers, 2, 4, nb, kv)
         n_chk, n_var = nb * kc, nb * kv
-        entries, sums_lo = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
-        chk_lo = entries[: 5 * n_chk].reshape(5, nb, kc)
-        out_lo = entries[5 * n_chk :].reshape(5, 2, nb, kv)
-        chk_sums, var_sums = sums_lo[:n_chk].reshape(nb, kc), sums_lo[n_chk:].reshape(2, nb, kv)
+        entries, sums_b = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
+        chk_b = entries[: 5 * n_chk].reshape(5, nb, kc)
+        out_b = entries[5 * n_chk :].reshape(5, 2, nb, kv)
+        chk_sums, var_sums = sums_b[:n_chk].reshape(nb, kc), sums_b[n_chk:].reshape(2, nb, kv)
         weights_b = weights[..., b0:, :]
-        new, dec4, dec5 = out_lo[:, 0], out_lo[3, 1], out_lo[4, 1]
-        # the new rows broadcast against the old rows and type 5 side by side
-        new_b = out_lo[:, :1]
-        old_e5 = vbuf[:, :, b0:, w - 1 + lo : w + L].transpose(1, 0, 2, 3)
-        diff_lo = _head(diff, 5, 2, nb, kv)
-        change, from_e5 = diff_lo[:, 0], diff_lo[:, 1]
-        dist_lo, unsat_lo = _head(dist, nb, kv), _head(unsat, nb, kv)
-        min_lo, change_lo = _head(block_min, nb), _head(block_change, nb)
-        mirror = vbuf[0, :, b0:, w + L : w + L + m]
+        new, dec4, dec5 = out_b[:, 0], out_b[3, 1], out_b[4, 1]
+        change_b = _head(change, 5, nb, kv)
+        min_b, max_change_b = _head(block_min, nb), _head(block_change, nb)
+        mirror = vbuf[:, b0:, w + L : w + L + m]
         mirror_src = new[..., kv - 1 - m : kv - 1][..., ::-1]
 
         def step():
-            # check half-iteration over check rows lo..L+w-1, whose windows
-            # padded holds: variable rows lo-w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(padded, w, vc_cs_lo, vc_mean_lo), e.d_c - 1, chk_lo)
-            np.divide(chk_lo, np.add.reduce(chk_lo, axis=0, out=chk_sums), out=pcv_lo)
+            # check half-iteration over check rows 0..L+w-1, whose windows
+            # padded holds: variable rows -w+1..L+w-1, mirrors and pads included
+            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), e.d_c - 1, chk_b)
+            np.divide(chk_b, np.add.reduce(chk_b, axis=0, out=chk_sums), out=pcv_b)
             # variable half-iteration and decoder output over variable rows
-            # lo..L, whose windows pcv_lo holds: check rows lo..L+w-1
-            q = _window_mean(pcv_lo, w, cv_cs_lo, cv_mean_lo)
-            var_update(weights_b, q, e.d_v - 1, powers_lo, out_lo)
-            np.add.reduce(out_lo, axis=0, out=var_sums)
+            # 0..L, whose windows pcv_b holds: check rows 0..L+w-1
+            q = _window_mean(pcv_b, w, cv_cs_b, cv_mean_b)
+            var_update(weights_b, q, e.d_v - 1, powers_b, out_b)
+            np.add.reduce(out_b, axis=0, out=var_sums)
             try:
-                check_simplex(sums_lo, entries)
+                check_simplex(sums_b, entries)
             except SimplexError:
-                check_simplex(chk_sums, chk_lo)  # the check half's own error comes first
+                check_simplex(chk_sums, chk_b)  # the check half's own error comes first
                 raise
-            np.divide(out_lo, var_sums, out=out_lo)
-            np.add(dec4, dec5, out=p_dec_lo)
-            if saturation:
-                np.subtract(new_b, old_e5, out=diff_lo)
-                np.abs(diff_lo, out=diff_lo)
-                np.maximum.reduce(from_e5, axis=0, out=dist_lo)
-                np.greater(dist_lo, caps.stall_tol, out=unsat_lo)
-            else:
-                np.abs(np.subtract(new, pvc_lo, out=change), out=change)
-            pvc_lo[...] = new
+            np.divide(out_b, var_sums, out=out_b)
+            np.add(dec4, dec5, out=p_dec_b)
+            np.abs(np.subtract(new, pvc_b, out=change_b), out=change_b)
+            pvc_b[...] = new
             if m:
                 mirror[...] = mirror_src
-            return (np.minimum.reduce(p_dec_b, axis=1, out=min_lo),
-                    np.maximum.reduce(change, axis=(0, 2), out=change_lo))
+            return (np.minimum.reduce(p_dec_b, axis=1, out=min_b),
+                    np.maximum.reduce(change_b, axis=(0, 2), out=max_change_b))
 
-        return step, unsat_lo
+        return step
 
     snapshots: Dict[int, Snapshot] = {}
-    outcomes: List[Optional[DeOutcome]] = [None] * B
+    outcomes: Dict[int, DeOutcome] = {}
     ids = np.arange(B)  # the channel of each block
 
     def snapshot(s: int) -> Snapshot:
@@ -358,7 +314,7 @@ def _evolve(
         """Record the outcome of the evolution in block s."""
         if snapshot_iters:
             snapshots[it] = snapshot(s)
-        outcomes[ids[s]] = DeOutcome(
+        outcomes[int(ids[s])] = DeOutcome(
             p_dec=_unfold(p_dec[s], nv),
             min_p_dec=float(p_dec[s].min()),
             iterations_used=it,
@@ -369,58 +325,29 @@ def _evolve(
         )
 
     def drop(keep: np.ndarray) -> int:
-        """Move the blocks b0 + j with keep[j] to the end of the block axis,
-        with their saturation masks, and return the new first block."""
+        """Move the blocks b0 + j with keep[j] to the end of the block axis
+        and return the new first block."""
         new_b0 = B - int(keep.sum())
-        for a in (vbuf[0], pcv, p_dec, weights, ids[:, None]):
+        for a in (vbuf, pcv, p_dec, weights, ids[:, None]):
             a[..., new_b0:, :] = a[..., b0:, :][..., keep, :]
-        _head(unsat, B - new_b0, unsat_lo.shape[1])[...] = unsat_lo[keep]
         return new_b0
 
-    it = b0 = lo = 0
-    step, unsat_lo = bind(b0, lo)
-    np.greater(np.abs(pvc - E5).max(axis=0), caps.stall_tol, out=unsat_lo)
+    it = b0 = 0
+    step = bind(b0)
     for it in range(1, l_max + 1):
-        if it > 1 and not saturation:
-            pass  # the one-position chain: no left edge, and saturated rows have ended
-        elif B - b0 > 1:
-            # a block whose rows 0..w all sit at type 5 has decoded, if all
-            # its rows do, or else would move its left edge: either way it
-            # leaves the batch
-            if not unsat_lo.all():
-                stays = unsat_lo[:, : w + 1].any(axis=1)
-                if not stays.all():
-                    for j in np.flatnonzero(~unsat_lo.any(axis=1)):
-                        p_dec[b0 + j] = 1.0
-                        finish(b0 + j, "success")
-                    b0 = drop(stays)
-                    if b0 == B:
-                        break
-                    step, unsat_lo = bind(b0, lo)
-        else:
-            # rows before lo are saturated and have not changed since the last scan
-            first = int(unsat_lo.argmax())
-            if not unsat_lo[0, first]:
-                p_dec[b0] = 1.0
-                finish(b0, "success")
-                b0 = B
-                break
-            if max(0, lo + first - w) != lo:
-                lo = max(0, lo + first - w)
-                step, unsat_lo = bind(b0, lo)
         mins, changes = step()
 
         if it in snapshot_iters:
             snapshots[it] = snapshot(b0)
-        if max(mins.tolist()) >= caps.success_target or min(changes.tolist()) < caps.stall_tol:
+        if max(mins.tolist()) >= caps.success_target or min(changes.tolist()) < STALL_TOL:
             reached = mins >= caps.success_target
-            done = reached | (changes < caps.stall_tol)
+            done = reached | (changes < STALL_TOL)
             for j in np.flatnonzero(done):
                 finish(b0 + j, "success" if reached[j] else "stall")
             b0 = drop(~done)
             if b0 == B:
                 break
-            step, unsat_lo = bind(b0, lo)
+            step = bind(b0)
     for s in range(b0, B):
         finish(s, "cap")
-    return outcomes
+    return [outcomes[s] for s in range(B)]

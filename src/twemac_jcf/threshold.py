@@ -10,14 +10,10 @@ midpoint of the next SPECULATIVE_DEPTH levels of the bisection tree on the
 regular ensemble, or CHAIN_SPECULATIVE_DEPTH levels on a chain (and eps 0
 and 1 in the first batch), and the walk down the tree reads each level's
 outcome from it.  The points off the walk's path are computed and dropped.
-A point the batch returns no outcome for (a chain whose left edge would
-move), and every point of a batch that raises, is evaluated alone with
-`de_coupled` when the walk reaches it, so an error surfaces only where the
-plain bisection would raise it.  Once a batch has returned no outcome for
-some point, the bisection goes on one point at a time: where rows saturate,
-the chains nearest the threshold leave their batches, which then overlap
-little and spend their time on points off the path.  The result, `evals`
-included, is the plain bisection's.
+Every point of a batch that raises is evaluated alone with `de_coupled`
+when the walk reaches it, so an error surfaces only where the plain
+bisection would raise it.  The result, `evals` included, is the plain
+bisection's.
 """
 
 from __future__ import annotations
@@ -51,14 +47,12 @@ SPECULATIVE_DEPTH = 7
 # bisections of the coupled-thresholds benchmark took median time ratios
 # of 0.93 and 0.99 at d = 2, 0.80 and 0.89 at d = 3, 0.94 and 1.08 at d = 4,
 # and 0.85 at d = 5, in two sweeps of 3 runs each, pinned as above.
-# Where decoded rows saturate (full-reveal; primary with d_v >= 6), the
-# bisection goes one point at a time after the first batch that returned
-# no outcome for a point.  Against batching on, that took the
-# (6,10,200,10) primary bisection from 9.99 to 7.38 s and figure6's default
-# primary sweep (d_v 3..9) from 37.8 to 33.2 s, where one evaluation at a
-# time took 34.5 s (wall-time medians of 4 interleaved runs, pinned as
-# above); (3,10,200,10) full-reveal read 1.11 s with it, 1.07 s batching
-# on and 1.07 s one at a time (9 runs).
+# Chains whose decoded rows reach the type-5 point mass (full-reveal;
+# primary with d_v >= 6) batch like the others.  figure6's default primary
+# sweep (d_v 3..9) took a median 28.8 s, against 32.3 s when such chains
+# froze their decoded rows and left their batches for one evaluation at a
+# time; the (9,10,200,10) bisection alone took 6.73 s against 6.45 s
+# (wall time, 5 interleaved runs each, pinned as above).
 CHAIN_SPECULATIVE_DEPTH = 3
 
 
@@ -142,12 +136,11 @@ def find_threshold(
     width = 2 * caps.tol
     depth = CHAIN_SPECULATIVE_DEPTH if e.coupled else SPECULATIVE_DEPTH
     evals: List[EvalMeta] = []
-    # outcomes evaluated ahead; None: evaluate alone when reached (a chain
-    # that left its batch, and the points of a batch that raised)
+    # outcomes evaluated ahead; None: evaluate alone when reached (the
+    # points of a batch that raised)
     ahead: Dict[float, Optional[EvalMeta]] = {}
 
     def speculate(points: List[float]) -> None:
-        nonlocal depth
         ahead.clear()
         ahead.update(dict.fromkeys(points))
         try:
@@ -155,10 +148,7 @@ def find_threshold(
             outcomes = de_batch(e, pchs, caps)
         except (ChannelError, SimplexError):
             return  # each point is evaluated alone when reached, and raises there
-        ahead.update((eps, _meta(eps, res)) for eps, res in zip(points, outcomes)
-                     if res is not None)
-        if any(res is None for res in outcomes):
-            depth = 1  # rows saturate and left edges move here: one point at a time
+        ahead.update((eps, _meta(eps, res)) for eps, res in zip(points, outcomes))
 
     def check(eps: float) -> EvalMeta:
         meta = ahead.get(eps)

@@ -258,9 +258,8 @@ def five_type_coupled_trajectory(pch, d_v, d_c, L, w, iters):
 
 
 # --- frozen half-chain five-type evolution -----------------------------------
-# The package's evolution loop as it stood before it bound its buffers once
-# per pruning step: fresh arrays on every pass, concatenated check windows
-# and copying renormalisation.  The package must keep its outcome bitwise:
+# The package's evolution loop written plainly: fresh arrays on every pass,
+# concatenated check windows and copying renormalisation.  The package must keep its outcome bitwise:
 # same floating-point operations, in the same order, on the same values.
 
 _HALF_E5 = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])
@@ -276,23 +275,20 @@ def _half_window_mean(rows, w):
     return out
 
 
-def _half_eff_vc(pvc, L, w, lo):
+def _half_eff_vc(pvc, L, w):
     if w == 1:
-        return pvc[:, lo:]
-    first = lo - w + 1
+        return pvc
     m = min(w - 1, L)
-    parts = [pvc[:, max(0, first) :], pvc[:, L - m : L][:, ::-1]]
-    if first < 0:
-        parts.insert(0, _HALF_E5.repeat(-first, axis=1))
+    parts = [_HALF_E5.repeat(w - 1, axis=1), pvc, pvc[:, L - m : L][:, ::-1]]
     if m < w - 1:
         parts.append(_HALF_E5.repeat(w - 1 - m, axis=1))
     return _half_window_mean(np.concatenate(parts, axis=1), w)
 
 
-def _half_eff_cv(pcv, w, lo):
+def _half_eff_cv(pcv, w):
     if w == 1:
-        return pcv[:, lo:]
-    return _half_window_mean(pcv[:, lo:], w)
+        return pcv
+    return _half_window_mean(pcv, w)
 
 
 def _half_chk(p, n):
@@ -339,10 +335,8 @@ def half_chain_de(pch, d_v, d_c, L, w, l_max, success_target, stall_tol, snapsho
     w = 1 for the regular ensemble, with the package's stopping rules.
 
     Returns (status, iterations, p_dec, min_p_dec, final_pvc, final_pcv,
-    snapshots, lo_moves): outputs unfolded to the whole chain as in the
-    package's `DeOutcome`, snapshots as {iteration: (pvc, pcv, p_dec)},
-    and the number of iterations in which the left edge of the updated
-    rows moved.
+    snapshots): outputs unfolded to the whole chain as in the package's
+    `DeOutcome`, snapshots as {iteration: (pvc, pcv, p_dec)}.
     """
     pch = np.asarray(pch, dtype=float)
     nv, nc = 2 * L + 1, 2 * L + w
@@ -355,22 +349,13 @@ def half_chain_de(pch, d_v, d_c, L, w, l_max, success_target, stall_tol, snapsho
         return (_half_unfold(pvc.T, nv), _half_unfold(pcv.T, nc), _half_unfold(p_dec, nv))
 
     status = "cap"
-    it = lo = lo_moves = 0
+    it = 0
     for it in range(1, l_max + 1):
-        unsat = np.abs(pvc[:, lo:] - _HALF_E5).max(axis=0) > stall_tol
-        first = int(unsat.argmax())
-        if not unsat[first]:
-            p_dec[:] = 1.0
-            status = "success"
-            break
-        new_lo = max(0, lo + first - w)
-        lo_moves += new_lo != lo
-        lo = new_lo
-        pcv[:, lo:] = _half_renormalize(_half_chk(_half_eff_vc(pvc, L, w, lo), d_c - 1))
-        out = _half_renormalize(_half_var(pch, _half_eff_cv(pcv, w, lo), d_v - 1))
-        np.add(out[3, 1], out[4, 1], out=p_dec[lo:])
-        delta = float(np.abs(out[:, 0] - pvc[:, lo:]).max())
-        pvc[:, lo:] = out[:, 0]
+        pcv[:] = _half_renormalize(_half_chk(_half_eff_vc(pvc, L, w), d_c - 1))
+        out = _half_renormalize(_half_var(pch, _half_eff_cv(pcv, w), d_v - 1))
+        np.add(out[3, 1], out[4, 1], out=p_dec)
+        delta = float(np.abs(out[:, 0] - pvc).max())
+        pvc[:] = out[:, 0]
         if it in snapshot_iters:
             snapshots[it] = snapshot()
         if float(p_dec.min()) >= success_target:
@@ -382,7 +367,7 @@ def half_chain_de(pch, d_v, d_c, L, w, l_max, success_target, stall_tol, snapsho
     if snapshot_iters:
         snapshots[it] = snapshot()
     return (status, it, _half_unfold(p_dec, nv), float(p_dec.min()), _half_unfold(pvc.T, nv),
-            _half_unfold(pcv.T, nc), snapshots, lo_moves)
+            _half_unfold(pcv.T, nc), snapshots)
 
 
 # --- slow sequential peeling on the extended Tanner graph --------------------

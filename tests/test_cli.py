@@ -410,7 +410,10 @@ def test_non_finite_table_exits_2(tmp_path, capsys):
     "[a]\nkind = primary\nkind = xor-only\n",
     "kind = primary\n",
     "[a]\nkind = fixed-table\n",
-], ids=["syntax", "duplicate-section", "duplicate-option", "no-section", "no-table"])
+    "[a]\nkind = custom-polynomial\np1 = 0 x\n",
+    "[a]\nkind = fixed-table\ntable = 0.25 0.25 0.25 0.25\n",
+], ids=["syntax", "duplicate-section", "duplicate-option", "no-section", "no-table",
+        "not-a-number", "four-entries"])
 def test_malformed_channel_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
@@ -421,6 +424,8 @@ def test_malformed_channel_config_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert str(cfg) in err or "'a'" in err  # names the file or the family
+    if not err.startswith("error: malformed channel config"):  # a bad entry of a section
+        assert str(cfg) in err and "family 'a'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -440,6 +445,41 @@ def test_channel_off_the_simplex_between_grid_points_exits_2(tmp_path, capsys, a
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(
         "error: type distribution entries outside [0,1]: [ 0.00000000e+00 -1.00000000e-08")
+
+
+OUTPUT_CASES = {
+    "rates": (["rates", "--grid", "3"], "--out"),
+    "de": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--out"),
+    "de-trace": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--trace"),
+    "de-profile": (["de", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2", "--eps", "0.3"],
+                   "--profile"),
+    "threshold": (["threshold", "--regular", "3", "6", "--channel", "xor-only"], "--out"),
+    "figure6": (["figure6", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2",
+                 "--curve-grid", "3", "--channel", "xor-only"], "--out"),
+    "simulate": (["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.3"], "--out"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", list(OUTPUT_CASES.values()), ids=list(OUTPUT_CASES))
+def test_output_in_a_missing_directory_exits_2(argv, flag, tmp_path, capsys, monkeypatch):
+    # the path is checked before any evolution, sweep or simulation runs
+    for name in ("rate_bounds", "de_coupled", "find_threshold", "sweep", "failure_rate"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before the check"))
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
+
+
+def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "--grid", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {tmp_path}")
 
 
 def test_unknown_channel_exits_2(capsys):

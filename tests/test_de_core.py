@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS
@@ -28,9 +28,22 @@ from oracles import (
     scalar_bec_trajectory,
 )
 
+
+def on_simplex(xs):
+    """xs / sum(xs) rounded to multiples of 2**-40, with the largest entry
+    taking the remainder: every partial sum is then exact, so the float64
+    sum is exactly 1.0 in any order."""
+    p = np.round(np.array(xs) / sum(xs) * 2.0**40) / 2.0**40
+    k = int(np.argmax(p))
+    p[k] = 1.0 - (p.sum() - p[k])
+    return p
+
+
 dists = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5
-).filter(lambda xs: sum(xs) > 1e-6).map(lambda xs: np.array(xs) / sum(xs))
+).filter(lambda xs: sum(xs) > 1e-6).map(on_simplex)
+# divided by its float sum, this draw sums to 1.0000000000000002
+OFF_SIMPLEX_DRAW = [0.0, 0.0, 0.0, 0.5, 1e-5]
 
 EYE = np.eye(5)
 E1, E5 = EYE[0], EYE[4]
@@ -135,7 +148,15 @@ def test_kernels_match_table_folds(n):
         np.testing.assert_allclose(dec, folded_update(p, n + 1, c), atol=1e-14)
 
 
+def test_dists_sum_to_exactly_one():
+    p = np.array(OFF_SIMPLEX_DRAW) / sum(OFF_SIMPLEX_DRAW)
+    assert p.sum() == math.nextafter(1.0, 2.0)
+    assert on_simplex(OFF_SIMPLEX_DRAW).sum() == 1.0
+    np.testing.assert_allclose(on_simplex(OFF_SIMPLEX_DRAW), p, rtol=0, atol=2.0**-40)
+
+
 @given(dists)
+@example(on_simplex(OFF_SIMPLEX_DRAW))
 @settings(max_examples=50)
 def test_matrices_column_stochastic(p):
     c = p[::-1]

@@ -9,6 +9,7 @@ import pytest
 from twemac_jcf.channel import BUILTINS, ChannelError, puncture
 from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import (
+    STALL_TOL,
     Caps,
     Ensemble,
     _window_mean,
@@ -118,22 +119,18 @@ def test_effective_dists_boundary_formula():
 
 
 def oracle_outcome(e, pch, caps, iters):
-    """(status, iterations, pvc, pcv, p_dec, trajectory) of the unpruned
-    full-chain oracle under the stopping rules of de_coupled: success when
-    every variable row is within stall_tol of type 5 before an iteration
-    (p_dec then reads 1) or when min p_dec reaches the target after it,
-    stall when the sup-norm change of the variable rows falls below
-    stall_tol, cap after l_max iterations."""
+    """(status, iterations, pvc, pcv, p_dec, trajectory) of the full-chain
+    oracle under the stopping rules of de_coupled: success when min p_dec
+    reaches the target, stall when the sup-norm change of the variable rows
+    falls below STALL_TOL, cap after l_max iterations."""
     traj = five_type_coupled_trajectory(pch, e.d_v, e.d_c, e.L, e.w, iters)
-    pvc, pcv = np.tile(pch, (e.n_var_positions, 1)), np.tile(pch, (e.n_chk_positions, 1))
-    for it, (new_pvc, new_pcv, p_dec) in enumerate(traj, start=1):
-        if np.max(np.abs(pvc - E5)) <= caps.stall_tol:
-            return "success", it, pvc, pcv, np.ones(len(pvc)), traj
+    pvc = np.tile(pch, (e.n_var_positions, 1))
+    for it, (new_pvc, pcv, p_dec) in enumerate(traj, start=1):
         delta = np.max(np.abs(new_pvc - pvc))
-        pvc, pcv = new_pvc, new_pcv
+        pvc = new_pvc
         if p_dec.min() >= caps.success_target:
             return "success", it, pvc, pcv, p_dec, traj
-        if delta < caps.stall_tol:
+        if delta < STALL_TOL:
             return "stall", it, pvc, pcv, p_dec, traj
         if it == caps.for_ensemble(e).l_max:
             return "cap", it, pvc, pcv, p_dec, traj
@@ -186,11 +183,11 @@ FROZEN_OUTCOMES = {  # eps, caps
 
 def assert_matches_frozen(e, pch, caps, snaps):
     """de_coupled's outcome, after checking it bit for bit against the
-    frozen half chain; also returns how often the left edge moved."""
+    frozen half chain."""
     c = caps.for_ensemble(e)
     res = de_coupled(e, pch, caps, snaps)
-    status, iters, p_dec, min_p_dec, pvc, pcv, snapshots, lo_moves = half_chain_de(
-        pch, e.d_v, e.d_c, e.L, e.w, c.l_max, c.success_target, c.stall_tol, snaps)
+    status, iters, p_dec, min_p_dec, pvc, pcv, snapshots = half_chain_de(
+        pch, e.d_v, e.d_c, e.L, e.w, c.l_max, c.success_target, STALL_TOL, snaps)
     assert (res.converged, res.iterations_used, res.min_p_dec) == (status, iters, min_p_dec)
     pairs = [(res.p_dec, p_dec), (res.final_pvc, pvc), (res.final_pcv, pcv)]
     assert sorted(res.snapshots) == sorted(snapshots)
@@ -198,7 +195,7 @@ def assert_matches_frozen(e, pch, caps, snaps):
         pairs += zip(res.snapshots[k], snap)
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    return res, lo_moves
+    return res
 
 
 @pytest.mark.parametrize("outcome", sorted(FROZEN_OUTCOMES))
@@ -206,30 +203,21 @@ def assert_matches_frozen(e, pch, caps, snaps):
 @pytest.mark.parametrize("shape", list(FROZEN_SHAPES.values()), ids=list(FROZEN_SHAPES))
 def test_matches_frozen_half_chain(shape, channel, outcome):
     eps, caps = FROZEN_OUTCOMES[outcome]
-    res, _ = assert_matches_frozen(Ensemble(*shape), BUILTINS[channel].eval(eps), caps,
-                                   {1, 2, 7, 25})
+    res = assert_matches_frozen(Ensemble(*shape), BUILTINS[channel].eval(eps), caps,
+                                {1, 2, 7, 25})
     assert res.converged == outcome
 
 
 def test_matches_frozen_half_chain_as_left_edge_moves():
-    # full-reveal decodes rows to the type-5 point mass, so the left edge of
-    # the updated rows follows the wave; at eps 0 every row starts there
+    # full-reveal decodes rows to the type-5 point mass as the wave's left
+    # edge moves in, and every row keeps being updated; at eps 0 every row
+    # starts there
     e = Ensemble(3, 6, 20, 3)
-    res, lo_moves = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.46), Caps(),
-                                          {1, 60, 120})
-    assert res.converged == "success" and lo_moves > 0
-    res, _ = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.0), Caps(), {1})
+    res = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.46), Caps(), {1, 60, 120})
+    assert res.converged == "success"
+    assert np.abs(res.snapshots[60].pvc[0] - E5).max() < STALL_TOL
+    res = assert_matches_frozen(e, BUILTINS["full-reveal"].eval(0.0), Caps(), {1})
     assert (res.converged, res.iterations_used) == ("success", 1)
-
-
-@pytest.mark.parametrize("eps", [0.02, 0.1, 0.16])
-def test_regular_rows_at_type_5_end_the_run_when_stall_tol_is_wide(eps):
-    # with stall_tol 1e-3 and the default target a regular row comes within
-    # stall_tol of type 5 before its p_dec reaches the target, and the next
-    # iteration's scan ends the run with p_dec 1
-    res, _ = assert_matches_frozen(Ensemble(3, 6), BUILTINS["full-reveal"].eval(eps),
-                                   Caps(stall_tol=1e-3), {1})
-    assert (res.converged, res.min_p_dec) == ("success", 1.0)
 
 
 def _arrays(res):
@@ -311,7 +299,7 @@ def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
         assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
     statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
-    if channel == "full-reveal":  # eps 0 is the type-5 point mass: saturated before iterating
+    if channel == "full-reveal":  # eps 0 is the type-5 point mass: decoded by iteration 1
         assert (batch[0].converged, batch[0].iterations_used) == ("success", 1)
 
 
@@ -376,38 +364,44 @@ def test_batch_of_chains_equals_single_bit_for_bit(shape, channel, caps):
     pchs = [BUILTINS[channel].eval(eps) for eps in CHAIN_EPS]
     batch = de_batch(e, pchs, caps)
     assert len(batch) == len(pchs)
-    statuses = collections.Counter()
     for got, pch in zip(batch, pchs):
-        if got is None:
-            # it left the batch as its left edge moved, which only a
-            # row saturated to type 5 makes happen
-            assert channel == "full-reveal"
-            l_max = caps.for_ensemble(e).l_max
-            assert half_chain_de(pch, *shape, l_max, caps.success_target, caps.stall_tol)[-1] > 0
-            continue
         assert_same_outcome(got, de_coupled(e, pch, caps))
         assert got.snapshots == {}
-        statuses[got.converged] += 1
+    statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
-    arrays = [x for res in batch if res for x in (res.p_dec, res.final_pvc, res.final_pcv)]
+    arrays = [x for res in batch for x in (res.p_dec, res.final_pvc, res.final_pcv)]
     for i, x in enumerate(arrays):
         assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
 
 
-def test_chain_whose_left_edge_moves_leaves_the_batch():
+@pytest.mark.parametrize("caps", [Caps(), Caps(l_max=1000)], ids=["default", "tight-cap"])
+def test_batch_of_saturating_primary_chains_equals_single_bit_for_bit(caps):
+    # primary with d_v >= 6 decodes rows to the type-5 point mass; the
+    # (7,10,30,4) threshold lies near 0.6299, between 0.62 and 0.64
+    e = Ensemble(7, 10, 30, 4)
+    pchs = [BUILTINS["primary"].eval(eps) for eps in (0.55, 0.62, 0.64, 0.66)]
+    batch = de_batch(e, pchs, caps)
+    for got, pch in zip(batch, pchs):
+        assert_same_outcome(got, de_coupled(e, pch, caps))
+    assert [(res.converged, res.iterations_used) for res in batch] == (
+        [("success", 420), ("success", 2735), ("stall", 3707), ("stall", 266)]
+        if caps.l_max is None else [("success", 420), ("cap", 1000), ("cap", 1000), ("stall", 266)])
+    assert np.abs(batch[0].final_pvc[0] - E5).max() < STALL_TOL
+
+
+def test_saturating_chain_stays_in_its_batch():
+    # full-reveal decodes rows to the type-5 point mass: beside a chain that
+    # runs longer, the chain keeps its batch and its outcome is its own
     e, caps = Ensemble(3, 6, 20, 3), Caps()
-    moving, xor = BUILTINS["full-reveal"].eval(0.46), BUILTINS["xor-only"].eval(0.46)
-    alone = de_coupled(e, moving, caps)
-    *_, lo_moves = half_chain_de(moving, 3, 6, 20, 3, 20000, caps.success_target,
-                                 caps.stall_tol)
-    assert alone.converged == "success" and lo_moves > 0
-    # beside a chain that runs longer it leaves without an outcome; the
-    # other chain's outcome is its own, and a batch of one moves its edge
-    batch = de_batch(e, [moving, xor, moving], caps)
-    assert batch[0] is None and batch[2] is None
-    assert_same_outcome(batch[1], de_coupled(e, xor, caps))
-    assert_same_outcome(de_batch(e, [moving], caps)[0], alone)
-    # eps 0 is the type-5 point mass: every row saturated before iterating
+    sat, xor = BUILTINS["full-reveal"].eval(0.46), BUILTINS["xor-only"].eval(0.49)
+    alone = de_coupled(e, sat, caps)
+    assert alone.converged == "success"
+    assert np.abs(alone.final_pvc[0] - E5).max() < STALL_TOL
+    batch = de_batch(e, [sat, xor, sat], caps)
+    assert batch[1].iterations_used > alone.iterations_used
+    for got, pch in zip(batch, [sat, xor, sat]):
+        assert_same_outcome(got, de_coupled(e, pch, caps))
+    # eps 0 is the type-5 point mass: every row decoded by iteration 1
     zero = de_batch(e, [BUILTINS["full-reveal"].eval(0.0), xor], caps)[0]
     assert (zero.converged, zero.iterations_used, zero.min_p_dec) == ("success", 1, 1.0)
 
@@ -447,8 +441,8 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
 
 def test_prune_matches_full_update():
     # full-reveal is the BEC on types 1 and 5, so the decoded wave leaves
-    # rows at the type-5 point mass, which the evolution freezes; the
-    # scalar oracle updates every position in every iteration
+    # rows at the type-5 point mass; the evolution and the scalar oracle
+    # both keep updating them
     eps, d_v, d_c, L, w, iters = 0.46, 3, 6, 20, 3, 120
     res = de_coupled(
         Ensemble(d_v, d_c, L, w),
@@ -456,8 +450,8 @@ def test_prune_matches_full_update():
         Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
     )
     traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
-    # pruning fired: before the last iteration some rows were saturated
-    # and more than w positions from every unsaturated row
+    # before the last iteration some rows were saturated and more than w
+    # positions from every unsaturated row
     unsat = np.flatnonzero(traj[-2][0] > 1e-13)
     assert unsat[0] > w or unsat[-1] < 2 * L - w
     x_final, y_final = traj[-1]
@@ -465,17 +459,6 @@ def test_prune_matches_full_update():
     np.testing.assert_allclose(res.final_pvc[:, 0], x_final, atol=1e-12)
     np.testing.assert_allclose(res.final_pcv[:, 0], y_final, atol=1e-12)
     assert np.all(res.final_pvc[:, 1:4] == 0.0)
-
-
-def test_prune_matches_exact_freeze_primary():
-    # on a non-BEC channel, freezing rows within stall_tol of the type-5
-    # point mass matches freezing only rows exactly at it (fixed points)
-    pch = BUILTINS["primary"].eval(0.27)
-    e = Ensemble(5, 10, 20, 4)
-    a = de_coupled(e, pch, Caps())
-    b = de_coupled(e, pch, Caps(stall_tol=0.0))
-    assert a.converged == b.converged == "success"
-    np.testing.assert_allclose(a.p_dec, b.p_dec, atol=1e-9)
 
 
 def test_zero_erasure_succeeds_immediately():
@@ -509,15 +492,6 @@ def test_wave_propagates_between_thresholds():
     assert res.converged == "success"
     reg = de_coupled(Ensemble(3, 6), BUILTINS["xor-only"].eval(eps))
     assert reg.converged == "stall"
-
-
-@pytest.mark.parametrize("stall_tol", [math.nan, -1e-12])
-def test_caps_reject_nan_or_negative_stall_tol(stall_tol):
-    # a NaN tolerance made every row read as saturated (success after one
-    # iteration at an undecodable point); a negative one disabled stalls
-    with pytest.raises(ValueError, match="stall_tol"):
-        Caps(stall_tol=stall_tol)
-    assert Caps(stall_tol=0.0).stall_tol == 0.0
 
 
 def test_ensemble_validation():

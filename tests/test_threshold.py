@@ -321,13 +321,12 @@ def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
     sizes.clear()
     find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
     assert (sizes, len(singles)) == ([2 + 2**d - 1, 2**d - 1, 2 ** (7 - 2 * d) - 1], 0)
-    # on full-reveal decoded rows saturate and left edges move: points of
-    # the second batch leave it for that and are evaluated alone when on
-    # the path, and the rest of the bisection goes one point at a time
+    # on full-reveal decoded rows saturate to type 5, and the chains stay in
+    # their batches all the same
     sizes.clear()
     res = find_threshold(Ensemble(3, 6, 20, 3), BUILTINS["full-reveal"], Caps())
-    assert sizes == [2 + 2**d - 1, 2**d - 1] + [1] * (9 - 2 * d)
-    assert 0 < len(singles) <= d and res.evaluations == 2 + 9
+    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
+                                                      0, 2 + 9)
 
 
 class FailsAt:
