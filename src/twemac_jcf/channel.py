@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-SIMPLEX_ATOL = 1e-9
+SIMPLEX_ATOL = 1e-9  # how far a distribution may stray off the simplex
 
 BUILTIN_KINDS = ("primary", "xor-only", "full-reveal")
 
@@ -32,17 +32,17 @@ class ChannelError(ValueError):
     """Invalid channel family, parameter, or type distribution."""
 
 
-def validate_dist(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def validate_dist(p) -> np.ndarray:
     """Check p is a valid 5-ary type distribution; return it as a float array."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (5,):
         raise ChannelError(f"type distribution must have 5 entries, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ChannelError(f"type distribution entries not finite: {arr}")
-    if np.any(arr < -atol) or np.any(arr > 1 + atol):
+    if np.any(arr < -SIMPLEX_ATOL) or np.any(arr > 1 + SIMPLEX_ATOL):
         raise ChannelError(f"type distribution entries outside [0,1]: {arr}")
     s = arr.sum()
-    if abs(s - 1.0) > atol:
+    if abs(s - 1.0) > SIMPLEX_ATOL:
         raise ChannelError(f"type distribution sums to {s}, not 1")
     return arr
 
@@ -65,7 +65,7 @@ class ChannelFamily:
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         if self.kind == "fixed-table":
             if self.table is None:
-                raise ChannelError(f"fixed-table family {self.name!r} needs a table")
+                raise ChannelError("fixed-table family needs a table")
             validate_dist(self.table)
         if self.kind == "custom-polynomial":
             if self.coeffs is None or len(self.coeffs) != 5:
@@ -120,10 +120,10 @@ def sample_states(pch, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(5, size=n, p=p / p.sum()) + 1
 
 
-def validate_family(family: ChannelFamily, grid: int = 1001, atol: float = 1e-9) -> None:
-    """Check the simplex invariant on an eps grid; raises ChannelError."""
-    for eps in np.linspace(0.0, 1.0, grid):
-        validate_dist(family.eval(float(eps)), atol=atol)
+def validate_family(family: ChannelFamily) -> None:
+    """Check the simplex invariant on a 1001-point eps grid; raises ChannelError."""
+    for eps in np.linspace(0.0, 1.0, 1001):
+        validate_dist(family.eval(float(eps)))
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:

@@ -22,17 +22,19 @@ input lies in {1, t} and not all are 1:
 The two joins share the powers (q1 + q_t)^n, so `var_update` returns the
 join with n and with n + 1 messages from one power and one multiply.
 
-The kernels write into arrays the caller passes, so an evolution
-allocates its arrays once rather than on every iteration.  Before it
-renormalizes the outputs by their sums, an evolution runs `check_simplex`
-once per iteration, over both halves' outputs and sums.
+Each kernel fills one entry as the remainder 1 - (the others), so every
+output sums to 1 within roundoff and an evolution uses it as written;
+roundoff shows instead as an entry slightly below 0, which `check_simplex`
+bounds after each half-iteration.  The kernels write into arrays the
+caller passes, so an evolution allocates its arrays once rather than on
+every iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RENORM_ATOL = 1e-9
+from .channel import SIMPLEX_ATOL
 
 
 class SimplexError(RuntimeError):
@@ -41,7 +43,8 @@ class SimplexError(RuntimeError):
 
 def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Distributions of the meet of n iid messages, one per index of p (5, ...)
-    past the first, written to contiguous out (see `var_update`)."""
+    past the first, written to out, each type of which is one contiguous
+    block (see `var_update`)."""
     np.add(p[1:4], p[4], out=out[1:4])
     out[4] = p[4]
     out[1:] **= n
@@ -82,18 +85,9 @@ def var_update(
     return out
 
 
-def check_simplex(sums: np.ndarray, entries: np.ndarray) -> None:
-    """Raise SimplexError unless every one of sums lies within RENORM_ATOL
-    of 1 and no entry of entries lies below -RENORM_ATOL; NaN fails both.
-
-    sums are the distributions' sums and entries their entries, in arrays
-    of any shape; the kernels fill one entry per distribution as a
-    remainder, so their sums are always 1, and a negative entry is what
-    shows their drift.
-    """
-    s_max, s_min = np.maximum.reduce(sums, axis=None), np.minimum.reduce(sums, axis=None)
-    if not (s_max - 1.0 <= RENORM_ATOL and 1.0 - s_min <= RENORM_ATOL):
-        raise SimplexError(f"distribution sum off by {max(s_max - 1.0, 1.0 - s_min):.3e}")
+def check_simplex(entries: np.ndarray) -> None:
+    """Raise SimplexError if an entry of entries, distributions in an array of
+    any shape, lies below -SIMPLEX_ATOL or is NaN."""
     p_min = np.minimum.reduce(entries, axis=None)
-    if not p_min >= -RENORM_ATOL:
+    if not p_min >= -SIMPLEX_ATOL:
         raise SimplexError(f"distribution entry {p_min:.3e} below zero")

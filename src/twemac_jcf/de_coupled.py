@@ -45,7 +45,7 @@ from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel import validate_dist
-from .de_core import SimplexError, check_simplex, chk_update, join_weights, var_update
+from .de_core import check_simplex, chk_update, join_weights, var_update
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
@@ -247,10 +247,7 @@ def _evolve(
     kc, kv = L + w, L + 1
     vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    powers = np.empty((2, 4, B, kv))
-    # the check half's output (5, B, kc) and the variable half's (5, 2, B, kv)
-    # side by side, and so their sums, for one simplex check over both
-    kernel_out, sums = np.empty(5 * B * (kc + 2 * kv)), np.empty(B * (kc + 2 * kv))
+    powers, var_out = np.empty((2, 4, B, kv)), np.empty((5, 2, B, kv))
     change = np.empty((5, B, kv))
     block_min, block_change = np.empty(B), np.empty(B)
 
@@ -263,13 +260,8 @@ def _evolve(
         vc_cs_b, vc_mean_b = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
         cv_cs_b, cv_mean_b = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
         vc_cs_b[..., 0] = cv_cs_b[..., 0] = 0.0
-        # contiguous kernel outputs and powers (see `de_core.var_update`)
-        powers_b = _head(powers, 2, 4, nb, kv)
-        n_chk, n_var = nb * kc, nb * kv
-        entries, sums_b = kernel_out[: 5 * (n_chk + 2 * n_var)], sums[: n_chk + 2 * n_var]
-        chk_b = entries[: 5 * n_chk].reshape(5, nb, kc)
-        out_b = entries[5 * n_chk :].reshape(5, 2, nb, kv)
-        chk_sums, var_sums = sums_b[:n_chk].reshape(nb, kc), sums_b[n_chk:].reshape(2, nb, kv)
+        # contiguous variable-kernel outputs and powers (see `de_core.var_update`)
+        powers_b, out_b = _head(powers, 2, 4, nb, kv), _head(var_out, 5, 2, nb, kv)
         weights_b = weights[..., b0:, :]
         new, dec4, dec5 = out_b[:, 0], out_b[3, 1], out_b[4, 1]
         change_b = _head(change, 5, nb, kv)
@@ -280,19 +272,13 @@ def _evolve(
         def step():
             # check half-iteration over check rows 0..L+w-1, whose windows
             # padded holds: variable rows -w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), e.d_c - 1, chk_b)
-            np.divide(chk_b, np.add.reduce(chk_b, axis=0, out=chk_sums), out=pcv_b)
+            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), e.d_c - 1, pcv_b)
+            check_simplex(pcv_b)
             # variable half-iteration and decoder output over variable rows
             # 0..L, whose windows pcv_b holds: check rows 0..L+w-1
             q = _window_mean(pcv_b, w, cv_cs_b, cv_mean_b)
             var_update(weights_b, q, e.d_v - 1, powers_b, out_b)
-            np.add.reduce(out_b, axis=0, out=var_sums)
-            try:
-                check_simplex(sums_b, entries)
-            except SimplexError:
-                check_simplex(chk_sums, chk_b)  # the check half's own error comes first
-                raise
-            np.divide(out_b, var_sums, out=out_b)
+            check_simplex(out_b)
             np.add(dec4, dec5, out=p_dec_b)
             np.abs(np.subtract(new, pvc_b, out=change_b), out=change_b)
             pvc_b[...] = new

@@ -31,7 +31,7 @@ from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal
 # Levels of the bisection tree that one batched evolution covers.  An
 # iteration costs a fixed part plus a part per column, and most of a
 # batch's iterations run with only the few points nearest the threshold
-# left.  The regular ensemble's fixed part (27 numpy calls) dominates.
+# left.  The regular ensemble's fixed part (22 numpy calls) dominates.
 # Measured at 33 calls and a saturation scan per iteration, against one
 # evaluation at a time (50,316 iterations), the 18 regular thresholds at
 # tol 1e-4 (3 channels, 6 degree pairs) took median time ratios of 0.71 at

@@ -188,4 +188,9 @@ def test_get_family_unknown_name():
 
 def test_validate_family_builtin_grid():
     for fam in BUILTINS.values():
-        validate_family(fam, grid=101, atol=1e-12)
+        validate_family(fam)
+        # the built-ins lie on the simplex to roundoff, well within its 1e-9
+        for eps in np.linspace(0.0, 1.0, 101):
+            p = fam.eval(float(eps))
+            assert p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12
+            assert abs(p.sum() - 1.0) <= 1e-12

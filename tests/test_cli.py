@@ -426,6 +426,7 @@ def test_malformed_channel_config_exits_2(tmp_path, capsys, text):
     assert str(cfg) in err or "'a'" in err  # names the file or the family
     if not err.startswith("error: malformed channel config"):  # a bad entry of a section
         assert str(cfg) in err and "family 'a'" in err
+        assert err.count("'a'") == 1  # names the family once
 
 
 @pytest.mark.parametrize("argv", [

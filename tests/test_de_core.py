@@ -63,14 +63,6 @@ def var_pair(c, q, n):
     return out[:, 0, 0], out[:, 1, 0]
 
 
-def renorm(p):
-    """p (5, ...) divided by its sums, as the evolution does, behind its
-    simplex check."""
-    s = np.add.reduce(p, axis=0)
-    check_simplex(s, p)
-    return p / s
-
-
 def var(c, q, n):
     return var_pair(c, q, n)[0]
 
@@ -271,30 +263,22 @@ def test_decoder_output_consistency():
     assert res.min_p_dec == pytest.approx(out[3] + out[4], abs=1e-12)
 
 
-def test_renormalize_guard():
-    with pytest.raises(SimplexError):
-        renorm(np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
-    p = np.array([0.2, 0.2, 0.2, 0.2, 0.2 + 1e-10])
-    out = renorm(p)
-    assert out.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_renormalize_rejects_negative_entry():
+def test_simplex_check_rejects_negative_entry():
     # a remainder entry keeps the sum at 1 however far the others drift;
     # arrays are type-major, one distribution per column
-    with pytest.raises(SimplexError):
-        renorm(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
-    renorm(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
+    with pytest.raises(SimplexError, match="entry -1.000e-06 below zero"):
+        check_simplex(np.array([[0.2, 0.2, 0.2, 0.2, 0.2], [1.0 + 1e-6, 0.0, 0.0, 0.0, -1e-6]]).T)
+    check_simplex(np.array([1.0 + 1e-12, 0.0, 0.0, 0.0, -1e-12]))
 
 
 def test_simplex_check_rejects_nan():
     # every comparison with NaN is False, so the guard is written to pass
     # only what lies within tolerance
-    with pytest.raises(SimplexError, match="sum off by nan"):
-        renorm(np.full((5, 3), np.nan))
+    with pytest.raises(SimplexError, match="entry nan below zero"):
+        check_simplex(np.full((5, 3), np.nan))
     p = np.array([[0.2] * 5, [np.nan, 0.5, 0.0, 0.0, 0.5], [0.2] * 5]).T
     with pytest.raises(SimplexError):
-        renorm(p)
+        check_simplex(p)
 
 
 def test_config_validation():

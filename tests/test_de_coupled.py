@@ -351,6 +351,19 @@ def test_check_half_error_comes_first(bad, shape, entry):
         assert str(err.value) == f"distribution entry {entry} below zero"
 
 
+@pytest.mark.parametrize("shape, channel, eps, status, iters", [
+    ((3, 6, 100, 5), "xor-only", 0.487, "success", 11140),
+    ((7, 10, 30, 4), "primary", 0.64, "stall", 3707),
+])
+def test_long_chain_stays_on_the_simplex(shape, channel, eps, status, iters):
+    # the kernels' remainders keep every distribution's sum at 1 over
+    # thousands of iterations, with no renormalization
+    res = de_coupled(Ensemble(*shape), BUILTINS[channel].eval(eps))
+    assert (res.converged, res.iterations_used) == (status, iters)
+    for rows in (res.final_pvc, res.final_pcv):
+        assert np.abs(np.add.reduce(rows, axis=1) - 1.0).max() <= 1e-14
+
+
 CHAIN_SHAPES = {"L<w": (3, 6, 2, 5), "w=1": (3, 6, 4, 1), "odd w": (3, 6, 12, 3),
                 "even w": (5, 10, 8, 4)}
 CHAIN_EPS = sorted({*np.linspace(0.0, 1.0, 9), 0.29, 0.3, 0.45, 0.47, 0.48, 0.49})
@@ -439,7 +452,7 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
                                1.0 - x_final, atol=1e-12)
 
 
-def test_prune_matches_full_update():
+def test_saturated_rows_match_scalar_oracle():
     # full-reveal is the BEC on types 1 and 5, so the decoded wave leaves
     # rows at the type-5 point mass; the evolution and the scalar oracle
     # both keep updating them

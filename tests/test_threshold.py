@@ -333,7 +333,7 @@ class FailsAt:
     """xor-only, except at the eps in bad: there eval raises ChannelError,
     or returns a distribution that passes validation but on which the
     evolution raises SimplexError (its first variable update leaves type 4
-    at -1.00000008e-9, below renormalize's -1e-9)."""
+    at -1.00000008e-9, below `check_simplex`'s -1e-9)."""
 
     def __init__(self, bad, error):
         self.bad, self.error = set(bad), error
