@@ -28,6 +28,15 @@ roundoff shows instead as an entry slightly below 0, which `check_simplex`
 bounds after each half-iteration.  The kernels write into arrays the
 caller passes, so an evolution allocates its arrays once rather than on
 every iteration.
+
+A power x^n is the product x*x*...*x, one multiply after another: one
+`np.multiply.reduce` over n copies of the bases, which `copies` stacks as
+a stride-0 view that the caller cuts once with its other views.
+`np.power` takes a slow scalar path on every negative or zero base, and
+the remainders, the next half's bases, supply many of those.  A product
+has no special case, and IEEE products round the same in SIMD and scalar
+loops, so the kernels give the same bits whatever the layout of their
+arrays.
 """
 
 from __future__ import annotations
@@ -41,13 +50,22 @@ class SimplexError(RuntimeError):
     """A distribution drifted off the probability simplex beyond tolerance."""
 
 
-def chk_update(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+def copies(base: np.ndarray, n: int) -> np.ndarray:
+    """n copies of base along a new first axis, all on base's memory (a
+    stride-0 view): what is written to base shows in every copy, and
+    np.multiply.reduce over the first axis is base^n as the product
+    base*base*...*base (1 when n = 0)."""
+    return np.lib.stride_tricks.as_strided(base, (n, *base.shape), (0, *base.strides))
+
+
+def chk_update(p: np.ndarray, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Distributions of the meet of n iid messages, one per index of p (5, ...)
-    past the first, written to out, each type of which is one contiguous
-    block (see `var_update`)."""
-    np.add(p[1:4], p[4], out=out[1:4])
-    out[4] = p[4]
-    out[1:] **= n
+    past the first, written to out.  bases is `copies(base, n)`, n >= 1, of
+    (4, ...) scratch that shares no memory with p or out."""
+    base = bases[0]
+    np.add(p[1:4], p[4], out=base[:3])
+    base[3] = p[4]
+    np.multiply.reduce(bases, axis=0, out=out[1:])
     out[1:4] -= out[4]
     np.subtract(1.0, np.add.reduce(out[1:], axis=0, out=out[0]), out=out[0])
     return out
@@ -64,20 +82,19 @@ def join_weights(c: np.ndarray) -> np.ndarray:
 
 
 def var_update(
-    weights: np.ndarray, q: np.ndarray, n: int, powers: np.ndarray, out: np.ndarray
+    weights: np.ndarray, q: np.ndarray, bases: np.ndarray, powers: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Distributions of the join of a channel (its `join_weights`) with n and
     with n + 1 iid messages, one pair per index of q (5, ...) past the first,
     written to out (5, 2, ...): [:, 0] holds the joins with n messages and
     [:, 1] those with n + 1 (with n = d_v - 1, the outgoing message and the
-    decoder output).  powers is contiguous (2, 4, ...) scratch."""
-    # (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1].  np.power writes
-    # a contiguous half: numpy's SIMD power loop, which strided outputs
-    # bypass, rounds differently from the scalar one.
+    decoder output).  powers is (2, 4, ...) scratch and bases is
+    `copies(powers[1], n)`, n >= 0."""
+    # the bases in powers[1], (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1]
     base = powers[1]
     base[0] = q[0]
     np.add(q[1:4], q[0], out=base[1:])
-    np.power(base, n, out=powers[0])
+    np.multiply.reduce(bases, axis=0, out=powers[0])
     base *= powers[0]
     np.multiply(weights, powers.swapaxes(0, 1), out=out[:4])
     out[1:4] -= out[0]

@@ -45,7 +45,7 @@ from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channel import validate_dist
-from .de_core import check_simplex, chk_update, join_weights, var_update
+from .de_core import check_simplex, chk_update, copies, join_weights, var_update
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
@@ -247,7 +247,8 @@ def _evolve(
     kc, kv = L + w, L + 1
     vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    powers, var_out = np.empty((2, 4, B, kv)), np.empty((5, 2, B, kv))
+    chk_base, powers = np.empty((4, B, kc)), np.empty((2, 4, B, kv))
+    var_out = np.empty((5, 2, B, kv))
     change = np.empty((5, B, kv))
     block_min, block_change = np.empty(B), np.empty(B)
 
@@ -260,8 +261,10 @@ def _evolve(
         vc_cs_b, vc_mean_b = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
         cv_cs_b, cv_mean_b = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
         vc_cs_b[..., 0] = cv_cs_b[..., 0] = 0.0
-        # contiguous variable-kernel outputs and powers (see `de_core.var_update`)
         powers_b, out_b = _head(powers, 2, 4, nb, kv), _head(var_out, 5, 2, nb, kv)
+        # the kernels' powers: products over stride-0 copies of their bases
+        chk_bases = copies(_head(chk_base, 4, nb, kc), e.d_c - 1)
+        var_bases = copies(powers_b[1], e.d_v - 1)
         weights_b = weights[..., b0:, :]
         new, dec4, dec5 = out_b[:, 0], out_b[3, 1], out_b[4, 1]
         change_b = _head(change, 5, nb, kv)
@@ -272,12 +275,12 @@ def _evolve(
         def step():
             # check half-iteration over check rows 0..L+w-1, whose windows
             # padded holds: variable rows -w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), e.d_c - 1, pcv_b)
+            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), chk_bases, pcv_b)
             check_simplex(pcv_b)
             # variable half-iteration and decoder output over variable rows
             # 0..L, whose windows pcv_b holds: check rows 0..L+w-1
             q = _window_mean(pcv_b, w, cv_cs_b, cv_mean_b)
-            var_update(weights_b, q, e.d_v - 1, powers_b, out_b)
+            var_update(weights_b, q, var_bases, powers_b, out_b)
             check_simplex(out_b)
             np.add(dec4, dec5, out=p_dec_b)
             np.abs(np.subtract(new, pvc_b, out=change_b), out=change_b)

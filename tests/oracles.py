@@ -292,11 +292,19 @@ def _half_eff_cv(pcv, w):
     return _half_window_mean(pcv, w)
 
 
+def _half_power(base, n):
+    # base^n as base*base*...*base, one multiply after another
+    out = np.ones_like(base)
+    for _ in range(n):
+        out *= base
+    return out
+
+
 def _half_chk(p, n):
     out = np.empty_like(p)
     np.add(p[1:4], p[4], out=out[1:4])
     out[4] = p[4]
-    out[1:] **= n
+    out[1:] = _half_power(out[1:], n)
     out[1:4] -= out[4]
     np.subtract(1.0, out[1:].sum(axis=0), out=out[0])
     return out
@@ -307,7 +315,7 @@ def _half_var(c, q, n):
     base = powers[1]
     base[0] = q[0]
     np.add(q[1:4], q[0], out=base[1:])
-    np.power(base, n, out=powers[0])
+    powers[0] = _half_power(base, n)
     base *= powers[0]
     weights = c[:4] + c[0]
     weights[0] = c[0]

@@ -15,7 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_core import SimplexError, check_simplex, chk_update, join_weights, var_update
+from twemac_jcf.de_core import (
+    SimplexError,
+    check_simplex,
+    chk_update,
+    copies,
+    join_weights,
+    var_update,
+)
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 
 from oracles import (
@@ -52,14 +59,15 @@ NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before it
 
 def chk(p, n):
     p = np.asarray(p, dtype=float)[:, None]
-    return chk_update(p, n, np.empty_like(p))[:, 0]
+    return chk_update(p, copies(np.empty((4, 1)), n), np.empty_like(p))[:, 0]
 
 
 def var_pair(c, q, n):
     """The joins of c with n and with n + 1 messages q."""
     weights = join_weights(np.asarray(c, dtype=float))
     q = np.asarray(q, dtype=float)[:, None]
-    out = var_update(weights, q, n, np.empty((2, 4, 1)), np.empty((5, 2, 1)))
+    powers = np.empty((2, 4, 1))
+    out = var_update(weights, q, copies(powers[1], n), powers, np.empty((5, 2, 1)))
     return out[:, 0, 0], out[:, 1, 0]
 
 
@@ -203,6 +211,57 @@ def test_chk_update_scalar_bec_identity(eps, d_c):
     assert out[1] == out[2] == out[4] == 0.0
 
 
+def rough_bases(rng, shape):
+    """Random entries of which about a fifth are exactly 0 and a fifth
+    -1e-14, the remainders' roundoff."""
+    x = rng.random(shape)
+    pick = rng.random(shape)
+    x[pick < 0.2] = 0.0
+    x[pick > 0.8] = -1e-14
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_power_is_the_explicit_product(n):
+    x = rough_bases(np.random.default_rng(n), (4, 3, 50))
+    fold = np.ones_like(x)
+    for _ in range(n):
+        fold = fold * x
+    got = np.multiply.reduce(copies(x, n), axis=0)
+    assert got.tobytes() == fold.tobytes()
+    np.testing.assert_allclose(got, x**n, rtol=1e-15 * n, atol=0)
+    # on a strided base, into a strided output
+    wide, out = np.zeros((4, 3, 100)), np.empty((50, 3, 4)).T
+    wide[..., ::2] = x
+    np.multiply.reduce(copies(wide[..., ::2], n), axis=0, out=out)
+    assert out.tobytes() == fold.tobytes()
+
+
+def strided(shape):
+    """An uninitialised array of the given shape whose axes run in reverse
+    order in memory, with a gap between neighbours on the last axis."""
+    return np.empty((shape[-1] * 2, *shape[-2::-1]))[::2].T
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_kernels_do_not_depend_on_layout(n):
+    # every input, output and scratch array contiguous, then all strided
+    rng = np.random.default_rng(10 + n)
+    p = rough_bases(rng, (5, 3, 50))
+    weights = join_weights(rng.dirichlet(np.ones(5), size=3).T)[..., None]
+    joins, meets = [], []
+    for new in (np.empty, strided):
+        q = new(p.shape)
+        q[...] = p
+        powers = new((2, 4, 3, 50))
+        joins.append(var_update(weights, q, copies(powers[1], n), powers, new((5, 2, 3, 50))))
+        if n:  # a meet has n = d_c - 1 >= 1
+            meets.append(chk_update(q, copies(new((4, 3, 50)), n), new((5, 3, 50))))
+    assert not joins[1].flags.forc
+    assert joins[0].tobytes() == joins[1].tobytes()
+    assert all(m.tobytes() == meets[0].tobytes() for m in meets)
+
+
 def test_de_regular_trivial_channels():
     res = regular(3, 6, [0, 0, 0, 1, 0])
     assert res.converged == "success"
@@ -212,6 +271,23 @@ def test_de_regular_trivial_channels():
     assert res.converged == "stall"
     assert res.iterations_used == 1
     assert res.min_p_dec == 0.0
+
+
+def test_edge_exponents_through_the_loop():
+    # (1,6): n = 0 at the variable node, so every variable message is the
+    # channel's and the first iteration changes nothing
+    eps = 0.3
+    res = regular(1, 6, BUILTINS["xor-only"].eval(eps), snapshots=[1])
+    assert (res.converged, res.iterations_used) == ("stall", 1)
+    assert res.min_p_dec == 0.750421
+    ((x_vc, x_cv),) = scalar_bec_trajectory(eps, 1, 6, 1)
+    pvc, pcv = res.snapshots[1].pvc[0], res.snapshots[1].pcv[0]
+    assert abs(pvc[0] - x_vc) <= 1e-12 and abs(pcv[0] - x_cv) <= 1e-12
+    assert abs(res.min_p_dec - (1 - eps * x_cv)) <= 1e-12
+    # (2,2): n = 1 at both nodes
+    res = regular(2, 2, BUILTINS["primary"].eval(eps))
+    assert (res.converged, res.iterations_used) == ("success", 5)
+    assert res.min_p_dec == 0.9999964570631381
 
 
 def test_de_regular_xor_only_around_threshold():

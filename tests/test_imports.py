@@ -183,3 +183,50 @@ def test_pass_through_scanner():
 def test_no_pass_through_wrappers(module):
     # a function that only renames another is a second name for one path
     assert pass_through_wrappers((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def slow_powers(source: str) -> list:
+    """Uses of numpy's `power` (or `float_power`), of the builtin `pow`, and
+    of `**` or `**=` on anything but two number literals, in line order."""
+    names = ("pow", "power", "float_power")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            found.append((node.lineno, "**="))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not (
+            isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+        ):
+            found.append((node.lineno, "**"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_slow_power_scanner():
+    src = (
+        "import numpy as np\n"
+        "from numpy import power\n"
+        "def f(x, n, out):\n"
+        "    np.power(x, n, out=out)\n"
+        "    out **= n\n"
+        "    y = x ** 2\n"
+        "    z = pow(x, n)\n"
+        "    w = np.float_power(x, n)\n"
+        "    scale = 2.0 ** 40\n"
+        "    return np.multiply.reduce(x, axis=0)\n"
+    )
+    assert slow_powers(src) == [
+        "power (line 2)", "power (line 4)", "**= (line 5)", "** (line 6)", "pow (line 7)",
+        "float_power (line 8)",
+    ]
+
+
+def test_kernels_make_no_power_call():
+    # numpy's pow takes a slow scalar path on every negative or zero base,
+    # which the kernels' roundoff remainders supply by the million; their
+    # powers are products over stride-0 copies instead (de_core.copies)
+    assert slow_powers((PACKAGE / "de_core.py").read_text()) == []
