@@ -247,8 +247,9 @@ def _evolve(
     kc, kv = L + w, L + 1
     vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
     cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    chk_base, powers = np.empty((4, B, kc)), np.empty((2, 4, B, kv))
-    var_out = np.empty((5, 2, B, kv))
+    # var_out also holds the check kernel's (4, B, kc) bases: the variable
+    # half's outputs are copied out before the next check half starts
+    powers, var_out = np.empty((2, 4, B, kv)), np.empty(B * max(10 * kv, 4 * kc))
     change = np.empty((5, B, kv))
     block_min, block_change = np.empty(B), np.empty(B)
 
@@ -263,7 +264,7 @@ def _evolve(
         vc_cs_b[..., 0] = cv_cs_b[..., 0] = 0.0
         powers_b, out_b = _head(powers, 2, 4, nb, kv), _head(var_out, 5, 2, nb, kv)
         # the kernels' powers: products over stride-0 copies of their bases
-        chk_bases = copies(_head(chk_base, 4, nb, kc), e.d_c - 1)
+        chk_bases = copies(_head(var_out, 4, nb, kc), e.d_c - 1)
         var_bases = copies(powers_b[1], e.d_v - 1)
         weights_b = weights[..., b0:, :]
         new, dec4, dec5 = out_b[:, 0], out_b[3, 1], out_b[4, 1]

@@ -204,6 +204,15 @@ def scalar_coupled_threshold(d_v, d_c, L, w, tol=1e-4, **kw) -> float:
 # --- five-type coupled density evolution on the full chain ------------------
 
 
+def folded_power(x, n: int) -> np.ndarray:
+    """x^n as x*x*...*x (1 when n = 0), one multiply after another: the
+    product the package's kernels form for every power."""
+    out = np.ones_like(x)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
 def closed_form_meet(p, n: int) -> np.ndarray:
     """Meet of n iid messages p: type 5 iff all inputs are, type t in
     {2, 3, 4} iff all lie in {t, 5} and not all are 5, else type 1."""
@@ -292,19 +301,11 @@ def _half_eff_cv(pcv, w):
     return _half_window_mean(pcv, w)
 
 
-def _half_power(base, n):
-    # base^n as base*base*...*base, one multiply after another
-    out = np.ones_like(base)
-    for _ in range(n):
-        out *= base
-    return out
-
-
 def _half_chk(p, n):
     out = np.empty_like(p)
     np.add(p[1:4], p[4], out=out[1:4])
     out[4] = p[4]
-    out[1:] = _half_power(out[1:], n)
+    out[1:] = folded_power(out[1:], n)
     out[1:4] -= out[4]
     np.subtract(1.0, out[1:].sum(axis=0), out=out[0])
     return out
@@ -315,7 +316,7 @@ def _half_var(c, q, n):
     base = powers[1]
     base[0] = q[0]
     np.add(q[1:4], q[0], out=base[1:])
-    powers[0] = _half_power(base, n)
+    powers[0] = folded_power(base, n)
     base *= powers[0]
     weights = c[:4] + c[0]
     weights[0] = c[0]

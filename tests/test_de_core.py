@@ -28,6 +28,7 @@ from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 from oracles import (
     explicit_chk_matrix,
     explicit_var_matrix,
+    folded_power,
     folded_update,
     lattice_chk,
     lattice_var,
@@ -224,17 +225,14 @@ def rough_bases(rng, shape):
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
 def test_power_is_the_explicit_product(n):
     x = rough_bases(np.random.default_rng(n), (4, 3, 50))
-    fold = np.ones_like(x)
-    for _ in range(n):
-        fold = fold * x
     got = np.multiply.reduce(copies(x, n), axis=0)
-    assert got.tobytes() == fold.tobytes()
+    assert got.tobytes() == folded_power(x, n).tobytes()
     np.testing.assert_allclose(got, x**n, rtol=1e-15 * n, atol=0)
     # on a strided base, into a strided output
     wide, out = np.zeros((4, 3, 100)), np.empty((50, 3, 4)).T
     wide[..., ::2] = x
     np.multiply.reduce(copies(wide[..., ::2], n), axis=0, out=out)
-    assert out.tobytes() == fold.tobytes()
+    assert out.tobytes() == got.tobytes()
 
 
 def strided(shape):
@@ -255,8 +253,12 @@ def test_kernels_do_not_depend_on_layout(n):
         q[...] = p
         powers = new((2, 4, 3, 50))
         joins.append(var_update(weights, q, copies(powers[1], n), powers, new((5, 2, 3, 50))))
+        # the variable node's powers of q1 and q1 + q_t are the explicit products
+        base = np.concatenate([p[:1], p[1:4] + p[0]])
+        assert powers[1].tobytes() == folded_power(base, n + 1).tobytes()
         if n:  # a meet has n = d_c - 1 >= 1
             meets.append(chk_update(q, copies(new((4, 3, 50)), n), new((5, 3, 50))))
+            assert meets[-1][4].tobytes() == folded_power(p[4], n).tobytes()
     assert not joins[1].flags.forc
     assert joins[0].tobytes() == joins[1].tobytes()
     assert all(m.tobytes() == meets[0].tobytes() for m in meets)
