@@ -37,16 +37,22 @@ from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal
 # tol 1e-4 (3 channels, 6 degree pairs) took median time ratios of 0.71 at
 # d = 5, 0.77 at d = 6, 0.65 at d = 7 (30,570 iterations), 0.69 at d = 8,
 # 0.80 at d = 9 and 2.7 at d = 13 (all levels in one batch of 8191), 5 runs
-# each, pinned to one CPU of a shared 2-core x86-64 VM.
+# each, pinned to one CPU of a shared 2-core x86-64 VM.  With the kernels'
+# powers as products, depths 6, 8 and 9 took medians of 1.68, 1.59 and
+# 1.83 s against 1.49 s at 7 (5 interleaved runs, pinned as above).
 SPECULATIVE_DEPTH = 7
-# A chain's column part is larger: one (5,10,200,10) iteration costs about
-# 80 us alone and 30 us more per chain in the batch.  What a batch gains is
+# A chain's column part is larger: one (5,10,200,10) primary iteration costs
+# about 65 us alone and 25 us more per chain in the batch, and (3,6,100,5)
+# xor-only 65 us and 12 us more (fastest of 15 runs of 300 iterations, 1, 3
+# and 7 chains, pinned as above).  What a batch gains is
 # that the last levels, whose points lie nearest the threshold and run
 # longest, overlap rather than run one after another.  At tol 1e-3 the 9
 # levels are three batches.  Against one evaluation at a time, the three
 # bisections of the coupled-thresholds benchmark took median time ratios
 # of 0.93 and 0.99 at d = 2, 0.80 and 0.89 at d = 3, 0.94 and 1.08 at d = 4,
-# and 0.85 at d = 5, in two sweeps of 3 runs each, pinned as above.
+# and 0.85 at d = 5, in two sweeps of 3 runs each, pinned as above.  With
+# the powers as products, they took a median 3.34 s at d = 3, against
+# 3.71 s at d = 2 and 3.76 s at d = 4 (5 interleaved runs).
 # Chains whose decoded rows reach the type-5 point mass (full-reveal;
 # primary with d_v >= 6) batch like the others.  figure6's default primary
 # sweep (d_v 3..9) took a median 28.8 s, against 32.3 s when such chains

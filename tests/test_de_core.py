@@ -247,15 +247,14 @@ def test_kernels_do_not_depend_on_layout(n):
     rng = np.random.default_rng(10 + n)
     p = rough_bases(rng, (5, 3, 50))
     weights = join_weights(rng.dirichlet(np.ones(5), size=3).T)[..., None]
+    var_base = np.concatenate([p[:1], p[1:4] + p[0]])  # q1, then q1 + q_t
     joins, meets = [], []
     for new in (np.empty, strided):
         q = new(p.shape)
         q[...] = p
         powers = new((2, 4, 3, 50))
         joins.append(var_update(weights, q, copies(powers[1], n), powers, new((5, 2, 3, 50))))
-        # the variable node's powers of q1 and q1 + q_t are the explicit products
-        base = np.concatenate([p[:1], p[1:4] + p[0]])
-        assert powers[1].tobytes() == folded_power(base, n + 1).tobytes()
+        assert powers[1].tobytes() == folded_power(var_base, n + 1).tobytes()
         if n:  # a meet has n = d_c - 1 >= 1
             meets.append(chk_update(q, copies(new((4, 3, 50)), n), new((5, 3, 50))))
             assert meets[-1][4].tobytes() == folded_power(p[4], n).tobytes()
