@@ -113,6 +113,13 @@ def puncture(pch, p_pi: float) -> np.ndarray:
     return q
 
 
+def effective_channel(family: ChannelFamily, eps: float, p_pi: float) -> np.ndarray:
+    """The channel of family at eps, punctured by p_pi (`puncture`) unless
+    p_pi is 0."""
+    pch = family.eval(eps)
+    return puncture(pch, p_pi) if p_pi else pch
+
+
 def sample_states(pch, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n channel states; returned as integers 1..5.  Entries that
     `validate_dist` tolerates below 0 count as 0."""

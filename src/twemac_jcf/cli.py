@@ -45,25 +45,26 @@ def _caps(args, e: Ensemble) -> Caps:
     return caps
 
 
-def _meta(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    return {"version": __version__, "config": cfg}
-
-
-def _emit(args, meta: dict, columns: List[str], rows: List[dict], path=None) -> None:
-    out = path or getattr(args, "out", None)
+def _emit(args, rows: List[dict], path=None) -> None:
+    """Write rows to path, else to --out or stdout, after a header of the
+    version and the settings in args that are not None.  The columns are
+    the first row's keys, in their order."""
+    out = path or args.out
     try:
         fh = open(out, "w") if out else sys.stdout
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     try:
-        if getattr(args, "format", "csv") == "json":
-            json.dump({"meta": meta, "rows": rows}, fh, indent=2, default=str)
+        if args.format == "json":
+            json.dump({"meta": {"version": __version__, "config": config}, "rows": rows}, fh,
+                      indent=2, default=str)
             fh.write("\n")
         else:
-            for key, val in sorted(meta["config"].items()):
+            for key, val in sorted(config.items()):
                 fh.write(f"# {key}={val}\n")
-            fh.write(f"# version={meta['version']}\n")
+            fh.write(f"# version={__version__}\n")
+            columns = list(rows[0])
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
@@ -99,9 +100,6 @@ def _ensemble(args) -> Ensemble:
     return Ensemble(args.dv, args.dc)
 
 
-RATE_COLUMNS = ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"]
-
-
 def _rate_rows(family, n: int) -> List[dict]:
     """Rate bounds on an n-point eps grid over [0, 1], one row per point."""
     if n < 2:
@@ -109,12 +107,13 @@ def _rate_rows(family, n: int) -> List[dict]:
     rows = []
     for eps in np.linspace(0.0, 1.0, n):
         rb = rate_bounds(family.eval(float(eps)))
-        rows.append({"eps": float(eps), **{c: getattr(rb, c) for c in RATE_COLUMNS[1:]}})
+        rows.append({"eps": float(eps), "r_df": rb.r_df, "r_df_prime": rb.r_df_prime,
+                     "r_cf": rb.r_cf, "r_jcf_target": rb.r_jcf_target})
     return rows
 
 
 def cmd_rates(args) -> int:
-    _emit(args, _meta(args), RATE_COLUMNS, _rate_rows(_family(args), args.grid))
+    _emit(args, _rate_rows(_family(args), args.grid))
     return 0
 
 
@@ -130,12 +129,6 @@ def cmd_de(args) -> int:
         snapshot_iters = {2**k for k in range(caps.l_max.bit_length())} if args.profile else ()
     res = de_coupled(e, _family(args).eval(args.eps), caps, snapshot_iters)
     if args.trace:
-        cols = (
-            ["iter"]
-            + [f"pvc{i}" for i in range(1, 6)]
-            + [f"pcv{i}" for i in range(1, 6)]
-            + ["p_dec"]
-        )
         rows = [
             {
                 "iter": it,
@@ -145,10 +138,9 @@ def cmd_de(args) -> int:
             }
             for it, snap in sorted(res.snapshots.items())
         ]
-        _emit(args, _meta(args), cols, rows, path=args.trace)
+        _emit(args, rows, path=args.trace)
     if args.profile:
         iters = sorted(res.snapshots)
-        cols = ["position"] + [f"p_dec_iter_{k}" for k in iters]
         rows = [
             {
                 "position": pos - e.L,
@@ -156,20 +148,9 @@ def cmd_de(args) -> int:
             }
             for pos in range(e.n_var_positions)
         ]
-        _emit(args, _meta(args), cols, rows, path=args.profile)
-    _emit(
-        args,
-        _meta(args),
-        ["min_p_dec", "iterations", "status", "nominal_rate"],
-        [
-            {
-                "min_p_dec": res.min_p_dec,
-                "iterations": res.iterations_used,
-                "status": res.converged,
-                "nominal_rate": nominal_rate(e),
-            }
-        ],
-    )
+        _emit(args, rows, path=args.profile)
+    _emit(args, [{"min_p_dec": res.min_p_dec, "iterations": res.iterations_used,
+                  "status": res.converged, "nominal_rate": nominal_rate(e)}])
     return 0
 
 
@@ -179,22 +160,9 @@ def cmd_threshold(args) -> int:
     res = find_threshold(
         e, family, caps=_caps(args, e), p_pi=args.p_pi, verify_scan=args.verify_scan
     )
-    _emit(
-        args,
-        _meta(args),
-        ["eps_thresh", "eps_lo", "eps_hi", "tol", "evals", "degenerate", "cap_limited"],
-        [
-            {
-                "eps_thresh": res.eps_thresh,
-                "eps_lo": res.eps_lo,
-                "eps_hi": res.eps_hi,
-                "tol": res.tol,
-                "evals": res.evaluations,
-                "degenerate": res.degenerate,
-                "cap_limited": res.cap_limited,
-            }
-        ],
-    )
+    _emit(args, [{"eps_thresh": res.eps_thresh, "eps_lo": res.eps_lo, "eps_hi": res.eps_hi,
+                  "tol": res.tol, "evals": len(res.evals), "degenerate": res.degenerate,
+                  "cap_limited": res.cap_limited}])
     return 0
 
 
@@ -219,16 +187,11 @@ def cmd_figure6(args) -> int:
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
     curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
-    rows_out = [asdict(row) for row in sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)]
-    cols = [
-        "d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi",
-        "eps_thresh", "eps_lo", "eps_hi", "evals", "cap_limited",
-    ]
-    _emit(args, _meta(args), cols, rows_out)
+    _emit(args, [asdict(row) for row in sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)])
 
     # analytic overlay curves on an eps grid
     curve_path = f"{args.out}.curves.{args.format}" if args.out else None
-    _emit(args, _meta(args), RATE_COLUMNS, curve_rows, path=curve_path)
+    _emit(args, curve_rows, path=curve_path)
     return 0
 
 
@@ -249,12 +212,7 @@ def cmd_simulate(args) -> int:
     stats = failure_rate(
         e, _family(args), args.eps, size, args.trials, args.seed, p_pi=args.p_pi
     )
-    _emit(
-        args,
-        _meta(args),
-        ["bit_rate", "block_rate", "block_lo", "block_hi", "trials", "n_vars"],
-        [asdict(stats)],
-    )
+    _emit(args, [asdict(stats)])
     return 0
 
 

@@ -26,8 +26,8 @@ Each kernel fills one entry as the remainder 1 - (the others), so every
 output sums to 1 within roundoff and an evolution uses it as written;
 roundoff shows instead as an entry slightly below 0, which `check_simplex`
 bounds after each half-iteration.  The kernels write into arrays the
-caller passes, so an evolution allocates its arrays once rather than on
-every iteration.
+caller passes, so an evolution allocates its arrays once for each set of
+running chains rather than on every iteration.
 
 A power x^n is the product x*x*...*x, one multiply after another: one
 `np.multiply.reduce` over n copies of the bases, which `copies` stacks as

@@ -31,14 +31,15 @@ closed-form kernels of `de_core` to all rows at once:
 `de_batch` evolves the ensemble under many channels in the same loop: the
 channels' chains sit side by side as blocks of columns, each with its own
 pads and mirror columns, and each block stops by its own rules and then
-leaves the batch.  Every kernel acts on each column alone and every
-window's prefix sums run within its block, so each outcome is bit for bit
-the one `de_coupled` gives for that channel.
+leaves the batch: the loop's arrays are cut down to the running blocks,
+and its buffers and views are made once for each set of running blocks.
+Every kernel acts on each column alone and every window's prefix sums run
+within its block, so each outcome is bit for bit the one `de_coupled`
+gives for that channel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 
@@ -150,11 +151,6 @@ def _window_mean(rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """A contiguous view of the given shape on the start of buf's memory."""
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _unfold(half: np.ndarray, n: int) -> np.ndarray:
     """The n full-chain rows from the rows of the half chain, which run up to
     and past the centre: row j >= len(half) is the mirror of row n-1-j."""
@@ -198,8 +194,8 @@ def de_coupled(
     kept after each iteration in snapshot_iters and, when snapshot_iters
     is non-empty, after the last one.
 
-    Every array is allocated once per call, and the views on them are cut
-    once.
+    The loop's buffers are made, and the views on them cut, once for each
+    set of running blocks: here once per call, for the one block.
     """
     return _evolve(e, validate_dist(pch)[None], caps, snapshot_iters)[0]
 
@@ -223,121 +219,97 @@ def _evolve(
 ) -> List[DeOutcome]:
     """The evolution loop: one outcome per channel, a row of pchs (B, 5).
 
-    Every column array is (..., B, width): B blocks side by side, one chain
-    per channel, each with L+1 variable and L+w check columns, and in the
-    padded variable buffer its own type-5 pads and mirror columns.  A block
-    that ends is recorded and dropped by moving the others to the end of
-    the block axis and re-cutting the views.
+    Every column array is (..., B, width): B running blocks side by side,
+    one chain per channel, each with L+1 variable and L+w check columns,
+    and in the padded variable buffer its own type-5 pads and mirror
+    columns.  Blocks that end are recorded, the arrays are cut down to the
+    others, and `bind` makes the scratch and views for those.
     """
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
-    B = len(pchs)
+    kc, kv = L + w, L + 1
     m = min(w - 1, L)  # variable rows past the centre that checks read
     # vbuf holds each block's padded variable rows -w+1..L+w-1: the type-5
     # pad, rows 0..L, their mirrors L+1..L+m, and the type-5 pad again
-    vbuf = np.empty((5, B, L + 2 * w - 1))
+    vbuf = np.empty((5, len(pchs), L + 2 * w - 1))
     vbuf[:] = E5
     vbuf[:, :, w - 1 : w + L + m] = pchs.T[:, :, None]
-    pvc = vbuf[:, :, w - 1 : w + L]
-    pcv = np.repeat(pchs.T[:, :, None], L + w, axis=2)
-    p_dec = np.zeros((B, L + 1))
+    pcv = np.repeat(pchs.T[:, :, None], kc, axis=2)
+    p_dec = np.zeros((len(pchs), kv))
     weights = join_weights(pchs.T)[..., None]  # each block's channel, (4, 1, B, 1)
-    # scratch for all B blocks; `bind` cuts contiguous views from it
-    kc, kv = L + w, L + 1
-    vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
-    cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
-    # var_out also holds the check kernel's (4, B, kc) bases: the variable
-    # half's outputs are copied out before the next check half starts
-    powers, var_out = np.empty((2, 4, B, kv)), np.empty(B * max(10 * kv, 4 * kc))
-    change = np.empty((5, B, kv))
-    block_min, block_change = np.empty(B), np.empty(B)
+    ids = np.arange(len(pchs))  # the channel of each block
 
-    def bind(b0: int):
-        """One iteration over blocks b0.., on views cut once for these.  The
-        step returns each block's smallest p_dec and largest change of a
-        variable row."""
-        nb = B - b0
-        padded, pcv_b, pvc_b, p_dec_b = vbuf[:, b0:], pcv[:, b0:], pvc[:, b0:], p_dec[b0:]
-        vc_cs_b, vc_mean_b = _head(vc_cs, 5, nb, kc + w), _head(vc_mean, 5, nb, kc)
-        cv_cs_b, cv_mean_b = _head(cv_cs, 5, nb, kv + w), _head(cv_mean, 5, nb, kv)
-        vc_cs_b[..., 0] = cv_cs_b[..., 0] = 0.0
-        powers_b, out_b = _head(powers, 2, 4, nb, kv), _head(var_out, 5, 2, nb, kv)
+    def bind():
+        """One iteration over the running blocks, on scratch made and views
+        cut once for these.  The step returns each block's smallest p_dec
+        and largest change of a variable row."""
+        B = len(ids)
+        vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
+        cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
+        vc_cs[..., 0] = cv_cs[..., 0] = 0.0
+        powers, out = np.empty((2, 4, B, kv)), np.empty((5, 2, B, kv))
         # the kernels' powers: products over stride-0 copies of their bases
-        chk_bases = copies(_head(var_out, 4, nb, kc), e.d_c - 1)
-        var_bases = copies(powers_b[1], e.d_v - 1)
-        weights_b = weights[..., b0:, :]
-        new, dec4, dec5 = out_b[:, 0], out_b[3, 1], out_b[4, 1]
-        change_b = _head(change, 5, nb, kv)
-        min_b, max_change_b = _head(block_min, nb), _head(block_change, nb)
-        mirror = vbuf[:, b0:, w + L : w + L + m]
+        chk_bases = copies(np.empty((4, B, kc)), e.d_c - 1)
+        var_bases = copies(powers[1], e.d_v - 1)
+        new, dec4, dec5 = out[:, 0], out[3, 1], out[4, 1]
+        change, block_min, block_change = np.empty((5, B, kv)), np.empty(B), np.empty(B)
+        pvc, mirror = vbuf[:, :, w - 1 : w + L], vbuf[:, :, w + L : w + L + m]
         mirror_src = new[..., kv - 1 - m : kv - 1][..., ::-1]
 
         def step():
             # check half-iteration over check rows 0..L+w-1, whose windows
-            # padded holds: variable rows -w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(padded, w, vc_cs_b, vc_mean_b), chk_bases, pcv_b)
-            check_simplex(pcv_b)
+            # vbuf holds: variable rows -w+1..L+w-1, mirrors and pads included
+            chk_update(_window_mean(vbuf, w, vc_cs, vc_mean), chk_bases, pcv)
+            check_simplex(pcv)
             # variable half-iteration and decoder output over variable rows
-            # 0..L, whose windows pcv_b holds: check rows 0..L+w-1
-            q = _window_mean(pcv_b, w, cv_cs_b, cv_mean_b)
-            var_update(weights_b, q, var_bases, powers_b, out_b)
-            check_simplex(out_b)
-            np.add(dec4, dec5, out=p_dec_b)
-            np.abs(np.subtract(new, pvc_b, out=change_b), out=change_b)
-            pvc_b[...] = new
+            # 0..L, whose windows pcv holds: check rows 0..L+w-1
+            q = _window_mean(pcv, w, cv_cs, cv_mean)
+            var_update(weights, q, var_bases, powers, out)
+            check_simplex(out)
+            np.add(dec4, dec5, out=p_dec)
+            np.abs(np.subtract(new, pvc, out=change), out=change)
+            pvc[...] = new
             if m:
                 mirror[...] = mirror_src
-            return (np.minimum.reduce(p_dec_b, axis=1, out=min_b),
-                    np.maximum.reduce(change_b, axis=(0, 2), out=max_change_b))
+            return (np.minimum.reduce(p_dec, axis=1, out=block_min),
+                    np.maximum.reduce(change, axis=(0, 2), out=block_change))
 
         return step
 
     snapshots: Dict[int, Snapshot] = {}
     outcomes: Dict[int, DeOutcome] = {}
-    ids = np.arange(B)  # the channel of each block
 
     def snapshot(s: int) -> Snapshot:
-        return Snapshot(_unfold(pvc[:, s].T, nv), _unfold(pcv[:, s].T, nc), _unfold(p_dec[s], nv))
+        pvc = vbuf[:, s, w - 1 : w + L]
+        return Snapshot(_unfold(pvc.T, nv), _unfold(pcv[:, s].T, nc), _unfold(p_dec[s], nv))
 
     def finish(s: int, status: str) -> None:
         """Record the outcome of the evolution in block s."""
         if snapshot_iters:
             snapshots[it] = snapshot(s)
-        outcomes[int(ids[s])] = DeOutcome(
-            p_dec=_unfold(p_dec[s], nv),
-            min_p_dec=float(p_dec[s].min()),
-            iterations_used=it,
-            converged=status,
-            final_pvc=_unfold(pvc[:, s].T, nv),
-            final_pcv=_unfold(pcv[:, s].T, nc),
-            snapshots=dict(snapshots),
-        )
+        snap = snapshot(s)
+        outcomes[int(ids[s])] = DeOutcome(snap.p_dec, float(snap.p_dec.min()), it, status,
+                                          snap.pvc, snap.pcv, dict(snapshots))
 
-    def drop(keep: np.ndarray) -> int:
-        """Move the blocks b0 + j with keep[j] to the end of the block axis
-        and return the new first block."""
-        new_b0 = B - int(keep.sum())
-        for a in (vbuf, pcv, p_dec, weights, ids[:, None]):
-            a[..., new_b0:, :] = a[..., b0:, :][..., keep, :]
-        return new_b0
-
-    it = b0 = 0
-    step = bind(b0)
+    it = 0
+    step = bind()
     for it in range(1, l_max + 1):
         mins, changes = step()
 
         if it in snapshot_iters:
-            snapshots[it] = snapshot(b0)
+            snapshots[it] = snapshot(0)
         if max(mins.tolist()) >= caps.success_target or min(changes.tolist()) < STALL_TOL:
             reached = mins >= caps.success_target
             done = reached | (changes < STALL_TOL)
-            for j in np.flatnonzero(done):
-                finish(b0 + j, "success" if reached[j] else "stall")
-            b0 = drop(~done)
-            if b0 == B:
+            for s in np.flatnonzero(done):
+                finish(s, "success" if reached[s] else "stall")
+            keep = ~done
+            vbuf, pcv, p_dec, weights = (a[..., keep, :] for a in (vbuf, pcv, p_dec, weights))
+            ids = ids[keep]
+            if not len(ids):
                 break
-            step = bind(b0)
-    for s in range(b0, B):
+            step = bind()
+    for s in range(len(ids)):
         finish(s, "cap")
-    return [outcomes[s] for s in range(B)]
+    return [outcomes[i] for i in range(len(pchs))]

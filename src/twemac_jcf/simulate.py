@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelFamily, puncture, sample_states
+from .channel import ChannelFamily, effective_channel, sample_states
 from .de_coupled import Ensemble
 
 # type 1..5 -> knowledge bitmask; index 0 unused
@@ -207,9 +207,7 @@ def failure_rate(
     if trials < 1 or size < 1:
         raise ValueError(f"trials and size must be >= 1, got {trials} and {size}")
     rng = np.random.default_rng(seed)
-    pch = family.eval(eps)
-    if p_pi:
-        pch = puncture(pch, p_pi)
+    pch = effective_channel(family, eps, p_pi)
     bit_rates = np.zeros(trials)
     failures = 0
     for t in range(trials):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelError, ChannelFamily, puncture
+from .channel import ChannelError, ChannelFamily, effective_channel
 from .de_core import SimplexError
 from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
 
@@ -81,16 +81,10 @@ class ThresholdResult:
     eps_lo: float
     eps_hi: float
     tol: float
-    evaluations: int
     # the bisection path, in its order; speculative points off it are not listed
     evals: List[EvalMeta] = field(default_factory=list)
     degenerate: bool = False  # eps = 0 already undecodable
     cap_limited: bool = False  # the evaluation that set eps_hi ended at the cap
-
-
-def _channel(family: ChannelFamily, eps: float, p_pi: float):
-    pch = family.eval(eps)
-    return puncture(pch, p_pi) if p_pi else pch
 
 
 def _meta(eps: float, res: DeOutcome) -> EvalMeta:
@@ -106,7 +100,7 @@ def is_decodable(
     p_pi: float = 0.0,
 ) -> EvalMeta:
     """Run the evolution at eps (optionally punctured) and report the outcome."""
-    return _meta(eps, de_coupled(e, _channel(family, eps, p_pi), caps))
+    return _meta(eps, de_coupled(e, effective_channel(family, eps, p_pi), caps))
 
 
 def _subtree(lo: float, hi: float, depth: int, width: float) -> List[float]:
@@ -150,7 +144,7 @@ def find_threshold(
         ahead.clear()
         ahead.update(dict.fromkeys(points))
         try:
-            pchs = [_channel(family, eps, p_pi) for eps in points]
+            pchs = [effective_channel(family, eps, p_pi) for eps in points]
             outcomes = de_batch(e, pchs, caps)
         except (ChannelError, SimplexError):
             return  # each point is evaluated alone when reached, and raises there
@@ -187,8 +181,8 @@ def find_threshold(
         return ends[eps] if eps in ends else check(eps)
 
     def result(lo: float, hi: float, hi_meta: EvalMeta, degenerate: bool = False):
-        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, len(evals), evals,
-                               degenerate, hi_meta.status == "cap")
+        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals, degenerate,
+                               hi_meta.status == "cap")
 
     at_zero = check_end(0.0)
     if not at_zero.decodable:
@@ -240,7 +234,7 @@ def _sweep_point(args) -> SweepRow:
         eps_thresh=res.eps_thresh,
         eps_lo=res.eps_lo,
         eps_hi=res.eps_hi,
-        evals=res.evaluations,
+        evals=len(res.evals),
         cap_limited=res.cap_limited,
     )
 

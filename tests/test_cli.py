@@ -134,6 +134,50 @@ def test_de_regular_with_trace(tmp_path, capsys):
     assert decs == sorted(decs)
 
 
+RATE_COLUMNS = ["eps", "r_df", "r_df_prime", "r_cf", "r_jcf_target"]
+DE_COLUMNS = ["min_p_dec", "iterations", "status", "nominal_rate"]
+XOR = ["--channel", "xor-only"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, columns", [
+    (["rates", "--grid", "3"], {"out": RATE_COLUMNS}),
+    (["de", "--dv", "3", "--dc", "6", "--eps", "0.3", *XOR, "--trace", "SIDE"],
+     {"out": DE_COLUMNS,
+      "side": ["iter", *(f"pvc{i}" for i in range(1, 6)), *(f"pcv{i}" for i in range(1, 6)),
+               "p_dec"]}),
+    (["de", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3", "--eps", "0.45", *XOR,
+      "--lmax", "500", "--profile", "SIDE"],
+     {"out": DE_COLUMNS,
+      "side": ["position", *(f"p_dec_iter_{k}" for k in (1, 2, 4, 8, 16, 32, 48))]}),
+    (["threshold", "--regular", "3", "6", *XOR, "--tol", "1e-3"],
+     {"out": ["eps_thresh", "eps_lo", "eps_hi", "tol", "evals", "degenerate", "cap_limited"]}),
+    (["figure6", "--dc", "6", "--dv", "3", "--L", "3", "--w", "2", "--tol", "5e-3",
+      "--curve-grid", "3", *XOR],
+     {"out": ["d_v", "d_c", "L", "w", "p_pi", "nominal_rate", "rate_pi", "eps_thresh", "eps_lo",
+              "eps_hi", "evals", "cap_limited"],
+      "curves": RATE_COLUMNS}),
+    (["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.2", *XOR,
+      "--trials", "2", "--seed", "7"],
+     {"out": ["bit_rate", "block_rate", "block_lo", "block_hi", "trials", "n_vars"]}),
+], ids=["rates", "de-trace", "de-profile", "threshold", "figure6", "simulate"])
+def test_output_columns_in_order(argv, columns, fmt, tmp_path, capsys):
+    # every file names its columns in this order: the CSV header, and the
+    # keys of each JSON row
+    paths = {"out": tmp_path / f"out.{fmt}", "side": tmp_path / f"side.{fmt}",
+             "curves": tmp_path / f"out.{fmt}.curves.{fmt}"}
+    argv = [str(paths["side"]) if a == "SIDE" else a for a in argv]
+    code, _ = run_cli([*argv, "--format", fmt, "--out", str(paths["out"])], capsys)
+    assert code == 0
+    for name, want in columns.items():
+        text = paths[name].read_text()
+        if fmt == "csv":
+            assert [ln for ln in text.splitlines() if not ln.startswith("#")][0] == ",".join(want)
+        else:
+            rows = json.loads(text)["rows"]
+            assert rows and all(list(row) == want for row in rows)
+
+
 def test_header_echoes_settings_in_force(capsys):
     # without --lmax and --tol the header names the defaults that ran: 5000
     # iterations and 1e-4 for the regular ensemble, 20000 and 1e-3 for a chain

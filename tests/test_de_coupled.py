@@ -243,8 +243,9 @@ def test_outcomes_own_their_memory(shape):
 
 
 def test_iterations_call_no_array_constructor(monkeypatch):
-    # numpy's concatenate, repeat and empty run per call, not per iteration,
-    # for a lone chain and a batch of chains
+    # numpy's concatenate, repeat and empty run per call and when blocks
+    # leave the batch, not per iteration, for a lone chain and a batch of
+    # chains whose third block (full-reveal at eps 0) ends after iteration 1
     calls = collections.Counter()
     for name in ("concatenate", "repeat", "empty", "empty_like", "zeros"):
         def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
@@ -252,13 +253,15 @@ def test_iterations_call_no_array_constructor(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np, name, counted)
     e, pch = Ensemble(5, 10, 20, 4), BUILTINS["primary"].eval(0.27)
-    pchs = [pch, BUILTINS["xor-only"].eval(0.45), pch]
-    for run in (lambda caps: [de_coupled(e, pch, caps)], lambda caps: de_batch(e, pchs, caps)):
+    pchs = [pch, BUILTINS["xor-only"].eval(0.45), BUILTINS["full-reveal"].eval(0.0), pch]
+    for run, early in ((lambda caps: [de_coupled(e, pch, caps)], {}),
+                       (lambda caps: de_batch(e, pchs, caps), {2: ("success", 1)})):
         counts = []
         for l_max in (5, 50):
             calls.clear()
             outcomes = run(Caps(l_max=l_max, success_target=NOT_FINAL))
-            assert {res.converged for res in outcomes} == {"cap"}
+            assert [(res.converged, res.iterations_used) for res in outcomes] == [
+                early.get(i, ("cap", l_max)) for i in range(len(outcomes))]
             counts.append(dict(calls))
         assert counts[0] == counts[1]
 

@@ -105,7 +105,7 @@ def test_verify_scan_reuses_endpoint_outcomes():
     plain = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3))
     scanned = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3), verify_scan=9)
     assert scanned.eps_thresh == plain.eps_thresh
-    assert scanned.evaluations == plain.evaluations + 9 - 2
+    assert len(scanned.evals) == len(plain.evals) + 9 - 2
     assert [m.eps for m in scanned.evals].count(1.0) == 1
 
 
@@ -235,8 +235,8 @@ def plain_bisection(e, family, caps=Caps(), p_pi=0.0, verify_scan=None):
         ends = {0.0: metas[0], 1.0: metas[-1]}
 
     def result(lo, hi, hi_meta, degenerate=False):
-        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, len(evals), evals,
-                               degenerate, hi_meta.status == "cap")
+        return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals, degenerate,
+                               hi_meta.status == "cap")
 
     at_zero = ends.get(0.0) or check(0.0)
     if not at_zero.decodable:
@@ -302,8 +302,8 @@ def test_regular_bisection_evaluates_levels_in_batches(monkeypatch):
     sizes, singles = record_evolutions(monkeypatch)
     # 13 levels at tol 1e-4: eps 0 and 1 with the first d levels, then the rest
     res = find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-4))
-    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1, 2 ** (13 - d) - 1], 0,
-                                                      2 + 13)
+    assert (sizes, len(singles), len(res.evals)) == ([2 + 2**d - 1, 2 ** (13 - d) - 1], 0,
+                                                     2 + 13)
     # 9 levels at tol 1e-3, after the scan grid in one batch
     sizes.clear()
     find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-3), verify_scan=9)
@@ -315,8 +315,8 @@ def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
     sizes, singles = record_evolutions(monkeypatch)
     # 9 levels at tol 1e-3: eps 0 and 1 with the first d levels, then d at a time
     res = find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps())
-    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
-                                                      0, 2 + 9)
+    assert (sizes, len(singles), len(res.evals)) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
+                                                     0, 2 + 9)
     # 7 levels at tol 5e-3: the last batch holds the one level left
     sizes.clear()
     find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
@@ -325,8 +325,8 @@ def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
     # their batches all the same
     sizes.clear()
     res = find_threshold(Ensemble(3, 6, 20, 3), BUILTINS["full-reveal"], Caps())
-    assert (sizes, len(singles), res.evaluations) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
-                                                      0, 2 + 9)
+    assert (sizes, len(singles), len(res.evals)) == ([2 + 2**d - 1] + [2**d - 1] * (9 // d - 1),
+                                                     0, 2 + 9)
 
 
 class FailsAt:
