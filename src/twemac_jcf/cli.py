@@ -187,7 +187,8 @@ def cmd_figure6(args) -> int:
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
     curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
-    _emit(args, [asdict(row) for row in sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)])
+    rows = sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)
+    _emit(args, [asdict(row) for row in rows])
 
     # analytic overlay curves on an eps grid
     curve_path = f"{args.out}.curves.{args.format}" if args.out else None

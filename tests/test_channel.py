@@ -9,6 +9,7 @@ from twemac_jcf.channel import (
     BUILTINS,
     ChannelError,
     ChannelFamily,
+    effective_channel,
     get_family,
     parse_channel_config,
     puncture,
@@ -80,6 +81,21 @@ def test_puncture_preserves_simplex_and_is_affine(raw, p_pi):
     q0 = puncture(p, 0.0)
     mid = puncture(p, p_pi / 2)
     np.testing.assert_allclose((q0 + q) / 2, mid, atol=1e-12)
+
+
+def test_effective_channel_punctures_only_at_nonzero_p_pi(monkeypatch):
+    # at p_pi = 0 the family's distribution is returned as it is, with no
+    # validation; otherwise it is `puncture`'s, validated once
+    from twemac_jcf import channel
+
+    fam = BUILTINS["primary"]
+    punctured = puncture(fam.eval(0.3), 0.2)
+    calls = []
+    monkeypatch.setattr(channel, "validate_dist", lambda p: calls.append(p) or validate_dist(p))
+    assert effective_channel(fam, 0.3, 0.0).tobytes() == fam.eval(0.3).tobytes()
+    assert not calls
+    assert effective_channel(fam, 0.3, 0.2).tobytes() == punctured.tobytes()
+    assert len(calls) == 1
 
 
 def test_puncture_spec_validation():
