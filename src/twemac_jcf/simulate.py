@@ -18,6 +18,11 @@ depends only on the type pattern.  `peel_decode` runs type-level message
 passing to its fixed point in flooding rounds in which only the nodes whose
 inputs changed recompute, so each round sends a full flooding round's
 messages (knowledge only grows, so the fixed point is schedule-independent).
+A round costs the edges of the nodes that changed: the nodes whose inputs
+gained a bit are marked in a bool array, node->edge tables (a check's edges
+are a run of the check-major list; the sampler's socket ids give each
+variable's) turn them into edges, and each such node turns its packed bit
+counts into two masks once, from which every edge's message follows.
 The exact reference decoder, which enumerates the codeword pairs consistent
 with an observation of a small code, is test code (`tests/oracles.py`).
 
@@ -52,28 +57,68 @@ def closure(m: np.ndarray) -> np.ndarray:
 
 # _PACK[m]: bits 1, 2, 4 of mask m as counts in 21-bit fields (node degree < 2**21)
 _SHIFT, _BITS = 21, TYPE_TO_MASK[2:5].tolist()
-_PACK = np.array([sum(1 << (_SHIFT * i) for i, b in enumerate(_BITS) if m & b) for m in range(8)])
+_PACK = np.array([sum(1 << (_SHIFT * i) for i, b in enumerate(_BITS) if m & b) for m in range(8)],
+                 dtype=np.uint64)
+# per field: its low 20 bits, and its top bit
+_LOW = np.uint64(sum(((1 << (_SHIFT - 1)) - 1) << (_SHIFT * i) for i in range(3)))
+_TOP = np.uint64(sum(1 << (_SHIFT * i + _SHIFT - 1) for i in range(3)))
+# times _GATHER, the top bits of fields 0, 1, 2 land on bits 61, 62, 63, and no
+# other product reaches those bits
+_GATHER = np.uint64(sum(1 << (2 * _SHIFT - 1 - (_SHIFT - 1) * i) for i in range(3)))
+_CLOSE = closure(np.arange(8)).astype(np.int8)
 
 
-def _present(q: np.ndarray) -> np.ndarray:
-    """Mask of the bits whose packed count in q is nonzero."""
-    return sum((((q >> (_SHIFT * i)) & ((1 << _SHIFT) - 1)) != 0) * b for i, b in enumerate(_BITS))
+def _masks(q: np.ndarray):
+    """Masks of the bits whose packed count in q is >= 1 and >= 2.
+
+    A field is nonzero iff its top bit is set or its low 20 bits plus
+    2**20 - 1 carry into the top bit; the sum stays within the field.  A
+    field is >= 2 iff half of it, rounded down, is nonzero.
+    """
+    ge1 = (((q & _LOW) + _LOW) | q) & _TOP
+    ge2 = (((q >> np.uint64(1)) & _LOW) + _LOW) & _TOP
+    return tuple(((m * _GATHER) >> np.uint64(3 * _SHIFT - 2)).astype(np.int8) for m in (ge1, ge2))
 
 
 @dataclass
 class EtgInstance:
     """A sampled extended Tanner graph as one edge list.
 
-    Edge k joins variable evar[k] to check echeck[k]; edges are listed in
-    check-major socket order and multi-edges are allowed.  Boundary sockets
-    of a coupled chain, fixed to the known all-zero pair, are not stored:
-    they carry type 5, the identity of the check meet.
+    Edge k joins variable evar[k] to check echeck[k]; the sampler lists
+    edges in check-major socket order, and multi-edges are allowed.
+    Boundary sockets of a coupled chain, fixed to the known all-zero pair,
+    are not stored: they carry type 5, the identity of the check meet.
+    var_edges lists the edges grouped by variable, variable 0's first; the
+    sampler builds it from its socket ids, and an instance built by hand
+    gets it from a stable argsort of evar.
     """
 
     n_vars: int
     n_checks: int
     evar: np.ndarray
     echeck: np.ndarray
+    var_edges: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.var_edges is None:
+            self.var_edges = np.argsort(self.evar, kind="stable")
+
+
+def _check_sockets(e: Ensemble, m_per_pos: int, rng: np.random.Generator) -> np.ndarray:
+    """Variable socket ids v*d_v + j in check socket order: check c owns
+    entries c*d_c .. (c+1)*d_c - 1, and -1 marks a boundary socket."""
+    md = m_per_pos * e.d_v
+    ncp = e.n_chk_positions
+    # chunks[q, j] = sockets of variable position q - j matched to check position q
+    chunks = np.full((ncp, e.w, md // e.w), -1, dtype=np.int64)
+    for p in range(e.n_var_positions):
+        own = np.arange(p * md, (p + 1) * md)
+        if e.w > 1:  # a check row of one chunk needs only the row shuffle below
+            rng.shuffle(own)
+        chunks[p + np.arange(e.w), np.arange(e.w)] = own.reshape(e.w, -1)
+    for row in chunks.reshape(ncp, md):
+        rng.shuffle(row)
+    return chunks.ravel()
 
 
 def sample_coupled_graph(
@@ -88,28 +133,24 @@ def sample_coupled_graph(
     top of the usual d_c | M*d_v so that degrees come out exact.  The regular
     ensemble (L = 0, w = 1) is one position of N = M variables, and its
     sample is the configuration model: one shuffle of the sockets.
+
+    The shuffles move variable socket ids v*d_v + j, so where each socket
+    lands also gives the variable's edges.
     """
     md = m_per_pos * e.d_v
     for k, name in ((e.d_c, "d_c"), (e.w, "w")):
         if md % k != 0:
             raise ValueError(f"size*d_v = {md} is not divisible by {name} = {k}")
-    nvp, ncp = e.n_var_positions, e.n_chk_positions
-
-    # chunks[q, j] = sockets of variable position q - j matched to check position q;
-    # -1 marks a boundary socket
-    chunks = np.full((ncp, e.w, md // e.w), -1, dtype=np.int64)
-    for p in range(nvp):
-        own = np.repeat(np.arange(p * m_per_pos, (p + 1) * m_per_pos), e.d_v)
-        if e.w > 1:  # a check row of one chunk needs only the row shuffle below
-            rng.shuffle(own)
-        chunks[p + np.arange(e.w), np.arange(e.w)] = own.reshape(e.w, -1)
-    for row in chunks.reshape(ncp, md):
-        rng.shuffle(row)
-    sockets = chunks.ravel()  # check c owns sockets[c*d_c : (c+1)*d_c]
-    edges = np.flatnonzero(sockets >= 0)
-    evar = sockets[edges]
-    edges //= e.d_c
-    return EtgInstance(nvp * m_per_pos, sockets.size // e.d_c, evar, edges)
+    sockets = _check_sockets(e, m_per_pos, rng)
+    real = sockets >= 0
+    evar = sockets[real]
+    del sockets  # free it before the tables are built
+    var_edges = np.empty_like(evar)  # every variable socket is an edge
+    var_edges[evar] = np.arange(evar.size)
+    evar //= e.d_v
+    n_checks = real.size // e.d_c
+    echeck = np.repeat(np.arange(n_checks), real.reshape(n_checks, e.d_c).sum(1))
+    return EtgInstance(e.n_var_positions * m_per_pos, n_checks, evar, echeck, var_edges)
 
 
 def _type_array(types, n: int) -> np.ndarray:
@@ -122,6 +163,21 @@ def _type_array(types, n: int) -> np.ndarray:
     return t
 
 
+def _offsets(nodes: np.ndarray, n: int) -> np.ndarray:
+    """ptr[k]..ptr[k+1] - 1: where node k's edges sit in a node->edge table,
+    given each edge's node."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _expand(ptr: np.ndarray, nodes: np.ndarray):
+    """Table positions of the edges of `nodes`, node by node, and their degrees."""
+    start = ptr[nodes]
+    deg = ptr[nodes + 1] - start
+    return np.arange(deg.sum()) + np.repeat(start + deg - np.cumsum(deg), deg), deg
+
+
 def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     """Type-level message passing to the fixed point; returns per-variable types.
 
@@ -131,29 +187,58 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     recovered at a variable iff its final type is 4 or 5.
 
     Each round equals a flooding round, but only nodes with a changed input
-    recompute; per-node bit counts grow by the bits the changed messages gain.
+    recompute.  Per-node bit counts grow by the bits the changed messages
+    gain, and only the edges whose message gained update them.  A
+    recomputing node turns its counts into ge1 and ge2, the masks of the
+    bits counted at least once and at least twice; the bits that some other
+    edge counts are then ge2 | (ge1 & ~own) for the edge's own bits.  The
+    nodes that gained are marked in a bool array, and their edges come from
+    the node->edge tables: a stable argsort of echeck and g.var_edges.  So a
+    round costs the edges of the nodes that changed, not the whole graph.
     """
-    ch = TYPE_TO_MASK[_type_array(types, g.n_vars)]
+    ch = TYPE_TO_MASK[_type_array(types, g.n_vars)].astype(np.int8)
     evar, echeck = g.evar, g.echeck
-    if max(np.bincount(evar).max(initial=0), np.bincount(echeck).max(initial=0)) >> _SHIFT:
+    cptr, vptr = _offsets(echeck, g.n_checks), _offsets(evar, g.n_vars)
+    cdeg = np.diff(cptr)
+    if max(cdeg.max(initial=0), np.diff(vptr).max(initial=0)) >> _SHIFT:
         raise ValueError(f"node degrees must be below 2**{_SHIFT}")
-    v2c, c2v = ch[evar].astype(np.int8), np.zeros(evar.size, np.int8)  # message masks
-    lack = np.zeros(g.n_checks, np.int64)  # per check: sockets lacking each bit
+    ctab, vtab = np.argsort(echeck, kind="stable"), g.var_edges  # node->edge tables
+    v2c, c2v = ch[evar], np.zeros(evar.size, np.int8)  # message masks
+    lack = np.zeros(g.n_checks, np.uint64)  # per check: sockets lacking each bit
     np.add.at(lack, echeck, _PACK[7 ^ v2c])
-    has = np.zeros(g.n_vars, np.int64)  # per variable: incoming messages with each bit
-    e = np.arange(evar.size)  # the edges to recompute; round 1 visits every check
+    has = np.zeros(g.n_vars, np.uint64)  # per variable: incoming messages with each bit
+    vmark, cmark = np.zeros(g.n_vars, bool), np.zeros(g.n_checks, bool)
+    nodes, e, deg = np.arange(g.n_checks), ctab, cdeg  # round 1 visits every check
     while e.size:
-        new = 7 ^ _present(lack[echeck[e]] - _PACK[7 ^ v2c[e]])  # bits no other socket lacks
+        # check half: a socket gets the bits that no other socket lacks
+        ge1, ge2 = _masks(lack[nodes])
+        new = 7 ^ (np.repeat(ge2, deg) | (np.repeat(ge1, deg) & v2c[e]))
         gain = new ^ c2v[e]
-        np.add.at(has, evar[e], _PACK[gain])
-        c2v[e] = new
-        e = np.flatnonzero((np.bincount(evar[e[gain != 0]], minlength=g.n_vars) > 0)[evar])
-        new = closure(ch[evar[e]] | _present(has[evar[e]] - _PACK[c2v[e]]))  # channel | others
+        keep = gain != 0
+        e, gain = e[keep], gain[keep]
+        c2v[e] ^= gain
+        far = evar[e]
+        np.add.at(has, far, _PACK[gain])
+        vmark[far] = True
+        nodes = np.flatnonzero(vmark)
+        vmark[nodes] = False
+        i, deg = _expand(vptr, nodes)
+        e = vtab[i]
+        # variable half: the channel's bits and those of some other message, closed
+        ge1, ge2 = _masks(has[nodes])
+        new = _CLOSE[np.repeat(ch[nodes] | ge2, deg) | (np.repeat(ge1, deg) & ~c2v[e])]
         gain = new ^ v2c[e]
-        np.subtract.at(lack, echeck[e], _PACK[gain])
-        v2c[e] = new
-        e = np.flatnonzero((np.bincount(echeck[e[gain != 0]], minlength=g.n_checks) > 0)[echeck])
-    return MASK_TO_TYPE[closure(ch | _present(has))]
+        keep = gain != 0
+        e, gain = e[keep], gain[keep]
+        v2c[e] ^= gain
+        far = echeck[e]
+        np.subtract.at(lack, far, _PACK[gain])
+        cmark[far] = True
+        nodes = np.flatnonzero(cmark)
+        cmark[nodes] = False
+        i, deg = _expand(cptr, nodes)
+        e = ctab[i]
+    return MASK_TO_TYPE[_CLOSE[ch | _masks(has)[0]]]
 
 
 def wilson_interval(failures: int, trials: int):
@@ -213,6 +298,7 @@ def failure_rate(
     for t in range(trials):
         g = sample_coupled_graph(e, size, rng)
         out = peel_decode(g, sample_states(pch, g.n_vars, rng))
+        del g  # free the graph before the next one is sampled
         failed = out < 4  # types 4 and 5 hold the xor
         bit_rates[t] = failed.mean()
         failures += bool(failed.any())

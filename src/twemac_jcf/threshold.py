@@ -18,7 +18,6 @@ bisection's.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -256,6 +255,10 @@ def sweep(
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here, since only a parallel sweep needs it and every CLI start
+        # would pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]

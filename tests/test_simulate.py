@@ -1,6 +1,7 @@
 """Graph sampling, peel decoding against the exhaustive reference decoder
 of the oracles, and Monte Carlo failure rates."""
 
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from twemac_jcf.channel import BUILTINS, sample_states
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 from twemac_jcf.simulate import (
     EtgInstance,
+    _masks,
     failure_rate,
     peel_decode,
     sample_coupled_graph,
@@ -99,6 +101,72 @@ def test_coupled_sampling_divisibility():
         sample_coupled_graph(e, 5, np.random.default_rng(0))  # w does not divide M*d_v
     with pytest.raises(ValueError):
         sample_coupled_graph(Ensemble(3, 7, 2, 3), 5, np.random.default_rng(0))
+
+
+# sha256 of evar and echeck as little-endian int64, first 16 hex digits, for
+# seeds 0, 1, 2: the draws of the sampler before it kept socket ids
+PINNED_SAMPLES = {
+    (Ensemble(3, 6), 60): [
+        ("151360cd8546baf1", "88699f912ac0b3b2"),
+        ("35de12a52a759b7b", "88699f912ac0b3b2"),
+        ("519cd9c00e4ba793", "88699f912ac0b3b2"),
+    ],
+    (Ensemble(3, 6, 2, 2), 4): [
+        ("53358af7f4ad7ca1", "3dd22e5caeb5674f"),
+        ("7bc3ade41e3cb6cf", "f5fdce884be03456"),
+        ("99f47ec7bbf4c8ef", "9b1c535b962a70e3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("e, m", list(PINNED_SAMPLES))
+def test_sampled_edges_are_pinned(e, m):
+    # simulate's graph streams depend on what the sampler draws; its
+    # variable table must list each variable's d_v edges, variable by variable
+    for seed, digests in enumerate(PINNED_SAMPLES[e, m]):
+        g = sample_coupled_graph(e, m, np.random.default_rng(seed))
+        assert g.evar.dtype == g.echeck.dtype == np.int64
+        got = tuple(hashlib.sha256(a.astype("<i8").tobytes()).hexdigest()[:16]
+                    for a in (g.evar, g.echeck))
+        assert got == digests
+        np.testing.assert_array_equal(np.sort(g.var_edges), np.arange(g.evar.size))
+        np.testing.assert_array_equal(g.evar[g.var_edges], np.repeat(np.arange(g.n_vars), e.d_v))
+
+
+def test_hand_built_variable_table_groups_edges_by_variable():
+    evar = np.array([2, 0, 2, 1, 0])
+    g = EtgInstance(3, 2, evar, np.array([0, 0, 1, 1, 1]))
+    np.testing.assert_array_equal(g.var_edges, [1, 4, 3, 0, 2])
+
+
+@pytest.mark.parametrize("e, m", [(Ensemble(3, 6), 600), (Ensemble(3, 6, 6, 3), 40)])
+def test_peel_same_types_for_any_edge_order(e, m):
+    # the same graph with its edge list shuffled, built by hand so that its
+    # tables come from argsorts, decodes to the sampled instance's types
+    rng = np.random.default_rng(8)
+    for eps in (0.3, 0.42, 0.46, 0.55):
+        g = sample_coupled_graph(e, m, rng)
+        types = sample_states(BUILTINS["xor-only"].eval(eps), g.n_vars, rng)
+        perm = rng.permutation(g.evar.size)
+        h = EtgInstance(g.n_vars, g.n_checks, g.evar[perm], g.echeck[perm])
+        assert np.any(np.diff(h.echeck) < 0)
+        out = peel_decode(g, types)
+        np.testing.assert_array_equal(peel_decode(h, types), out)
+        np.testing.assert_array_equal(out, _flood(g, types))
+
+
+def test_masks_match_per_field_counts():
+    # each 21-bit field of a packed count at 0, 1, 2 and 2**21 - 1, the others
+    # at extreme values: no carry or borrow may cross a field
+    top = 2**21 - 1
+    counts = np.array(list(itertools.product([0, 1, 2, 3, 2**20 - 1, 2**20, top - 1, top],
+                                             repeat=3)), dtype=np.uint64)
+    assert {0, 1, 2, top} <= set(counts[:, 0].tolist())
+    packed = (counts << np.uint64(21) * np.arange(3, dtype=np.uint64)).sum(1, dtype=np.uint64)
+    ge1, ge2 = _masks(packed)
+    bits = np.array([1, 2, 4])
+    np.testing.assert_array_equal(ge1, ((counts >= 1) * bits).sum(1))
+    np.testing.assert_array_equal(ge2, ((counts >= 2) * bits).sum(1))
 
 
 def test_peel_trivial_type_patterns():

@@ -1,5 +1,7 @@
 """Threshold bisection, monotonicity guard, and puncturing sweeps."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ def test_sweep_starts_no_more_workers_than_points(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(threshold, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     fam, caps = BUILTINS["xor-only"], Caps(tol=1e-2)
     one = sweep([Ensemble(3, 6)], fam, caps=caps, jobs=64)
     assert sizes == []
