@@ -274,6 +274,18 @@ def test_threshold_rejects_nonpositive_tol(argv, env):
     assert "tol" in proc.stderr
 
 
+def test_cli_start_does_not_import_the_process_pool():
+    # only figure6 --jobs > 1 runs worker processes; every other command
+    # would pay for importing concurrent.futures.process at start
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twemac_jcf.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
 def test_nonmonotone_verify_scan_exits_3(tmp_path, capsys):
     # the bump family erases most at eps = 1/2 and least at both ends
     cfg = tmp_path / "bump.ini"

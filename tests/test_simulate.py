@@ -104,7 +104,8 @@ def test_coupled_sampling_divisibility():
 
 
 # sha256 of evar and echeck as little-endian int64, first 16 hex digits, for
-# seeds 0, 1, 2: the draws of the sampler before it kept socket ids
+# seeds 0, 1, 2, frozen from the sampler that shuffled repeated variable ids:
+# shuffling socket ids v*d_v + j must draw the same graphs
 PINNED_SAMPLES = {
     (Ensemble(3, 6), 60): [
         ("151360cd8546baf1", "88699f912ac0b3b2"),
