@@ -292,9 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Reject an output path in a missing directory before any work runs."""
+    """Reject an output path that is a directory, or lies in a missing one,
+    before any work runs."""
     for name in ("out", "trace", "profile"):
         path = getattr(args, name, None)
+        if path and os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: --{name} is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"cannot write --{name} {path}: no directory {os.path.dirname(path)}")
 

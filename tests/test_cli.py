@@ -4,6 +4,7 @@ could hang, via a subprocess under a timeout."""
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -274,6 +275,21 @@ def test_threshold_rejects_nonpositive_tol(argv, env):
     assert "tol" in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+def test_threshold_below_float_spacing_ends(tol):
+    # a tol below the float spacing at the threshold cannot be met: the
+    # bisection ends when its bracket is two adjacent floats
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twemac_jcf.cli", "threshold", "--regular", "3", "6",
+         "--channel", "xor-only", "--lmax", "200", "--tol", tol],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = next(csv.DictReader(line for line in proc.stdout.splitlines() if line[0] != "#"))
+    assert float(row["eps_hi"]) == math.nextafter(float(row["eps_lo"]), 1)
+
+
 def test_cli_start_does_not_import_the_process_pool():
     # only figure6 --jobs > 1 runs worker processes; every other command
     # would pay for importing concurrent.futures.process at start
@@ -519,16 +535,20 @@ OUTPUT_CASES = {
 
 @pytest.mark.parametrize("argv, flag", list(OUTPUT_CASES.values()), ids=list(OUTPUT_CASES))
 def test_output_in_a_missing_directory_exits_2(argv, flag, tmp_path, capsys, monkeypatch):
-    # the path is checked before any evolution, sweep or simulation runs
+    # the path is checked before any evolution, sweep or simulation runs; a
+    # path that is an existing directory cannot be written either
     for name in ("rate_bounds", "de_coupled", "find_threshold", "sweep", "failure_rate"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before the check"))
-    path = tmp_path / "missing" / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, flag, str(path)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
-    assert not path.parent.exists()
+    directory = tmp_path / "x.csv"
+    directory.mkdir()
+    for path in (tmp_path / "missing" / "x.csv", directory):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"] and not any(directory.iterdir())
 
 
 def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):

@@ -348,27 +348,36 @@ class FailsAt:
         return np.array([1.0 + 1e-9, 0.0, 0.0, -1e-9, 0.0])
 
 
-@pytest.mark.parametrize("error, e", [
-    pytest.param(error, e, id=error.__name__ + suffix)
+@pytest.mark.parametrize("error, e, scan", [
+    pytest.param(error, e, None, id=error.__name__ + suffix)
     for suffix, e in (("", Ensemble(3, 6)), ("-chain", Ensemble(3, 6, 10, 3)))
     for error in (ChannelError, SimplexError)
-])
-def test_off_path_failures_do_not_surface(error, e, monkeypatch):
+] + [pytest.param(error, Ensemble(3, 6), 5, id=error.__name__ + "-scan")
+     for error in (ChannelError, SimplexError)])
+def test_off_path_failures_do_not_surface(error, e, scan, monkeypatch):
     caps = Caps(tol=1e-3)
-    plain = plain_bisection(e, XOR, caps)
-    off = {0.125, 0.75}  # in the first batch, never on the bisection path
+    plain = plain_bisection(e, XOR, caps, verify_scan=scan)
+    # in the first walk batch, never on the bisection path nor on the grid
+    # (0, 0.25, ..., 1), which the scan and the walk read alike
+    off = {0.125, 0.75} if scan is None else {0.125, 0.625}
     assert not off & {m.eps for m in plain.evals}
     sizes, singles = record_evolutions(monkeypatch)
-    assert find_threshold(e, FailsAt(off, error), caps) == plain
-    # the first batch raised (in de_batch for SimplexError, while building
-    # its channels for ChannelError), so eps 0 and 1 and its d levels ran
-    # one point at a time; the other 9 - d levels ran in batches again
+    assert find_threshold(e, FailsAt(off, error), caps, verify_scan=scan) == plain
+    # the first walk batch raised (in de_batch for SimplexError, while
+    # building its channels for ChannelError), so its d levels ran one point
+    # at a time, with eps 0 and 1 unless the grid held them; the other
+    # 9 - d levels ran in batches again
     d = threshold.CHAIN_SPECULATIVE_DEPTH if e.coupled else threshold.SPECULATIVE_DEPTH
+    ends = 2 * (scan is None)
     later = [2 ** min(d, 9 - k) - 1 for k in range(d, 9, d)]
-    assert (sizes, len(singles)) == ([2 + 2**d - 1] * (error is SimplexError) + later, 2 + d)
-    # on the path, the error surfaces as it does in the plain bisection
-    on = FailsAt({0.375}, error)
-    with pytest.raises(error):
-        plain_bisection(e, on, caps)
-    with pytest.raises(error):
-        find_threshold(e, on, caps)
+    grid = [] if scan is None else [scan]
+    assert (sizes, len(singles)) == (grid + [ends + 2**d - 1] * (error is SimplexError) + later,
+                                     ends + d)
+    # on the path, and on the grid, the error surfaces as it does in the
+    # plain bisection
+    for bad in [0.375] + [0.75] * (scan is not None):
+        on = FailsAt({bad}, error)
+        with pytest.raises(error):
+            plain_bisection(e, on, caps, verify_scan=scan)
+        with pytest.raises(error):
+            find_threshold(e, on, caps, verify_scan=scan)
