@@ -191,9 +191,13 @@ def cmd_figure6(args) -> int:
     _emit(args, [asdict(row) for row in rows])
 
     # analytic overlay curves on an eps grid
-    curve_path = f"{args.out}.curves.{args.format}" if args.out else None
-    _emit(args, curve_rows, path=curve_path)
+    _emit(args, curve_rows, path=_curves_path(args))
     return 0
+
+
+def _curves_path(args) -> Optional[str]:
+    """The file beside --out to which figure6 writes its rate curves."""
+    return f"{args.out}.curves.{args.format}" if args.out else None
 
 
 def cmd_simulate(args) -> int:
@@ -294,12 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_outputs(args) -> None:
     """Reject an output path that is a directory, or lies in a missing one,
     before any work runs."""
-    for name in ("out", "trace", "profile"):
-        path = getattr(args, name, None)
+    paths = [(f"--{name}", getattr(args, name, None)) for name in ("out", "trace", "profile")]
+    if args.func is cmd_figure6:
+        paths.append(("the curves file of --out", _curves_path(args)))
+    for name, path in paths:
         if path and os.path.isdir(path):
-            raise ValueError(f"cannot write {path}: --{name} is a directory")
+            raise ValueError(f"cannot write {path}: {name} is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"cannot write --{name} {path}: no directory {os.path.dirname(path)}")
+            raise ValueError(f"cannot write {name} {path}: no directory {os.path.dirname(path)}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

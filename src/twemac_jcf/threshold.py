@@ -5,18 +5,19 @@ per-position success probability past the target (1 - 1e-5 by default)
 within the iteration cap.  Bisection assumes decodability is monotone in
 eps; a scan mode can verify this on a grid for unfamiliar channels.
 
-The bisection is one walk over one memo of outcomes.  Where the walk meets
-an eps that the memo lacks, one `de_batch` evolution evaluates a new batch
-in its place: first the scan grid, or else eps 0 and 1 with the first
-SPECULATIVE_DEPTH levels of the bisection tree on the regular ensemble
-(CHAIN_SPECULATIVE_DEPTH levels on a chain); later the next levels below
-the point missed.  The points off the walk's path are computed and
-dropped.  A batch that raises leaves its points unknown, and each is
-evaluated alone with `de_coupled` when the walk reaches it, so an error
-surfaces only where the plain bisection would raise it.  The walk stops
-once the bracket is no wider than 2*tol, or once no float lies strictly
-between its ends, which then are adjacent floats.  The result, `evals`
-included, is the plain bisection's.
+The bisection is one walk over one memo, which keeps every outcome
+computed.  Where the walk meets an eps that the memo lacks, one `de_batch`
+evolution evaluates a new batch in its place: first the scan grid, whose
+outcomes the walk then reads on its path, or else eps 0 and 1 with the
+first SPECULATIVE_DEPTH levels of the bisection tree on the regular
+ensemble (CHAIN_SPECULATIVE_DEPTH levels on a chain); later the next levels
+below the point missed.  The points off the walk's path stay in the memo
+unread.  A batch that raises leaves its points unknown, and each is
+evaluated alone with `de_coupled` when the walk reaches it, and then kept,
+so an error surfaces only where the plain bisection would raise it.  The
+walk stops once the bracket is no wider than 2*tol, or once no float lies
+strictly between its ends, which then are adjacent floats.  The result,
+`evals` included, is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def find_threshold(
 
     With verify_scan=n >= 2, an n-point grid is evaluated first and a
     non-monotone decodability pattern raises MonotonicityError; the bisection
-    reuses the grid's outcomes at eps 0 and 1.  A grid of fewer than two
-    points cannot show a non-monotone pattern and raises ValueError.
+    reads the grid's outcomes, its ends included, wherever its path meets
+    them.  A grid of fewer than two points cannot show a non-monotone
+    pattern and raises ValueError.
 
     The points are evaluated ahead, in batches (see the module docstring);
     the result is the plain bisection's all the same.
@@ -130,49 +132,45 @@ def find_threshold(
     width = 2 * caps.tol
     depth = CHAIN_SPECULATIVE_DEPTH if e.coupled else SPECULATIVE_DEPTH
     evals: List[EvalMeta] = []
-    memo: Dict[float, Optional[EvalMeta]] = {}  # the last batch; None: it raised
+    memo: Dict[float, Optional[EvalMeta]] = {}  # every outcome so far; None: its batch raised
 
     def check(eps: float, batch: Callable[[], List[float]]) -> EvalMeta:
         if eps not in memo:
             points = batch()
-            memo.clear()
             memo.update(dict.fromkeys(points))
             try:
                 outcomes = de_batch(e, [effective_channel(family, x, p_pi) for x in points], caps)
                 memo.update((x, _meta(x, res)) for x, res in zip(points, outcomes))
             except (ChannelError, SimplexError):
                 pass  # each point is evaluated alone when reached, and raises there
-        meta = memo[eps] or is_decodable(e, family, eps, caps, p_pi)
-        evals.append(meta)
-        return meta
+        memo[eps] = memo[eps] or is_decodable(e, family, eps, caps, p_pi)
+        evals.append(memo[eps])
+        return memo[eps]
 
     if verify_scan is None:
         first = [0.0, 1.0] + _subtree(0.0, 1.0, depth, width)
-        metas = [check(0.0, lambda: first)]
-        if metas[0].decodable:
-            metas.append(check(1.0, lambda: first))
+        if check(0.0, lambda: first).decodable:
+            check(1.0, lambda: first)
     else:
         grid = [float(x) for x in np.linspace(0.0, 1.0, verify_scan)]
-        metas = [check(x, lambda: grid) for x in grid]
-        memo.clear()  # the walk's batches are the plain walk's, whatever the grid
-    decodable = [m.decodable for m in metas]  # must form a prefix of the grid
-    if decodable != sorted(decodable, reverse=True):
-        raise MonotonicityError("decodability is not monotone in eps on the scan grid; "
-                                "bisection would be unsound for this channel family")
+        decodable = [check(x, lambda: grid).decodable for x in grid]  # True on a prefix
+        if decodable != sorted(decodable, reverse=True):
+            raise MonotonicityError("decodability is not monotone in eps on the scan grid; "
+                                    "bisection would be unsound for this channel family")
     # eps 0 undecodable leaves the bracket [0, 0], eps 1 decodable [1, 1]
-    lo, hi, hi_meta = 0.0, 1.0, metas[-1]
-    if not metas[0].decodable:
-        hi, hi_meta = 0.0, metas[0]
-    elif hi_meta.decodable:
+    degenerate = not memo[0.0].decodable
+    lo, hi = 0.0, 1.0
+    if degenerate:
+        hi = 0.0
+    elif memo[1.0].decodable:
         lo = 1.0
     while (mid := _midpoint(lo, hi, width)) is not None:
-        meta = check(mid, lambda: _subtree(lo, hi, depth, width))
-        if meta.decodable:
+        if check(mid, lambda: _subtree(lo, hi, depth, width)).decodable:
             lo = mid
         else:
-            hi, hi_meta = mid, meta
-    return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals,
-                           not metas[0].decodable, hi_meta.status == "cap")
+            hi = mid
+    return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals, degenerate,
+                           memo[hi].status == "cap")
 
 
 @dataclass

@@ -153,7 +153,8 @@ def test_criterion_5_desk_scale_rate_thresholds():
             ok &= 0.27 <= res.eps_thresh <= 0.293
         if d_v == 9:
             ok &= 0.86 <= res.eps_thresh <= 0.895
-        details.append(f"dv={d_v}: R={rate:.3f}, eps={res.eps_thresh:.4f}, curve={curve:.3f}")
+        details.append(f"dv={d_v}: R={rate:.3f}, eps={res.eps_thresh:.4f}, curve={curve:.3f}, "
+                       f"cap_limited={res.cap_limited}")
     _report(5, ok, "; ".join(details) + " (R within [-0.05, +0.02] of max-rate curve)")
 
 
@@ -170,7 +171,8 @@ def test_criterion_6_puncturing_coverage():
         r_pi = rate / (1 - p_pi)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= r_pi <= curve + 0.02
-        details.append(f"p_pi={p_pi}: R_pi={r_pi:.3f}, eps={res.eps_thresh:.4f}, curve={curve:.3f}")
+        details.append(f"p_pi={p_pi}: R_pi={r_pi:.3f}, eps={res.eps_thresh:.4f}, "
+                       f"curve={curve:.3f}, cap_limited={res.cap_limited}")
     _report(6, ok, "; ".join(details) + " (all within 0.05 below the max-rate curve)")
 
 

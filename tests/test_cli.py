@@ -2,6 +2,7 @@
 could hang, via a subprocess under a timeout."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -112,6 +113,51 @@ def test_reruns_byte_identical(capsys):
     _, a = run_cli(argv, capsys)
     _, b = run_cli(argv, capsys)
     assert a == b
+
+
+REGULAR_THRESHOLDS = [
+    ["threshold", "--regular", str(d_v), str(d_c), "--channel", channel, "--tol", "1e-4"]
+    for channel in ("primary", "xor-only", "full-reveal")
+    for d_v, d_c in ((3, 6), (4, 8), (3, 10), (5, 10), (7, 10), (9, 10))
+]
+PINNED_OUTPUTS = {  # case: (commands, sha256 prefix of what they write)
+    "regular-thresholds": (REGULAR_THRESHOLDS, "ffe95c97d0b2249d"),
+    "threshold-chain": ([["threshold", "--coupled", "3", "6", "100", "5", "--channel", "xor-only",
+                          "--tol", "1e-3"]], "80c3f2b5bf5489ff"),
+    "threshold-scan": ([["threshold", "--regular", "3", "6", "--channel", "xor-only",
+                         "--tol", "1e-3", "--verify-scan", "9"]], "d8bbd3c1e56ff02e"),
+    "threshold-chain-scan": ([["threshold", "--coupled", "3", "6", "10", "3",
+                               "--channel", "xor-only", "--verify-scan", "9"]], "ed87d61cbc2e129c"),
+    "de-profile": ([["de", "--dv", "3", "--dc", "6", "--L", "5", "--w", "3", "--eps", "0.45",
+                     "--channel", "xor-only", "--profile", "profile.csv"]], "c75eae2a310215ca"),
+    "figure6": ([["figure6", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
+                  "--curve-grid", "5", "--channel", "xor-only"]], "6da193896c75fe06"),
+    "simulate": ([["simulate", "--dv", "3", "--dc", "6", "--N", "2000", "--eps", "0.42",
+                   "--channel", "xor-only", "--trials", "3"]], "d68706545af36a45"),
+    "simulate-chain-punctured": ([["simulate", "--dv", "3", "--dc", "6", "--L", "5", "--w", "3",
+                                   "--M", "100", "--eps", "0.3", "--p-pi", "0.1",
+                                   "--trials", "3"]], "358d26af6f309f26"),
+    "rates": ([["rates", "--grid", "11"]], "55aed190f96c1c78"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_OUTPUTS))
+def test_outputs_are_pinned(case, tmp_path, monkeypatch):
+    # every file the commands write, byte for byte but for the --out path
+    # and the version in its header; a change that moves bits on purpose
+    # updates the digest and says which output moved, by how much and why
+    commands, digest = PINNED_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in commands:
+        assert main([*argv, "--out", "out.csv"]) == 0
+        for path in sorted(tmp_path.iterdir()):
+            lines = path.read_text().splitlines(keepends=True)
+            h.update(path.name.encode())
+            h.update("".join(ln for ln in lines
+                             if not ln.startswith(("# out=", "# version="))).encode())
+            path.unlink()
+    assert h.hexdigest()[:16] == digest
 
 
 def test_de_regular_with_trace(tmp_path, capsys):
@@ -520,35 +566,43 @@ def test_channel_off_the_simplex_between_grid_points_exits_2(tmp_path, capsys, a
         "error: type distribution entries outside [0,1]: [ 0.00000000e+00 -1.00000000e-08")
 
 
-OUTPUT_CASES = {
-    "rates": (["rates", "--grid", "3"], "--out"),
-    "de": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--out"),
-    "de-trace": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--trace"),
+FIGURE6 = ["figure6", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2", "--curve-grid", "3",
+           "--channel", "xor-only"]
+OUTPUT_CASES = {  # case: (command, flag, suffix of the path it writes that is a directory)
+    "rates": (["rates", "--grid", "3"], "--out", ""),
+    "de": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--out", ""),
+    "de-trace": (["de", "--dv", "3", "--dc", "6", "--eps", "0.3"], "--trace", ""),
     "de-profile": (["de", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2", "--eps", "0.3"],
-                   "--profile"),
-    "threshold": (["threshold", "--regular", "3", "6", "--channel", "xor-only"], "--out"),
-    "figure6": (["figure6", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2",
-                 "--curve-grid", "3", "--channel", "xor-only"], "--out"),
-    "simulate": (["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.3"], "--out"),
+                   "--profile", ""),
+    "threshold": (["threshold", "--regular", "3", "6", "--channel", "xor-only"], "--out", ""),
+    "figure6": (FIGURE6, "--out", ""),
+    "figure6-curves": (FIGURE6, "--out", ".curves.csv"),
+    "simulate": (["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.3"],
+                 "--out", ""),
 }
 
 
-@pytest.mark.parametrize("argv, flag", list(OUTPUT_CASES.values()), ids=list(OUTPUT_CASES))
-def test_output_in_a_missing_directory_exits_2(argv, flag, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, flag, suffix", list(OUTPUT_CASES.values()),
+                         ids=list(OUTPUT_CASES))
+def test_output_in_a_missing_directory_exits_2(argv, flag, suffix, tmp_path, capsys,
+                                               monkeypatch):
     # the path is checked before any evolution, sweep or simulation runs; a
-    # path that is an existing directory cannot be written either
+    # path that is an existing directory cannot be written either, nor can
+    # the curves file that figure6 derives from --out
     for name in ("rate_bounds", "de_coupled", "find_threshold", "sweep", "failure_rate"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before the check"))
-    directory = tmp_path / "x.csv"
+    directory = tmp_path / f"x.csv{suffix}"
     directory.mkdir()
-    for path in (tmp_path / "missing" / "x.csv", directory):
+    missing = tmp_path / "missing" / "x.csv"
+    for path, named in ((missing, missing), (tmp_path / "x.csv", directory)):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, str(path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(named) in err
     assert not (tmp_path / "missing").exists()
-    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"] and not any(directory.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == [directory.name]
+    assert not any(directory.iterdir())
 
 
 def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):

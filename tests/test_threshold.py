@@ -306,10 +306,11 @@ def test_regular_bisection_evaluates_levels_in_batches(monkeypatch):
     res = find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-4))
     assert (sizes, len(singles), len(res.evals)) == ([2 + 2**d - 1, 2 ** (13 - d) - 1], 0,
                                                      2 + 13)
-    # 9 levels at tol 1e-3, after the scan grid in one batch
+    # 9 levels at tol 1e-3: the scan grid in one batch, whose eighths are
+    # the first 3 levels, then the 6 levels left
     sizes.clear()
     find_threshold(Ensemble(3, 6), XOR, Caps(tol=1e-3), verify_scan=9)
-    assert (sizes, len(singles)) == ([9, 2**d - 1, 2 ** (9 - d) - 1], 0)
+    assert (sizes, len(singles)) == ([9, 2 ** (9 - 3) - 1], 0)
 
 
 def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
@@ -323,6 +324,10 @@ def test_chain_bisection_evaluates_levels_in_batches(monkeypatch):
     sizes.clear()
     find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3))
     assert (sizes, len(singles)) == ([2 + 2**d - 1, 2**d - 1, 2 ** (7 - 2 * d) - 1], 0)
+    # 9 levels at tol 1e-3: the scan grid holds the first 3, then d at a time
+    sizes.clear()
+    find_threshold(Ensemble(3, 6, 10, 3), XOR, Caps(), verify_scan=9)
+    assert (sizes, len(singles)) == ([9] + [2**d - 1] * ((9 - 3) // d), 0)
     # on full-reveal decoded rows saturate to type 5, and the chains stay in
     # their batches all the same
     sizes.clear()
@@ -358,21 +363,25 @@ def test_off_path_failures_do_not_surface(error, e, scan, monkeypatch):
     caps = Caps(tol=1e-3)
     plain = plain_bisection(e, XOR, caps, verify_scan=scan)
     # in the first walk batch, never on the bisection path nor on the grid
-    # (0, 0.25, ..., 1), which the scan and the walk read alike
-    off = {0.125, 0.75} if scan is None else {0.125, 0.625}
+    # (0, 0.25, ..., 1); the walk reads the grid's 0.5 and 0.25 from the
+    # scan, so its first batch lies below [0.25, 0.5]
+    off = {0.125, 0.75} if scan is None else {0.3125, 0.46875}
     assert not off & {m.eps for m in plain.evals}
     sizes, singles = record_evolutions(monkeypatch)
     assert find_threshold(e, FailsAt(off, error), caps, verify_scan=scan) == plain
     # the first walk batch raised (in de_batch for SimplexError, while
-    # building its channels for ChannelError), so its d levels ran one point
-    # at a time, with eps 0 and 1 unless the grid held them; the other
-    # 9 - d levels ran in batches again
+    # building its channels for ChannelError), so its levels ran one point
+    # at a time, with eps 0 and 1 unless the grid held them; the levels after
+    # it ran in batches again.  The grid holds the first g of the 9 levels,
+    # and a batch holds up to d.
     d = threshold.CHAIN_SPECULATIVE_DEPTH if e.coupled else threshold.SPECULATIVE_DEPTH
+    g = 0 if scan is None else 2
     ends = 2 * (scan is None)
-    later = [2 ** min(d, 9 - k) - 1 for k in range(d, 9, d)]
+    first = min(d, 9 - g)
+    later = [2 ** min(d, 9 - k) - 1 for k in range(g + d, 9, d)]
     grid = [] if scan is None else [scan]
-    assert (sizes, len(singles)) == (grid + [ends + 2**d - 1] * (error is SimplexError) + later,
-                                     ends + d)
+    assert (sizes, len(singles)) == (
+        grid + [ends + 2**first - 1] * (error is SimplexError) + later, ends + first)
     # on the path, and on the grid, the error surfaces as it does in the
     # plain bisection
     for bad in [0.375] + [0.75] * (scan is not None):
