@@ -19,9 +19,9 @@ passing to its fixed point in flooding rounds in which only the nodes whose
 inputs changed recompute, so each round sends a full flooding round's
 messages (knowledge only grows, so the fixed point is schedule-independent).
 A round costs the edges of the nodes that changed: the nodes whose inputs
-gained a bit are marked in a bool array, node->edge tables (a check's edges
-are a run of the check-major list; the sampler's socket ids give each
-variable's) turn them into edges, and each such node turns its packed bit
+gained a bit are marked in a bool array, the graph's node->edge tables (a
+check's edges are a run of the check-major list, a variable's a run of
+`var_edges`) turn them into edges, and each such node turns its packed bit
 counts into two masks once, from which every edge's message follows.
 The exact reference decoder, which enumerates the codeword pairs consistent
 with an observation of a small code, is test code (`tests/oracles.py`).
@@ -34,7 +34,7 @@ followed by `closure` (two distinct known components determine all three).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,13 +84,17 @@ def _masks(q: np.ndarray):
 class EtgInstance:
     """A sampled extended Tanner graph as one edge list.
 
-    Edge k joins variable evar[k] to check echeck[k]; the sampler lists
-    edges in check-major socket order, and multi-edges are allowed.
+    Edge k joins variable evar[k] to check echeck[k], and multi-edges are
+    allowed.  Edges are listed check-major: echeck is non-decreasing, so
+    check c's edges are the run cptr[c]..cptr[c+1] - 1 of the list.
     Boundary sockets of a coupled chain, fixed to the known all-zero pair,
     are not stored: they carry type 5, the identity of the check meet.
-    var_edges lists the edges grouped by variable, variable 0's first; the
-    sampler builds it from its socket ids, and an instance built by hand
-    gets it from a stable argsort of evar.
+    var_edges lists the edges grouped by variable, variable 0's first, and
+    variable v's are its entries vptr[v]..vptr[v+1] - 1; the sampler builds
+    it from its socket ids, and an instance built by hand gets it from a
+    stable argsort of evar.  Construction raises ValueError on edge lists
+    of unequal lengths, on a node id outside 0..n - 1, and on an edge list
+    that is not check-major.
     """
 
     n_vars: int
@@ -98,10 +102,21 @@ class EtgInstance:
     evar: np.ndarray
     echeck: np.ndarray
     var_edges: np.ndarray | None = None
+    cptr: np.ndarray = field(init=False, repr=False)
+    vptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.evar, self.echeck = evar, echeck = np.asarray(self.evar), np.asarray(self.echeck)
+        if evar.shape != echeck.shape:
+            raise ValueError(f"evar has shape {evar.shape} but echeck {echeck.shape}")
+        for name, ids, n in (("evar", evar, self.n_vars), ("echeck", echeck, self.n_checks)):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"{name} must lie in 0..{n - 1}, got {ids.min()}..{ids.max()}")
+        if np.any(echeck[1:] < echeck[:-1]):
+            raise ValueError("echeck must be non-decreasing: edges are listed check-major")
         if self.var_edges is None:
-            self.var_edges = np.argsort(self.evar, kind="stable")
+            self.var_edges = np.argsort(evar, kind="stable")
+        self.cptr, self.vptr = _offsets(echeck, self.n_checks), _offsets(evar, self.n_vars)
 
 
 def _check_sockets(e: Ensemble, m_per_pos: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,12 +170,12 @@ def sample_coupled_graph(
 
 def _type_array(types, n: int) -> np.ndarray:
     """An observation of n variables as an int64 array of types 1..5."""
-    t = np.asarray(types, dtype=np.int64)
+    t = np.asarray(types)
     if t.shape != (n,):
         raise ValueError(f"observation has shape {t.shape}, expected ({n},)")
-    if np.any((t < 1) | (t > 5)):
+    if t.dtype.kind not in "iu" or np.any((t < 1) | (t > 5)):
         raise ValueError("types must be integers 1..5")
-    return t
+    return t.astype(np.int64, copy=False)
 
 
 def _offsets(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -192,23 +207,23 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     recomputing node turns its counts into ge1 and ge2, the masks of the
     bits counted at least once and at least twice; the bits that some other
     edge counts are then ge2 | (ge1 & ~own) for the edge's own bits.  The
-    nodes that gained are marked in a bool array, and their edges come from
-    the node->edge tables: a stable argsort of echeck and g.var_edges.  So a
-    round costs the edges of the nodes that changed, not the whole graph.
+    nodes that gained are marked in a bool array, and the graph's tables
+    give their edges: a check's are a run of the check-major edge list,
+    found through g.cptr, and a variable's a run of g.var_edges, found
+    through g.vptr.  So a round costs the edges of the nodes that changed,
+    not the whole graph; the peeler itself sorts and counts nothing.
     """
     ch = TYPE_TO_MASK[_type_array(types, g.n_vars)].astype(np.int8)
     evar, echeck = g.evar, g.echeck
-    cptr, vptr = _offsets(echeck, g.n_checks), _offsets(evar, g.n_vars)
-    cdeg = np.diff(cptr)
-    if max(cdeg.max(initial=0), np.diff(vptr).max(initial=0)) >> _SHIFT:
+    cdeg = np.diff(g.cptr)
+    if max(cdeg.max(initial=0), np.diff(g.vptr).max(initial=0)) >> _SHIFT:
         raise ValueError(f"node degrees must be below 2**{_SHIFT}")
-    ctab, vtab = np.argsort(echeck, kind="stable"), g.var_edges  # node->edge tables
     v2c, c2v = ch[evar], np.zeros(evar.size, np.int8)  # message masks
     lack = np.zeros(g.n_checks, np.uint64)  # per check: sockets lacking each bit
     np.add.at(lack, echeck, _PACK[7 ^ v2c])
     has = np.zeros(g.n_vars, np.uint64)  # per variable: incoming messages with each bit
     vmark, cmark = np.zeros(g.n_vars, bool), np.zeros(g.n_checks, bool)
-    nodes, e, deg = np.arange(g.n_checks), ctab, cdeg  # round 1 visits every check
+    nodes, e, deg = np.arange(g.n_checks), np.arange(evar.size), cdeg  # round 1 visits every check
     while e.size:
         # check half: a socket gets the bits that no other socket lacks
         ge1, ge2 = _masks(lack[nodes])
@@ -222,8 +237,8 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
         vmark[far] = True
         nodes = np.flatnonzero(vmark)
         vmark[nodes] = False
-        i, deg = _expand(vptr, nodes)
-        e = vtab[i]
+        i, deg = _expand(g.vptr, nodes)
+        e = g.var_edges[i]
         # variable half: the channel's bits and those of some other message, closed
         ge1, ge2 = _masks(has[nodes])
         new = _CLOSE[np.repeat(ch[nodes] | ge2, deg) | (np.repeat(ge1, deg) & ~c2v[e])]
@@ -236,8 +251,7 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
         cmark[far] = True
         nodes = np.flatnonzero(cmark)
         cmark[nodes] = False
-        i, deg = _expand(cptr, nodes)
-        e = ctab[i]
+        e, deg = _expand(g.cptr, nodes)
     return MASK_TO_TYPE[_CLOSE[ch | _masks(has)[0]]]
 
 

@@ -140,20 +140,52 @@ def test_hand_built_variable_table_groups_edges_by_variable():
     np.testing.assert_array_equal(g.var_edges, [1, 4, 3, 0, 2])
 
 
+def test_hand_built_graph_is_checked_at_construction():
+    # a graph owns its node->edge offsets; a malformed edge list is rejected
+    # when it is built, not deep inside the peeler
+    g = EtgInstance(3, 2, [2, 0, 2, 1, 0], [0, 0, 1, 1, 1])
+    np.testing.assert_array_equal(g.cptr, [0, 2, 5])
+    np.testing.assert_array_equal(g.vptr, [0, 2, 3, 5])
+    for args, problem in (((2, 1, [0, 5], [0, 0]), r"evar must lie in 0\.\.1"),
+                          ((2, 1, [0, -1], [0, 0]), r"evar must lie in 0\.\.1"),
+                          ((2, 1, [0, 1], [0, 1]), r"echeck must lie in 0\.\.0"),
+                          ((2, 1, [0, 1], [0]), "shape"),
+                          ((2, 2, [0, 1], [1, 0]), "non-decreasing")):
+        with pytest.raises(ValueError, match=problem):
+            EtgInstance(*args)
+
+
 @pytest.mark.parametrize("e, m", [(Ensemble(3, 6), 600), (Ensemble(3, 6, 6, 3), 40)])
 def test_peel_same_types_for_any_edge_order(e, m):
-    # the same graph with its edge list shuffled, built by hand so that its
-    # tables come from argsorts, decodes to the sampled instance's types
+    # the same graph with the edges of each check shuffled, built by hand so
+    # that its variable table comes from an argsort, decodes to the sampled
+    # instance's types; an edge list that is not check-major is rejected
     rng = np.random.default_rng(8)
     for eps in (0.3, 0.42, 0.46, 0.55):
         g = sample_coupled_graph(e, m, rng)
         types = sample_states(BUILTINS["xor-only"].eval(eps), g.n_vars, rng)
-        perm = rng.permutation(g.evar.size)
+        perm = np.lexsort((rng.random(g.evar.size), g.echeck))
         h = EtgInstance(g.n_vars, g.n_checks, g.evar[perm], g.echeck[perm])
-        assert np.any(np.diff(h.echeck) < 0)
+        assert np.any(perm != np.arange(perm.size))
         out = peel_decode(g, types)
         np.testing.assert_array_equal(peel_decode(h, types), out)
         np.testing.assert_array_equal(out, _flood(g, types))
+        perm = rng.permutation(g.evar.size)
+        with pytest.raises(ValueError, match="check-major"):
+            EtgInstance(g.n_vars, g.n_checks, g.evar[perm], g.echeck[perm])
+
+
+def test_peel_sorts_and_counts_nothing(monkeypatch):
+    # the graph owns its node->edge tables: peeling builds none of them
+    rng = np.random.default_rng(6)
+    g = sample_coupled_graph(Ensemble(3, 6, 4, 2), 12, rng)
+    types = rng.integers(1, 6, size=g.n_vars)
+    want = _flood(g, types)
+    for name in ("argsort", "bincount"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"the peeler called np.{_name}")
+        monkeypatch.setattr(np, name, refuse)
+    np.testing.assert_array_equal(peel_decode(g, types), want)
 
 
 def test_masks_match_per_field_counts():
@@ -208,9 +240,9 @@ def test_peel_rejects_bad_type_arrays():
     with pytest.raises(ValueError):
         peel_decode(g, np.array([5, 5]))
     # a type outside 1..5 must not index the mask table (-1 read as type 5,
-    # 0 as type 1, 6 past its end)
+    # 0 as type 1, 6 past its end), and a fraction must not be truncated
     g = EtgInstance(*tanner_edges([[1, 1, 0], [0, 1, 1]]))
-    for bad in (-1, 0, 6):
+    for bad in (-1, 0, 6, 4.7):
         with pytest.raises(ValueError):
             peel_decode(g, np.array([bad, 4, 4]))
 
