@@ -68,8 +68,8 @@ class ChannelFamily:
                 raise ChannelError("fixed-table family needs a table")
             validate_dist(self.table)
         if self.kind == "custom-polynomial":
-            if self.coeffs is None or len(self.coeffs) != 5:
-                raise ChannelError("custom-polynomial family needs 5 coefficient lists")
+            if self.coeffs is None or len(self.coeffs) != 5 or not all(map(len, self.coeffs)):
+                raise ChannelError("custom-polynomial family needs 5 non-empty coefficient lists")
 
     def eval(self, eps: float) -> np.ndarray:
         """Type distribution at erasure parameter eps; not validated, since

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .channel import ChannelError, get_family
+from .channel import ChannelError, get_family, puncture
 from .de_core import SimplexError
 from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from .rates import rate_bounds
@@ -184,6 +184,8 @@ def cmd_figure6(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     p_grid = [float(x) for x in args.p_pi.split(",")]
+    for p_pi in p_grid:  # puncture rejects a p_pi out of range before any bisection
+        puncture(family.eval(0.0), p_pi)
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
     curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
@@ -296,16 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Reject an output path that is a directory, or lies in a missing one,
-    before any work runs."""
+    """Reject an output path that is a directory, lies in a missing one, or
+    names the same file as another output, before any work runs."""
     paths = [(f"--{name}", getattr(args, name, None)) for name in ("out", "trace", "profile")]
     if args.func is cmd_figure6:
         paths.append(("the curves file of --out", _curves_path(args)))
+    named = {}  # the first output that names each file
     for name, path in paths:
         if path and os.path.isdir(path):
             raise ValueError(f"cannot write {path}: {name} is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"cannot write {name} {path}: no directory {os.path.dirname(path)}")
+        if path and named.setdefault(os.path.realpath(path), name) != name:
+            first = named[os.path.realpath(path)]
+            raise ValueError(f"cannot write {path}: {first} and {name} name the same file")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

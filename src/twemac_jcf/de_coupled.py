@@ -17,8 +17,9 @@ the variable rows sit in one padded buffer with those mirror and pad
 columns, so a check window is a view on it.  Message rows are type-major
 (5, B, k) arrays, B blocks (one per channel; see `de_batch`) of k
 columns, so that each type is one contiguous row.
-`DeOutcome` and its snapshots unfold the half chain to all 2L+1 variable
-and 2L+w check rows.
+Snapshots unfold the half chain to all 2L+1 variable and 2L+w check
+rows; an outcome keeps only them, its status, its iteration count and
+its smallest p_dec.
 
 A regular (d_v, d_c) ensemble is the chain with L = 0 and w = 1: one
 position, no boundary, and no mirror.  One iteration applies the
@@ -28,19 +29,19 @@ closed-form kernels of `de_core` to all rows at once:
     pvc[i]   = var_update(join_weights(pch), window average of pcv at i, d_v - 1)[0]
     p_dec[i] = types 4 + 5 of the same var_update's [1], the join with d_v
 
-`de_batch` evolves the ensemble under many channels in the same loop: the
-channels' chains sit side by side as blocks of columns, each with its own
-pads and mirror columns, and each block stops by its own rules and then
-leaves the batch: the loop's arrays are cut down to the running blocks,
-and its buffers and views are made once for each set of running blocks.
-Every kernel acts on each column alone and every window's prefix sums run
-within its block, so each outcome is bit for bit the one `de_coupled`
-gives for that channel.
+`de_batch` is the one evolution loop, and evolves the ensemble under many
+channels at once: the channels' chains sit side by side as blocks of
+columns, each with its own pads and mirror columns, and each block stops
+by its own rules and then leaves the batch: the loop's arrays are cut
+down to the running blocks, and its buffers and views are made once for
+each set of running blocks.  Every kernel acts on each column alone and
+every window's prefix sums run within its block, so each outcome is bit
+for bit the one `de_coupled`, a batch of one, gives for that channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -167,22 +168,18 @@ class Snapshot(NamedTuple):
 
 @dataclass
 class DeOutcome:
-    """Outcome of an evolution run."""
+    """Outcome of an evolution run.  The state after iteration k is
+    snapshots[k], kept for each k asked for and, when any is, for the last
+    iteration, snapshots[iterations_used]."""
 
-    p_dec: np.ndarray  # per variable position, -L..L
     min_p_dec: float
     iterations_used: int
     converged: str  # 'success' | 'stall' | 'cap'
-    final_pvc: np.ndarray
-    final_pcv: np.ndarray
-    snapshots: Dict[int, Snapshot] = field(default_factory=dict)
+    snapshots: Dict[int, Snapshot]
 
 
 def de_coupled(
-    e: Ensemble,
-    pch,
-    caps: Caps = Caps(),
-    snapshot_iters: Collection[int] = (),
+    e: Ensemble, pch, caps: Caps = Caps(), snapshot_iters: Collection[int] = ()
 ) -> DeOutcome:
     """Run type distribution evolution until success, stall, or cap.
 
@@ -193,38 +190,28 @@ def de_coupled(
     Every iteration updates every row of the half chain.  A snapshot is
     kept after each iteration in snapshot_iters and, when snapshot_iters
     is non-empty, after the last one.
-
-    The loop's buffers are made, and the views on them cut, once for each
-    set of running blocks: here once per call, for the one block.
     """
-    return _evolve(e, validate_dist(pch)[None], caps, snapshot_iters)[0]
+    return de_batch(e, [pch], caps, snapshot_iters)[0]
 
 
-def de_batch(e: Ensemble, pchs: Sequence, caps: Caps = Caps()) -> List[DeOutcome]:
-    """The ensemble evolved under every channel of pchs at once.
+def de_batch(
+    e: Ensemble, pchs: Sequence, caps: Caps = Caps(), snapshot_iters: Collection[int] = ()
+) -> List[DeOutcome]:
+    """The ensemble evolved under every channel of pchs at once, one
+    outcome per channel.
 
-    Each channel is one block of the same loop as `de_coupled`'s, a chain
-    of its own, and each block stops by its own success, stall or cap, at
-    its own iteration count, and then leaves the batch.  The kernels act
-    on each column alone and the window sums run within each block, so
-    every outcome equals `de_coupled(e, pch, caps)` bit for bit.
+    Each channel is one block of the loop, a chain of its own, and each
+    block stops by its own success, stall or cap, at its own iteration
+    count, and keeps its own snapshots.  Every column array is
+    (..., B, width): B running blocks side by side, each with L+1 variable
+    and L+w check columns, and in the padded variable buffer its own
+    type-5 pads and mirror columns.  Blocks that end are recorded, the
+    arrays are cut down to the others, and `bind` makes the scratch and
+    views for those.
     """
     if not len(pchs):
         return []
-    return _evolve(e, np.array([validate_dist(p) for p in pchs]), caps)
-
-
-def _evolve(
-    e: Ensemble, pchs: np.ndarray, caps: Caps, snapshot_iters: Collection[int] = ()
-) -> List[DeOutcome]:
-    """The evolution loop: one outcome per channel, a row of pchs (B, 5).
-
-    Every column array is (..., B, width): B running blocks side by side,
-    one chain per channel, each with L+1 variable and L+w check columns,
-    and in the padded variable buffer its own type-5 pads and mirror
-    columns.  Blocks that end are recorded, the arrays are cut down to the
-    others, and `bind` makes the scratch and views for those.
-    """
+    pchs = np.array([validate_dist(p) for p in pchs])
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
@@ -277,8 +264,8 @@ def _evolve(
 
         return step
 
-    snapshots: Dict[int, Snapshot] = {}
-    outcomes: Dict[int, DeOutcome] = {}
+    snapshots: List[Dict[int, Snapshot]] = [{} for _ in pchs]
+    outcomes: List[DeOutcome] = [None] * len(pchs)
 
     def snapshot(s: int) -> Snapshot:
         pvc = vbuf[:, s, w - 1 : w + L]
@@ -286,19 +273,18 @@ def _evolve(
 
     def finish(s: int, status: str) -> None:
         """Record the outcome of the evolution in block s."""
+        i = ids[s]
         if snapshot_iters:
-            snapshots[it] = snapshot(s)
-        snap = snapshot(s)
-        outcomes[int(ids[s])] = DeOutcome(snap.p_dec, float(snap.p_dec.min()), it, status,
-                                          snap.pvc, snap.pcv, dict(snapshots))
+            snapshots[i][it] = snapshot(s)
+        outcomes[i] = DeOutcome(float(p_dec[s].min()), it, status, snapshots[i])
 
-    it = 0
     step = bind()
     for it in range(1, l_max + 1):
         mins, changes = step()
 
         if it in snapshot_iters:
-            snapshots[it] = snapshot(0)
+            for s, i in enumerate(ids):
+                snapshots[i][it] = snapshot(s)
         if max(mins.tolist()) >= caps.success_target or min(changes.tolist()) < STALL_TOL:
             reached = mins >= caps.success_target
             done = reached | (changes < STALL_TOL)
@@ -312,4 +298,4 @@ def _evolve(
             step = bind()
     for s in range(len(ids)):
         finish(s, "cap")
-    return [outcomes[i] for i in range(len(pchs))]
+    return outcomes

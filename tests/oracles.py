@@ -341,9 +341,9 @@ def half_chain_de(pch, d_v, d_c, L, w, l_max, success_target, stall_tol, snapsho
     """The half-chain evolution of the (d_v, d_c, L, w) chain, L = 0 and
     w = 1 for the regular ensemble, with the package's stopping rules.
 
-    Returns (status, iterations, p_dec, min_p_dec, final_pvc, final_pcv,
-    snapshots): outputs unfolded to the whole chain as in the package's
-    `DeOutcome`, snapshots as {iteration: (pvc, pcv, p_dec)}.
+    Returns (status, iterations, p_dec, min_p_dec, pvc, pcv, snapshots):
+    the state after the last iteration unfolded to the whole chain as in
+    the package's `Snapshot`, snapshots as {iteration: (pvc, pcv, p_dec)}.
     """
     pch = np.asarray(pch, dtype=float)
     nv, nc = 2 * L + 1, 2 * L + w

@@ -130,6 +130,8 @@ PINNED_OUTPUTS = {  # case: (commands, sha256 prefix of what they write)
                                "--channel", "xor-only", "--verify-scan", "9"]], "ed87d61cbc2e129c"),
     "de-profile": ([["de", "--dv", "3", "--dc", "6", "--L", "5", "--w", "3", "--eps", "0.45",
                      "--channel", "xor-only", "--profile", "profile.csv"]], "c75eae2a310215ca"),
+    "de-trace": ([["de", "--dv", "3", "--dc", "6", "--eps", "0.42", "--channel", "xor-only",
+                   "--lmax", "300", "--trace", "trace.csv"]], "7f2f239216c6c708"),
     "figure6": ([["figure6", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
                   "--curve-grid", "5", "--channel", "xor-only"]], "6da193896c75fe06"),
     "simulate": ([["simulate", "--dv", "3", "--dc", "6", "--N", "2000", "--eps", "0.42",
@@ -283,10 +285,14 @@ def test_de_usage_errors_exit_2(tmp_path):
     base = ["de", "--dv", "3", "--dc", "6", "--eps", "0.3"]
     for extra in (["--w", "2"], ["--L", "4", "--trace", str(tmp_path / "t.csv")],
                   ["--L", "0"],
-                  ["--trace", str(tmp_path / "t.csv"), "--profile", str(tmp_path / "p.csv")]):
+                  ["--trace", str(tmp_path / "t.csv"), "--profile", str(tmp_path / "p.csv")],
+                  ["--L", "5", "--w", "3", "--profile", str(tmp_path / "x.csv"),
+                   "--out", f"{tmp_path}/./x.csv"]):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
+    # two outputs that name one file: the result rows would overwrite the profile
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_removed_commands_exit_2(tmp_path):
@@ -456,10 +462,13 @@ def test_figure6_json_curves_file(tmp_path, capsys):
     ["--dv", "3..2"],
     ["--dv", "3", "--jobs", "0"],
     ["--dv", "3", "--jobs", "-4"],
+    ["--dv", "3", "--p-pi", "0,1.5"],
 ])
-def test_figure6_usage_errors_exit_2(extra):
-    # an empty --dv range would print no threshold rows, and --jobs below 1
-    # would run serially without a word
+def test_figure6_usage_errors_exit_2(extra, monkeypatch):
+    # an empty --dv range would print no threshold rows, --jobs below 1
+    # would run serially without a word, and a p_pi out of range would
+    # stop the sweep only after every row before it; each exits before it
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("the sweep ran"))
     with pytest.raises(SystemExit) as exc:
         main(["figure6", "--dc", "6", "--L", "3", "--w", "2", "--curve-grid", "3", *extra])
     assert exc.value.code == 2
@@ -530,8 +539,9 @@ def test_non_finite_table_exits_2(tmp_path, capsys):
     "[a]\nkind = fixed-table\n",
     "[a]\nkind = custom-polynomial\np1 = 0 x\n",
     "[a]\nkind = fixed-table\ntable = 0.25 0.25 0.25 0.25\n",
+    "[a]\nkind = custom-polynomial\np1 =\np4 = 1\n",
 ], ids=["syntax", "duplicate-section", "duplicate-option", "no-section", "no-table",
-        "not-a-number", "four-entries"])
+        "not-a-number", "four-entries", "empty-polynomial"])
 def test_malformed_channel_config_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)

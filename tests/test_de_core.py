@@ -335,8 +335,8 @@ def test_p_dec_nondecreasing_diagnostic():
 
 def test_decoder_output_consistency():
     pch = BUILTINS["primary"].eval(0.3)
-    res = regular(3, 6, pch)
-    out = var(pch, res.final_pcv[0], 3)
+    res = regular(3, 6, pch, snapshots=[1])
+    out = var(pch, res.snapshots[res.iterations_used].pcv[0], 3)
     assert res.min_p_dec == pytest.approx(out[3] + out[4], abs=1e-12)
 
 

@@ -22,6 +22,12 @@ from oracles import five_type_coupled_trajectory, half_chain_de, scalar_coupled_
 
 NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
 E5 = np.array([0, 0, 0, 0, 1.0])
+EARLY = {1, 7}  # snapshots at early iterations, which keep the last one too
+
+
+def final(res):
+    """The state after the last iteration of res, which asked for snapshots."""
+    return res.snapshots[res.iterations_used]
 
 
 def padded(pvc, L, w):
@@ -158,10 +164,9 @@ def test_half_chain_matches_full_chain_oracle(channel, shape, target):
     res = de_coupled(e, pch, caps, snapshot_iters=snaps)
     status, iters, pvc, pcv, p_dec, traj = oracle_outcome(e, pch, caps, 400)
     assert (res.converged, res.iterations_used) == (status, iters)
-    np.testing.assert_allclose(res.p_dec, p_dec, atol=1e-12)
     assert res.min_p_dec == pytest.approx(p_dec.min(), abs=1e-12)
-    np.testing.assert_allclose(res.final_pvc, pvc, atol=1e-12)
-    np.testing.assert_allclose(res.final_pcv, pcv, atol=1e-12)
+    for got, want in zip(final(res), (pvc, pcv, p_dec)):
+        np.testing.assert_allclose(got, want, atol=1e-12)
     assert sorted(res.snapshots) == sorted(k for k in snaps | {iters} if k <= iters)
     for k, snap in res.snapshots.items():
         if k < iters:
@@ -189,7 +194,7 @@ def assert_matches_frozen(e, pch, caps, snaps):
     status, iters, p_dec, min_p_dec, pvc, pcv, snapshots = half_chain_de(
         pch, e.d_v, e.d_c, e.L, e.w, c.l_max, c.success_target, STALL_TOL, snaps)
     assert (res.converged, res.iterations_used, res.min_p_dec) == (status, iters, min_p_dec)
-    pairs = [(res.p_dec, p_dec), (res.final_pvc, pvc), (res.final_pcv, pcv)]
+    pairs = list(zip(final(res), (pvc, pcv, p_dec)))
     assert sorted(res.snapshots) == sorted(snapshots)
     for k, snap in snapshots.items():
         pairs += zip(res.snapshots[k], snap)
@@ -221,8 +226,7 @@ def test_matches_frozen_half_chain_as_left_edge_moves():
 
 
 def _arrays(res):
-    return [res.p_dec, res.final_pvc, res.final_pcv,
-            *(x for snap in res.snapshots.values() for x in snap)]
+    return [x for snap in res.snapshots.values() for x in snap]
 
 
 @pytest.mark.parametrize("shape", [(3, 6), (3, 6, 20, 3)])
@@ -267,11 +271,19 @@ def test_iterations_call_no_array_constructor(monkeypatch):
 
 
 def assert_same_outcome(got, want):
+    # every snapshot of got, the last one included, bitwise want's
     assert (got.converged, got.iterations_used, got.min_p_dec) == (
         want.converged, want.iterations_used, want.min_p_dec)
-    for x, y in ((got.p_dec, want.p_dec), (got.final_pvc, want.final_pvc),
-                 (got.final_pcv, want.final_pcv)):
+    assert sorted(got.snapshots) == sorted(want.snapshots) == sorted(
+        k for k in EARLY | {got.iterations_used} if k <= got.iterations_used)
+    for x, y in zip(_arrays(got), _arrays(want)):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_no_shared_memory(outcomes):
+    arrays = [x for res in outcomes for x in _arrays(res)]
+    for i, x in enumerate(arrays):
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
 
 
 BATCH_CHANNELS = {
@@ -292,14 +304,11 @@ BATCH_EPS = sorted({0.0, 1.0, *np.linspace(0.0, 1.0, 33), 0.2453, 0.2506, 0.3347
 def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
     e = Ensemble(*degrees)
     pchs = [BATCH_CHANNELS[channel](eps) for eps in BATCH_EPS]
-    batch = de_batch(e, pchs, caps)
+    batch = de_batch(e, pchs, caps, EARLY)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps))
-        assert got.snapshots == {}
-    arrays = [x for res in batch for x in (res.p_dec, res.final_pvc, res.final_pcv)]
-    for i, x in enumerate(arrays):
-        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+    assert_no_shared_memory(batch)
     statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
     if channel == "full-reveal":  # eps 0 is the type-5 point mass: decoded by iteration 1
@@ -309,7 +318,8 @@ def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
 def test_batch_ends_when_every_column_saturates_at_once():
     pchs = [BUILTINS["full-reveal"].eval(0.0)] * 3
     batch = de_batch(Ensemble(3, 6), pchs)
-    assert [(r.converged, r.iterations_used, r.min_p_dec) for r in batch] == [("success", 1, 1.0)] * 3
+    assert [(r.converged, r.iterations_used, r.min_p_dec, r.snapshots) for r in batch] == [
+        ("success", 1, 1.0, {})] * 3
     assert de_batch(Ensemble(3, 6), []) == []
 
 
@@ -361,9 +371,9 @@ def test_check_half_error_comes_first(bad, shape, entry):
 def test_long_chain_stays_on_the_simplex(shape, channel, eps, status, iters):
     # the kernels' remainders keep every distribution's sum at 1 over
     # thousands of iterations, with no renormalization
-    res = de_coupled(Ensemble(*shape), BUILTINS[channel].eval(eps))
+    res = de_coupled(Ensemble(*shape), BUILTINS[channel].eval(eps), Caps(), EARLY)
     assert (res.converged, res.iterations_used) == (status, iters)
-    for rows in (res.final_pvc, res.final_pcv):
+    for rows in final(res)[:2]:
         assert np.abs(np.add.reduce(rows, axis=1) - 1.0).max() <= 1e-14
 
 
@@ -378,16 +388,13 @@ CHAIN_EPS = sorted({*np.linspace(0.0, 1.0, 9), 0.29, 0.3, 0.45, 0.47, 0.48, 0.49
 def test_batch_of_chains_equals_single_bit_for_bit(shape, channel, caps):
     e = Ensemble(*shape)
     pchs = [BUILTINS[channel].eval(eps) for eps in CHAIN_EPS]
-    batch = de_batch(e, pchs, caps)
+    batch = de_batch(e, pchs, caps, EARLY)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps))
-        assert got.snapshots == {}
+        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
     statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
-    arrays = [x for res in batch for x in (res.p_dec, res.final_pvc, res.final_pcv)]
-    for i, x in enumerate(arrays):
-        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+    assert_no_shared_memory(batch)
 
 
 @pytest.mark.parametrize("caps", [Caps(), Caps(l_max=1000)], ids=["default", "tight-cap"])
@@ -396,13 +403,14 @@ def test_batch_of_saturating_primary_chains_equals_single_bit_for_bit(caps):
     # (7,10,30,4) threshold lies near 0.6299, between 0.62 and 0.64
     e = Ensemble(7, 10, 30, 4)
     pchs = [BUILTINS["primary"].eval(eps) for eps in (0.55, 0.62, 0.64, 0.66)]
-    batch = de_batch(e, pchs, caps)
+    batch = de_batch(e, pchs, caps, EARLY)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps))
+        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+    assert_no_shared_memory(batch)
     assert [(res.converged, res.iterations_used) for res in batch] == (
         [("success", 420), ("success", 2735), ("stall", 3708), ("stall", 266)]
         if caps.l_max is None else [("success", 420), ("cap", 1000), ("cap", 1000), ("stall", 266)])
-    assert np.abs(batch[0].final_pvc[0] - E5).max() < STALL_TOL
+    assert np.abs(final(batch[0]).pvc[0] - E5).max() < STALL_TOL
 
 
 def test_saturating_chain_stays_in_its_batch():
@@ -410,13 +418,14 @@ def test_saturating_chain_stays_in_its_batch():
     # runs longer, the chain keeps its batch and its outcome is its own
     e, caps = Ensemble(3, 6, 20, 3), Caps()
     sat, xor = BUILTINS["full-reveal"].eval(0.46), BUILTINS["xor-only"].eval(0.49)
-    alone = de_coupled(e, sat, caps)
+    alone = de_coupled(e, sat, caps, EARLY)
     assert alone.converged == "success"
-    assert np.abs(alone.final_pvc[0] - E5).max() < STALL_TOL
-    batch = de_batch(e, [sat, xor, sat], caps)
+    assert np.abs(final(alone).pvc[0] - E5).max() < STALL_TOL
+    batch = de_batch(e, [sat, xor, sat], caps, EARLY)
     assert batch[1].iterations_used > alone.iterations_used
     for got, pch in zip(batch, [sat, xor, sat]):
-        assert_same_outcome(got, de_coupled(e, pch, caps))
+        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+    assert_no_shared_memory(batch)
     # eps 0 is the type-5 point mass: every row decoded by iteration 1
     zero = de_batch(e, [BUILTINS["full-reveal"].eval(0.0), xor], caps)[0]
     assert (zero.converged, zero.iterations_used, zero.min_p_dec) == ("success", 1, 1.0)
@@ -427,11 +436,11 @@ def test_coupled_equals_regular_at_w1():
     pch = BUILTINS["primary"].eval(0.25)
     e = Ensemble(3, 6, 3, 1)
     caps = Caps(l_max=50, success_target=math.nextafter(1.0, 0.0))
-    cres = de_coupled(e, pch, caps)
-    rres = de_coupled(Ensemble(3, 6), pch, caps)
-    assert rres.final_pvc.shape == rres.final_pcv.shape == (1, 5)
+    cres = final(de_coupled(e, pch, caps, EARLY))
+    rres = de_coupled(Ensemble(3, 6), pch, caps, EARLY)
+    assert final(rres).pvc.shape == final(rres).pcv.shape == (1, 5)
     for i in range(e.n_var_positions):
-        np.testing.assert_allclose(cres.final_pvc[i], rres.final_pvc[0], atol=1e-12)
+        np.testing.assert_allclose(cres.pvc[i], final(rres).pvc[0], atol=1e-12)
         assert cres.p_dec[i] == pytest.approx(rres.min_p_dec, abs=1e-12)
 
 
@@ -443,16 +452,17 @@ def test_xor_only_matches_scalar_coupled_oracle(L, w):
         e,
         [eps, 0, 0, 1 - eps, 0],
         Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
+        {iters},
     )
     traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
     x_final, y_final = traj[-1]
-    np.testing.assert_allclose(res.final_pvc[:, 0], x_final, atol=1e-12)
-    np.testing.assert_allclose(res.final_pcv[:, 0], y_final, atol=1e-12)
+    pvc, pcv, _ = res.snapshots[iters]
+    np.testing.assert_allclose(pvc[:, 0], x_final, atol=1e-12)
+    np.testing.assert_allclose(pcv[:, 0], y_final, atol=1e-12)
     # boundary padding injects type-5 knowledge but never partial types
-    assert np.all(res.final_pvc[:, [1, 2]] == 0.0)
-    assert np.all(res.final_pcv[:, [1, 2]] == 0.0)
-    np.testing.assert_allclose(res.final_pvc[:, 3] + res.final_pvc[:, 4],
-                               1.0 - x_final, atol=1e-12)
+    assert np.all(pvc[:, [1, 2]] == 0.0)
+    assert np.all(pcv[:, [1, 2]] == 0.0)
+    np.testing.assert_allclose(pvc[:, 3] + pvc[:, 4], 1.0 - x_final, atol=1e-12)
 
 
 def test_saturated_rows_match_scalar_oracle():
@@ -464,6 +474,7 @@ def test_saturated_rows_match_scalar_oracle():
         Ensemble(d_v, d_c, L, w),
         BUILTINS["full-reveal"].eval(eps),
         Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
+        {iters},
     )
     traj = scalar_coupled_trajectory(eps, d_v, d_c, L, w, iters)
     # before the last iteration some rows were saturated and more than w
@@ -472,9 +483,10 @@ def test_saturated_rows_match_scalar_oracle():
     assert unsat[0] > w or unsat[-1] < 2 * L - w
     x_final, y_final = traj[-1]
     assert res.converged == "cap"
-    np.testing.assert_allclose(res.final_pvc[:, 0], x_final, atol=1e-12)
-    np.testing.assert_allclose(res.final_pcv[:, 0], y_final, atol=1e-12)
-    assert np.all(res.final_pvc[:, 1:4] == 0.0)
+    pvc, pcv, _ = res.snapshots[iters]
+    np.testing.assert_allclose(pvc[:, 0], x_final, atol=1e-12)
+    np.testing.assert_allclose(pcv[:, 0], y_final, atol=1e-12)
+    assert np.all(pvc[:, 1:4] == 0.0)
 
 
 def test_zero_erasure_succeeds_immediately():
