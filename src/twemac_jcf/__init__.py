@@ -13,7 +13,7 @@ from .channel import (
 )
 from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
 from .rates import RateBundle, rate_bounds
-from .threshold import find_threshold, is_decodable, sweep
+from .threshold import find_threshold, sweep
 
 __all__ = [
     "ChannelFamily",
@@ -30,6 +30,5 @@ __all__ = [
     "RateBundle",
     "rate_bounds",
     "find_threshold",
-    "is_decodable",
     "sweep",
 ]

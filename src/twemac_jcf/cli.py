@@ -189,8 +189,13 @@ def cmd_figure6(args) -> int:
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
     curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
-    rows = sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)
-    _emit(args, [asdict(row) for row in rows])
+    results = sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)
+    pairs = [(e, p_pi) for e in ensembles for p_pi in p_grid]  # the sweep's order
+    _emit(args, [{"d_v": e.d_v, "d_c": e.d_c, "L": e.L, "w": e.w, "p_pi": p_pi,
+                  "nominal_rate": nominal_rate(e), "rate_pi": nominal_rate(e) / (1 - p_pi),
+                  "eps_thresh": res.eps_thresh, "eps_lo": res.eps_lo, "eps_hi": res.eps_hi,
+                  "evals": len(res.evals), "cap_limited": res.cap_limited}
+                 for (e, p_pi), res in zip(pairs, results)])
 
     # analytic overlay curves on an eps grid
     _emit(args, curve_rows, path=_curves_path(args))
@@ -299,11 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(args) -> None:
     """Reject an output path that is a directory, lies in a missing one, or
-    names the same file as another output, before any work runs."""
+    names the same file as another output or as the --channel-config input,
+    before any work runs."""
     paths = [(f"--{name}", getattr(args, name, None)) for name in ("out", "trace", "profile")]
     if args.func is cmd_figure6:
         paths.append(("the curves file of --out", _curves_path(args)))
-    named = {}  # the first output that names each file
+    config = args.channel_config
+    # the input, then the first output, that names each file
+    named = {os.path.realpath(config): "--channel-config"} if config else {}
     for name, path in paths:
         if path and os.path.isdir(path):
             raise ValueError(f"cannot write {path}: {name} is a directory")

@@ -177,6 +177,11 @@ class DeOutcome:
     converged: str  # 'success' | 'stall' | 'cap'
     snapshots: Dict[int, Snapshot]
 
+    @property
+    def decodable(self) -> bool:
+        """Whether the evolution reached the success target."""
+        return self.converged == "success"
+
 
 def de_coupled(
     e: Ensemble, pch, caps: Caps = Caps(), snapshot_iters: Collection[int] = ()

@@ -1,4 +1,4 @@
-"""Decodability predicate, erasure-threshold bisection, and rate sweeps.
+"""Erasure-threshold bisection and threshold sweeps.
 
 The threshold is the largest eps at which the evolution drives the
 per-position success probability past the target (1 - 1e-5 by default)
@@ -6,30 +6,31 @@ within the iteration cap.  Bisection assumes decodability is monotone in
 eps; a scan mode can verify this on a grid for unfamiliar channels.
 
 The bisection is one walk over one memo, which keeps every outcome
-computed.  Where the walk meets an eps that the memo lacks, one `de_batch`
-evolution evaluates a new batch in its place: first the scan grid, whose
-outcomes the walk then reads on its path, or else eps 0 and 1 with the
-first SPECULATIVE_DEPTH levels of the bisection tree on the regular
-ensemble (CHAIN_SPECULATIVE_DEPTH levels on a chain); later the next levels
-below the point missed.  The points off the walk's path stay in the memo
-unread.  A batch that raises leaves its points unknown, and each is
-evaluated alone with `de_coupled` when the walk reaches it, and then kept,
-so an error surfaces only where the plain bisection would raise it.  The
-walk stops once the bracket is no wider than 2*tol, or once no float lies
-strictly between its ends, which then are adjacent floats.  The result,
-`evals` included, is the plain bisection's.
+computed, each the engine's `DeOutcome`.  Where the walk meets an eps that
+the memo lacks, one `de_batch` evolution evaluates a new batch in its
+place: first the scan grid, whose outcomes the walk then reads on its
+path, or else eps 0 and 1 with the first SPECULATIVE_DEPTH levels of the
+bisection tree on the regular ensemble (CHAIN_SPECULATIVE_DEPTH levels on
+a chain); later the next levels below the point missed.  The points off
+the walk's path stay in the memo unread.  A batch that raises leaves its
+points unknown, and each is evaluated alone with `de_coupled` when the
+walk reaches it, and then kept, so an error surfaces only where the plain
+bisection would raise it.  The walk stops once the bracket is no wider
+than 2*tol, or once no float lies strictly between its ends, which then
+are adjacent floats.  The result, `evals` included, is the plain
+bisection's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import ChannelError, ChannelFamily, effective_channel
 from .de_core import SimplexError
-from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
+from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled
 
 # Levels of the bisection tree that one batched evolution covers.  An
 # iteration costs a fixed part plus a part per column, and most of a
@@ -55,40 +56,16 @@ class MonotonicityError(RuntimeError):
 
 
 @dataclass
-class EvalMeta:
-    eps: float
-    decodable: bool
-    iterations: int
-    status: str
-    min_p_dec: float
-
-
-@dataclass
 class ThresholdResult:
     eps_thresh: float
     eps_lo: float
     eps_hi: float
     tol: float
-    # the bisection path, in its order; speculative points off it are not listed
-    evals: List[EvalMeta] = field(default_factory=list)
+    # the bisection path's (eps, outcome) pairs, in its order; speculative
+    # points off it are not listed
+    evals: List[Tuple[float, DeOutcome]] = field(default_factory=list)
     degenerate: bool = False  # eps = 0 already undecodable
     cap_limited: bool = False  # the evaluation that set eps_hi ended at the cap
-
-
-def _meta(eps: float, res: DeOutcome) -> EvalMeta:
-    return EvalMeta(eps, res.converged == "success", res.iterations_used,
-                    res.converged, res.min_p_dec)
-
-
-def is_decodable(
-    e: Ensemble,
-    family: ChannelFamily,
-    eps: float,
-    caps: Caps = Caps(),
-    p_pi: float = 0.0,
-) -> EvalMeta:
-    """Run the evolution at eps (optionally punctured) and report the outcome."""
-    return _meta(eps, de_coupled(e, effective_channel(family, eps, p_pi), caps))
 
 
 def _midpoint(lo: float, hi: float, width: float) -> Optional[float]:
@@ -124,27 +101,29 @@ def find_threshold(
     pattern and raises ValueError.
 
     The points are evaluated ahead, in batches (see the module docstring);
-    the result is the plain bisection's all the same.
+    the result is the plain bisection's all the same.  Its `evals` lists the
+    path's (eps, DeOutcome) pairs, and an outcome is decodable when its
+    evolution ended in success.
     """
     if verify_scan is not None and verify_scan < 2:
         raise ValueError(f"verify_scan must be >= 2 grid points, got {verify_scan}")
     caps = caps.for_ensemble(e)
     width = 2 * caps.tol
     depth = CHAIN_SPECULATIVE_DEPTH if e.coupled else SPECULATIVE_DEPTH
-    evals: List[EvalMeta] = []
-    memo: Dict[float, Optional[EvalMeta]] = {}  # every outcome so far; None: its batch raised
+    evals: List[Tuple[float, DeOutcome]] = []
+    memo: Dict[float, Optional[DeOutcome]] = {}  # every outcome so far; None: its batch raised
 
-    def check(eps: float, batch: Callable[[], List[float]]) -> EvalMeta:
+    def check(eps: float, batch: Callable[[], List[float]]) -> DeOutcome:
         if eps not in memo:
             points = batch()
             memo.update(dict.fromkeys(points))
             try:
                 outcomes = de_batch(e, [effective_channel(family, x, p_pi) for x in points], caps)
-                memo.update((x, _meta(x, res)) for x, res in zip(points, outcomes))
+                memo.update(zip(points, outcomes))
             except (ChannelError, SimplexError):
                 pass  # each point is evaluated alone when reached, and raises there
-        memo[eps] = memo[eps] or is_decodable(e, family, eps, caps, p_pi)
-        evals.append(memo[eps])
+        memo[eps] = memo[eps] or de_coupled(e, effective_channel(family, eps, p_pi), caps)
+        evals.append((eps, memo[eps]))
         return memo[eps]
 
     if verify_scan is None:
@@ -170,43 +149,7 @@ def find_threshold(
         else:
             hi = mid
     return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals, degenerate,
-                           memo[hi].status == "cap")
-
-
-@dataclass
-class SweepRow:
-    d_v: int
-    d_c: int
-    L: int
-    w: int
-    p_pi: float
-    nominal_rate: float
-    rate_pi: float
-    eps_thresh: float
-    eps_lo: float
-    eps_hi: float
-    evals: int
-    cap_limited: bool
-
-
-def _sweep_point(args) -> SweepRow:
-    e, family, p_pi, caps = args
-    res = find_threshold(e, family, caps=caps, p_pi=p_pi)
-    rate = nominal_rate(e)
-    return SweepRow(
-        d_v=e.d_v,
-        d_c=e.d_c,
-        L=e.L,
-        w=e.w,
-        p_pi=p_pi,
-        nominal_rate=rate,
-        rate_pi=rate / (1 - p_pi),
-        eps_thresh=res.eps_thresh,
-        eps_lo=res.eps_lo,
-        eps_hi=res.eps_hi,
-        evals=len(res.evals),
-        cap_limited=res.cap_limited,
-    )
+                           memo[hi].converged == "cap")
 
 
 def sweep(
@@ -215,21 +158,19 @@ def sweep(
     puncture_grid: Sequence[float] = (0.0,),
     caps: Caps = Caps(),
     jobs: int = 1,
-) -> List[SweepRow]:
-    """Threshold and rate for every (ensemble, p_pi) pair, in input order,
-    each bisected under `caps.for_ensemble` of its ensemble.  The pairs run
-    on min(jobs, pairs) worker processes, or serially when that is 1."""
-    tasks = [
-        (e, family, float(p_pi), caps)
-        for e in ensembles
-        for p_pi in puncture_grid
-    ]
-    workers = min(jobs, len(tasks))
+) -> List[ThresholdResult]:
+    """`find_threshold` of every (ensemble, p_pi) pair, in input order, each
+    bisected under `caps.for_ensemble` of its ensemble.  The pairs run on
+    min(jobs, pairs) worker processes, or serially when that is 1."""
+    es = [e for e in ensembles for _ in puncture_grid]
+    p_pis = [float(p_pi) for _ in ensembles for p_pi in puncture_grid]
+    args = (es, [family] * len(es), [caps] * len(es), p_pis)
+    workers = min(jobs, len(es))
     if workers > 1:
         # imported here, since only a parallel sweep needs it and every CLI start
         # would pay for the import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+            return list(pool.map(find_threshold, *args))
+    return list(map(find_threshold, *args))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, via main(argv) and, where a command
 could hang, via a subprocess under a timeout."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -18,6 +19,8 @@ from concurrent.futures.process import BrokenProcessPool
 from twemac_jcf import cli
 from twemac_jcf.cli import main
 from twemac_jcf.de_core import SimplexError
+from twemac_jcf.de_coupled import DeOutcome, Ensemble, nominal_rate
+from twemac_jcf.threshold import sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -280,19 +283,29 @@ def test_de_profile_and_window_defaults(tmp_path, capsys):
     assert float(rows[0]["nominal_rate"]) == pytest.approx(0.5)
 
 
+CONFIG = "[fixed]\nkind = fixed-table\ntable = 0 0 0 1 0\n"
+
+
 def test_de_usage_errors_exit_2(tmp_path):
     # --w needs a chain; a trace of a chain would copy all of it every iteration
     base = ["de", "--dv", "3", "--dc", "6", "--eps", "0.3"]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CONFIG)
+    fixed = ["--channel", "fixed", "--channel-config", str(cfg)]
     for extra in (["--w", "2"], ["--L", "4", "--trace", str(tmp_path / "t.csv")],
                   ["--L", "0"],
                   ["--trace", str(tmp_path / "t.csv"), "--profile", str(tmp_path / "p.csv")],
                   ["--L", "5", "--w", "3", "--profile", str(tmp_path / "x.csv"),
-                   "--out", f"{tmp_path}/./x.csv"]):
+                   "--out", f"{tmp_path}/./x.csv"],
+                  [*fixed, "--out", str(cfg)], [*fixed, "--trace", str(cfg)],
+                  [*fixed, "--L", "5", "--w", "3", "--profile", f"{tmp_path}/./cfg.ini"]):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
     # two outputs that name one file: the result rows would overwrite the profile
     assert not (tmp_path / "x.csv").exists()
+    # an output that names the channel config would overwrite the input
+    assert cfg.read_text() == CONFIG
 
 
 def test_removed_commands_exit_2(tmp_path):
@@ -442,6 +455,59 @@ def test_figure6_small_sweep(tmp_path, capsys):
     assert len(crows) == 11
 
 
+def test_figure6_rows_carry_ensemble_and_punctured_rate(tmp_path, capsys):
+    # each row names its ensemble and p_pi, and its rate after puncturing:
+    # the nominal rate over the share of bits sent, 1 - p_pi
+    out_path = tmp_path / "f6.csv"
+    code, _ = run_cli(
+        ["figure6", "--dc", "6", "--dv", "3", "--L", "10", "--w", "3", "--p-pi", "0,0.1,0.3",
+         "--tol", "5e-3", "--curve-grid", "3", "--out", str(out_path), "--channel", "xor-only"],
+        capsys,
+    )
+    assert code == 0
+    _, rows = parse_csv(out_path.read_text())
+    assert [(r["d_v"], r["d_c"], r["L"], r["w"], r["p_pi"]) for r in rows] == [
+        ("3", "6", "10", "3", p_pi) for p_pi in ("0.0", "0.1", "0.3")]
+    rate = nominal_rate(Ensemble(3, 6, 10, 3))
+    assert 0.0 < rate < 0.5
+    assert all(float(r["nominal_rate"]) == rate for r in rows)
+    assert [float(r["rate_pi"]) for r in rows] == [rate, rate / 0.9, rate / 0.7]
+    threshs = [float(r["eps_thresh"]) for r in rows]
+    assert threshs == sorted(threshs, reverse=True)
+
+
+def test_figure6_jobs_2_writes_the_rows_of_jobs_1(tmp_path, capsys, monkeypatch):
+    # the pairs run on two real worker processes, no more, and their
+    # results, evolution outcomes included, come back as the serial ones
+    workers, results = [], []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __exit__(self, *exc):
+            workers.append((self._max_workers, len(self._processes)))
+            return super().__exit__(*exc)
+
+    def recording_sweep(*args, **kwargs):
+        results.append(sweep(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
+    argv = ["figure6", "--dv", "3", "--dc", "6", "--L", "3", "--w", "2", "--p-pi", "0,0.2",
+            "--curve-grid", "3", "--channel", "xor-only"]
+    texts = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"jobs{jobs}.csv"
+        assert main([*argv, "--jobs", jobs, "--out", str(out_path)]) == 0
+        texts.append([ln for ln in out_path.read_text().splitlines()
+                      if not ln.startswith(("# jobs=", "# out="))])
+    assert texts[0] == texts[1]
+    assert len(texts[0]) > 3  # the two rows, their column names and the header
+    assert workers == [(2, 2)]
+    serial, parallel = results
+    assert parallel == serial
+    assert all(isinstance(out, DeOutcome) for res in parallel for _, out in res.evals)
+
+
 def test_figure6_json_curves_file(tmp_path, capsys):
     # the curves file is named after the format it holds
     out_path = tmp_path / "f6.json"
@@ -463,15 +529,23 @@ def test_figure6_json_curves_file(tmp_path, capsys):
     ["--dv", "3", "--jobs", "0"],
     ["--dv", "3", "--jobs", "-4"],
     ["--dv", "3", "--p-pi", "0,1.5"],
+    ["--dv", "3", "--channel", "fixed", "--channel-config", "CFG", "--out", "CFG"],
+    ["--dv", "3", "--channel", "fixed", "--channel-config", "CFG", "--out", "OUT"],
 ])
-def test_figure6_usage_errors_exit_2(extra, monkeypatch):
+def test_figure6_usage_errors_exit_2(extra, tmp_path, monkeypatch):
     # an empty --dv range would print no threshold rows, --jobs below 1
-    # would run serially without a word, and a p_pi out of range would
-    # stop the sweep only after every row before it; each exits before it
+    # would run serially without a word, a p_pi out of range would stop the
+    # sweep only after every row before it, and the rows or the curves
+    # (OUT.curves.csv) would overwrite the channel config; each exits before it
     monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+    cfg = tmp_path / "x.csv.curves.csv"
+    cfg.write_text(CONFIG)
+    paths = {"CFG": str(cfg), "OUT": str(tmp_path / "x.csv")}
+    extra = [paths.get(a, a) for a in extra]
     with pytest.raises(SystemExit) as exc:
         main(["figure6", "--dc", "6", "--L", "3", "--w", "2", "--curve-grid", "3", *extra])
     assert exc.value.code == 2
+    assert cfg.read_text() == CONFIG
 
 
 @pytest.mark.parametrize("points", ["0", "1", "-3"])

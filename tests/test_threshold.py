@@ -5,37 +5,41 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily
+from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, effective_channel
 from twemac_jcf import threshold
 from twemac_jcf.de_core import SimplexError
-from twemac_jcf.de_coupled import Caps, Ensemble
+from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 from twemac_jcf.threshold import (
     MonotonicityError,
     ThresholdResult,
     find_threshold,
-    is_decodable,
     sweep,
 )
 
 from oracles import scalar_bec_threshold, scalar_coupled_threshold
 
 
+def evolve(e, family, eps, caps=Caps(), p_pi=0.0):
+    """The outcome of one evolution at eps, punctured by p_pi."""
+    return de_coupled(e, effective_channel(family, eps, p_pi), caps)
+
+
 def test_is_decodable_examples():
     sys_ = Ensemble(3, 6)
     xor = BUILTINS["xor-only"]
-    assert is_decodable(sys_, xor, 0.40).decodable
-    assert not is_decodable(sys_, xor, 0.44).decodable
-    meta = is_decodable(sys_, xor, 0.44)
-    assert meta.status == "stall"
-    assert 0.0 <= meta.min_p_dec < 1.0
+    assert evolve(sys_, xor, 0.40).decodable
+    assert not evolve(sys_, xor, 0.44).decodable
+    res = evolve(sys_, xor, 0.44)
+    assert res.converged == "stall"
+    assert 0.0 <= res.min_p_dec < 1.0
 
 
 def test_is_decodable_with_puncturing_harder():
     sys_ = Ensemble(3, 6)
     fam = BUILTINS["primary"]
-    assert is_decodable(sys_, fam, 0.2, p_pi=0.0).decodable
+    assert evolve(sys_, fam, 0.2, p_pi=0.0).decodable
     # heavy puncturing at the same eps destroys decodability
-    assert not is_decodable(sys_, fam, 0.2, p_pi=0.5).decodable
+    assert not evolve(sys_, fam, 0.2, p_pi=0.5).decodable
 
 
 def test_regular_36_xor_threshold_matches_scalar_oracle():
@@ -49,10 +53,10 @@ def test_bracket_invariant():
     res = find_threshold(Ensemble(3, 6), BUILTINS["primary"], caps=Caps(tol=1e-3))
     assert res.eps_lo <= res.eps_thresh <= res.eps_hi
     assert res.eps_hi - res.eps_lo <= 2 * res.tol + 1e-15
-    lo_metas = [m for m in res.evals if m.eps == res.eps_lo]
-    hi_metas = [m for m in res.evals if m.eps == res.eps_hi]
-    assert lo_metas and lo_metas[-1].decodable
-    assert hi_metas and not hi_metas[-1].decodable
+    lo_outcomes = [out for eps, out in res.evals if eps == res.eps_lo]
+    hi_outcomes = [out for eps, out in res.evals if eps == res.eps_hi]
+    assert lo_outcomes and lo_outcomes[-1].decodable
+    assert hi_outcomes and not hi_outcomes[-1].decodable
 
 
 def test_coupled_36_xor_threshold():
@@ -108,52 +112,52 @@ def test_verify_scan_reuses_endpoint_outcomes():
     scanned = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3), verify_scan=9)
     assert scanned.eps_thresh == plain.eps_thresh
     assert len(scanned.evals) == len(plain.evals) + 9 - 2
-    assert [m.eps for m in scanned.evals].count(1.0) == 1
+    assert [eps for eps, _ in scanned.evals].count(1.0) == 1
 
 
 def test_sweep_unpunctured_matches_find_threshold():
     systems = [Ensemble(3, 6)]
     fam = BUILTINS["primary"]
-    rows = sweep(systems, fam, puncture_grid=(0.0,), caps=Caps(tol=1e-3))
+    results = sweep(systems, fam, puncture_grid=(0.0,), caps=Caps(tol=1e-3))
     direct = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3))
-    assert len(rows) == 1
-    assert rows[0].eps_thresh == direct.eps_thresh
-    assert rows[0].nominal_rate == pytest.approx(0.5)
-    assert rows[0].rate_pi == pytest.approx(0.5)
+    assert len(results) == 1
+    assert results[0].eps_thresh == direct.eps_thresh
+    assert results == [direct]
 
 
 def test_sweep_thresholds_decrease_with_puncturing():
-    rows = sweep(
+    # the punctured rates of these points are checked on figure6's rows
+    # (tests/test_cli.py::test_figure6_rows_carry_ensemble_and_punctured_rate)
+    results = sweep(
         [Ensemble(3, 6)],
         BUILTINS["primary"],
         puncture_grid=(0.0, 0.1, 0.3),
         caps=Caps(tol=1e-3),
     )
-    threshs = [r.eps_thresh for r in rows]
+    threshs = [r.eps_thresh for r in results]
     assert threshs[0] > threshs[1] > threshs[2]
-    rates = [r.rate_pi for r in rows]
-    assert rates == sorted(rates)
-    assert rows[1].rate_pi == pytest.approx(0.5 / 0.9)
 
 
 def test_sweep_deterministic_and_ordered():
-    systems = [Ensemble(3, 6), Ensemble(4, 8)]
-    a = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), caps=Caps(tol=1e-3))
-    b = sweep(systems, BUILTINS["xor-only"], puncture_grid=(0.0, 0.2), caps=Caps(tol=1e-3))
-    assert [(r.d_v, r.p_pi, r.eps_thresh) for r in a] == [
-        (r.d_v, r.p_pi, r.eps_thresh) for r in b
-    ]
-    assert [(r.d_v, r.d_c, r.p_pi) for r in a] == [
-        (3, 6, 0.0), (3, 6, 0.2), (4, 8, 0.0), (4, 8, 0.2)
-    ]
+    systems, grid, caps = [Ensemble(3, 6), Ensemble(4, 8)], (0.0, 0.2), Caps(tol=1e-3)
+    a = sweep(systems, BUILTINS["xor-only"], puncture_grid=grid, caps=caps)
+    b = sweep(systems, BUILTINS["xor-only"], puncture_grid=grid, caps=caps)
+    assert a == b
+    # ensemble-major: (3,6) at 0 and 0.2, then (4,8) at 0 and 0.2
+    assert a == [find_threshold(e, BUILTINS["xor-only"], caps, p_pi)
+                 for e in systems for p_pi in grid]
+    assert a[0].eps_thresh > a[1].eps_thresh and a[2].eps_thresh > a[3].eps_thresh
 
 
 def test_sweep_coupled_row_metadata():
+    # each pair is bisected under the defaults of its own ensemble: tol 1e-4
+    # on the regular ensemble, 1e-3 on a chain; the ensemble and rates of a
+    # row are checked on figure6's rows
+    # (tests/test_cli.py::test_figure6_rows_carry_ensemble_and_punctured_rate)
     e = Ensemble(3, 6, 10, 3)
-    rows = sweep([e], BUILTINS["xor-only"], caps=Caps(tol=5e-3))
-    r = rows[0]
-    assert (r.d_v, r.d_c, r.L, r.w) == (3, 6, 10, 3)
-    assert 0.0 < r.nominal_rate < 0.5
+    results = sweep([Ensemble(3, 6), e], BUILTINS["xor-only"])
+    assert [r.tol for r in results] == [1e-4, 1e-3]
+    assert results[1] == find_threshold(e, BUILTINS["xor-only"])
 
 
 def test_caps_l_max_controls_outcome():
@@ -161,8 +165,8 @@ def test_caps_l_max_controls_outcome():
     sys_ = Ensemble(3, 6)
     fam = BUILTINS["xor-only"]
     eps = 0.425  # close to threshold, needs many iterations
-    assert is_decodable(sys_, fam, eps).decodable
-    assert not is_decodable(sys_, fam, eps, caps=Caps(l_max=10)).decodable
+    assert evolve(sys_, fam, eps).decodable
+    assert not evolve(sys_, fam, eps, caps=Caps(l_max=10)).decodable
 
 
 def test_cap_limited_marks_a_bracket_set_by_the_cap():
@@ -173,8 +177,8 @@ def test_cap_limited_marks_a_bracket_set_by_the_cap():
     capped = find_threshold(e, fam, caps=Caps(l_max=30, tol=5e-3))
     full = find_threshold(e, fam, caps=Caps(tol=5e-3))
     for res, status in ((capped, "cap"), (full, "stall")):
-        hi = [m for m in res.evals if m.eps == res.eps_hi][-1]
-        assert hi.status == status
+        hi = [out for eps, out in res.evals if eps == res.eps_hi][-1]
+        assert hi.converged == status
         assert res.cap_limited == (status == "cap")
     assert capped.eps_thresh < full.eps_thresh
     # a bracket that never needed the undecodable end is not cap limited
@@ -197,8 +201,8 @@ def test_sweep_starts_no_more_workers_than_points(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     fam, caps = BUILTINS["xor-only"], Caps(tol=1e-2)
@@ -220,41 +224,42 @@ NEVER = ChannelFamily(name="never", kind="fixed-table", table=(1.0, 0.0, 0.0, 0.
 
 
 def plain_bisection(e, family, caps=Caps(), p_pi=0.0, verify_scan=None):
-    """The bisection one `is_decodable` at a time, in the order it needs them."""
+    """The bisection one `de_coupled` evolution at a time, in the order it
+    needs them."""
     caps = caps.for_ensemble(e)
     evals = []
 
     def check(eps):
-        evals.append(is_decodable(e, family, eps, caps, p_pi))
-        return evals[-1]
+        evals.append((eps, de_coupled(e, effective_channel(family, eps, p_pi), caps)))
+        return evals[-1][1]
 
     ends = {}
     if verify_scan is not None:
-        metas = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
-        decodable = [m.decodable for m in metas]
+        outcomes = [check(float(x)) for x in np.linspace(0.0, 1.0, verify_scan)]
+        decodable = [res.decodable for res in outcomes]
         if decodable != sorted(decodable, reverse=True):
             raise MonotonicityError("not monotone")
-        ends = {0.0: metas[0], 1.0: metas[-1]}
+        ends = {0.0: outcomes[0], 1.0: outcomes[-1]}
 
-    def result(lo, hi, hi_meta, degenerate=False):
+    def result(lo, hi, hi_res, degenerate=False):
         return ThresholdResult(0.5 * (lo + hi), lo, hi, caps.tol, evals, degenerate,
-                               hi_meta.status == "cap")
+                               hi_res.converged == "cap")
 
     at_zero = ends.get(0.0) or check(0.0)
     if not at_zero.decodable:
         return result(0.0, 0.0, at_zero, degenerate=True)
-    hi_meta = ends.get(1.0) or check(1.0)
-    if hi_meta.decodable:
-        return result(1.0, 1.0, hi_meta)
+    hi_res = ends.get(1.0) or check(1.0)
+    if hi_res.decodable:
+        return result(1.0, 1.0, hi_res)
     lo, hi = 0.0, 1.0
     while hi - lo > 2 * caps.tol:
         mid = 0.5 * (lo + hi)
-        meta = check(mid)
-        if meta.decodable:
+        res = check(mid)
+        if res.decodable:
             lo = mid
         else:
-            hi, hi_meta = mid, meta
-    return result(lo, hi, hi_meta)
+            hi, hi_res = mid, res
+    return result(lo, hi, hi_res)
 
 
 SPECULATIVE_CASES = {  # ensemble, family, caps, keyword arguments
@@ -366,7 +371,7 @@ def test_off_path_failures_do_not_surface(error, e, scan, monkeypatch):
     # (0, 0.25, ..., 1); the walk reads the grid's 0.5 and 0.25 from the
     # scan, so its first batch lies below [0.25, 0.5]
     off = {0.125, 0.75} if scan is None else {0.3125, 0.46875}
-    assert not off & {m.eps for m in plain.evals}
+    assert not off & {eps for eps, _ in plain.evals}
     sizes, singles = record_evolutions(monkeypatch)
     assert find_threshold(e, FailsAt(off, error), caps, verify_scan=scan) == plain
     # the first walk batch raised (in de_batch for SimplexError, while
