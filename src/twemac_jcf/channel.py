@@ -10,8 +10,9 @@ vector over the five message types.  Built-in families:
 
 Custom families come from a plain-text config file and are either a fixed
 table (eps is ignored) or per-type polynomials in eps, validated on a grid
-at load time.  Puncturing overlays the channel by remapping a fraction
-p_pi of symbols to type 1.
+at load time.  A family may be punctured: its `p_pi` field remaps that
+fraction of symbols to type 1 (`puncture`) in every distribution it gives,
+so the evolution and the simulation see one family however it is punctured.
 """
 
 from __future__ import annotations
@@ -53,14 +54,19 @@ class ChannelFamily:
 
     kind 'fixed-table' uses `table` and ignores eps; 'custom-polynomial'
     evaluates `coeffs[i]` (ascending polynomial coefficients) per type.
+    A nonzero p_pi in [0, 1) punctures every distribution (`puncture`);
+    `dataclasses.replace(family, p_pi=...)` gives the punctured family.
     """
 
     name: str
     kind: str
     coeffs: Optional[tuple[tuple[float, ...], ...]] = None
     table: Optional[tuple[float, ...]] = None
+    p_pi: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.p_pi < 1.0:
+            raise ChannelError(f"p_pi must be in [0, 1), got {self.p_pi}")
         if self.kind not in BUILTIN_KINDS + ("fixed-table", "custom-polynomial"):
             raise ChannelError(f"unknown channel kind {self.kind!r}")
         if self.kind == "fixed-table":
@@ -72,22 +78,24 @@ class ChannelFamily:
                 raise ChannelError("custom-polynomial family needs 5 non-empty coefficient lists")
 
     def eval(self, eps: float) -> np.ndarray:
-        """Type distribution at erasure parameter eps; not validated, since
-        every consumer validates it (`validate_dist`)."""
+        """Type distribution at erasure parameter eps, punctured by p_pi
+        unless p_pi is 0; at p_pi = 0 it is not validated, since every
+        consumer validates it (`validate_dist`)."""
         if not 0.0 <= eps <= 1.0:
             raise ChannelError(f"eps must be in [0, 1], got {eps}")
         if self.kind == "primary":
-            return np.array(
+            pch = np.array(
                 [eps * eps, (1 - eps) * eps, eps * (1 - eps), (1 - eps) ** 2, 0.0]
             )
         elif self.kind == "xor-only":
-            return np.array([eps, 0.0, 0.0, 1 - eps, 0.0])
+            pch = np.array([eps, 0.0, 0.0, 1 - eps, 0.0])
         elif self.kind == "full-reveal":
-            return np.array([eps, 0.0, 0.0, 0.0, 1 - eps])
+            pch = np.array([eps, 0.0, 0.0, 0.0, 1 - eps])
         elif self.kind == "fixed-table":
-            return np.array(self.table, dtype=float)
+            pch = np.array(self.table, dtype=float)
         else:  # custom-polynomial
-            return np.array([npoly.polyval(eps, c) for c in self.coeffs])
+            pch = np.array([npoly.polyval(eps, c) for c in self.coeffs])
+        return puncture(pch, self.p_pi) if self.p_pi else pch
 
 
 PRIMARY = ChannelFamily("primary", "primary")
@@ -111,13 +119,6 @@ def puncture(pch, p_pi: float) -> np.ndarray:
     q = p * (1 - p_pi)
     q[0] += p_pi
     return q
-
-
-def effective_channel(family: ChannelFamily, eps: float, p_pi: float) -> np.ndarray:
-    """The channel of family at eps, punctured by p_pi (`puncture`) unless
-    p_pi is 0."""
-    pch = family.eval(eps)
-    return puncture(pch, p_pi) if p_pi else pch
 
 
 def sample_states(pch, n: int, rng: np.random.Generator) -> np.ndarray:

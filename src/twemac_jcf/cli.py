@@ -19,13 +19,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelError, get_family, puncture
+from .channel import ChannelError, get_family
 from .de_core import SimplexError
 from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from .rates import rate_bounds
@@ -80,7 +80,7 @@ def _fmt(v) -> str:
 
 
 def _family(args):
-    return get_family(args.channel, getattr(args, "channel_config", None))
+    return get_family(args.channel, args.channel_config)
 
 
 def _coupled(d_v: int, d_c: int, L: int, w: int) -> Ensemble:
@@ -155,11 +155,9 @@ def cmd_de(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    family = _family(args)
+    family = replace(_family(args), p_pi=args.p_pi)
     e = Ensemble(*args.regular) if args.regular is not None else _coupled(*args.coupled)
-    res = find_threshold(
-        e, family, caps=_caps(args, e), p_pi=args.p_pi, verify_scan=args.verify_scan
-    )
+    res = find_threshold(e, family, caps=_caps(args, e), verify_scan=args.verify_scan)
     _emit(args, [{"eps_thresh": res.eps_thresh, "eps_lo": res.eps_lo, "eps_hi": res.eps_hi,
                   "tol": res.tol, "evals": len(res.evals), "degenerate": res.degenerate,
                   "cap_limited": res.cap_limited}])
@@ -183,19 +181,18 @@ def cmd_figure6(args) -> int:
         raise ValueError(f"--dv {args.dv} names no d_v")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    p_grid = [float(x) for x in args.p_pi.split(",")]
-    for p_pi in p_grid:  # puncture rejects a p_pi out of range before any bisection
-        puncture(family.eval(0.0), p_pi)
+    # a p_pi out of range fails here, before any bisection
+    punctured = [replace(family, p_pi=float(x)) for x in args.p_pi.split(",")]
+    pairs = [(e, f) for e in ensembles for f in punctured]
     # every ensemble is a chain, so the first one's defaults are all of theirs
     caps = _caps(args, ensembles[0])
     curve_rows = _rate_rows(family, args.curve_grid)  # before the sweep: it checks the grid
-    results = sweep(ensembles, family, p_grid, caps=caps, jobs=args.jobs)
-    pairs = [(e, p_pi) for e in ensembles for p_pi in p_grid]  # the sweep's order
-    _emit(args, [{"d_v": e.d_v, "d_c": e.d_c, "L": e.L, "w": e.w, "p_pi": p_pi,
-                  "nominal_rate": nominal_rate(e), "rate_pi": nominal_rate(e) / (1 - p_pi),
+    results = sweep(pairs, caps=caps, jobs=args.jobs)
+    _emit(args, [{"d_v": e.d_v, "d_c": e.d_c, "L": e.L, "w": e.w, "p_pi": f.p_pi,
+                  "nominal_rate": nominal_rate(e), "rate_pi": nominal_rate(e) / (1 - f.p_pi),
                   "eps_thresh": res.eps_thresh, "eps_lo": res.eps_lo, "eps_hi": res.eps_hi,
                   "evals": len(res.evals), "cap_limited": res.cap_limited}
-                 for (e, p_pi), res in zip(pairs, results)])
+                 for (e, f), res in zip(pairs, results)])
 
     # analytic overlay curves on an eps grid
     _emit(args, curve_rows, path=_curves_path(args))
@@ -221,9 +218,8 @@ def cmd_simulate(args) -> int:
         if args.N is None:
             raise ValueError("--N is required for regular simulation")
         size = args.N
-    stats = failure_rate(
-        e, _family(args), args.eps, size, args.trials, args.seed, p_pi=args.p_pi
-    )
+    family = replace(_family(args), p_pi=args.p_pi)
+    stats = failure_rate(e, family, args.eps, size, args.trials, args.seed)
     _emit(args, [asdict(stats)])
     return 0
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelFamily, effective_channel, sample_states
+from .channel import ChannelFamily, sample_states
 from .de_coupled import Ensemble
 
 # type 1..5 -> knowledge bitmask; index 0 unused
@@ -293,9 +293,9 @@ def failure_rate(
     size: int,
     trials: int,
     seed: int,
-    p_pi: float = 0.0,
 ) -> FailureStats:
-    """Average peel-decoding failure over sampled graphs and observations.
+    """Average peel-decoding failure over sampled graphs and observations
+    of `family.eval(eps)`, punctured when the family is (its `p_pi`).
 
     `size` is M, the variables per position, and each trial samples its
     graph with `sample_coupled_graph`.  The regular ensemble is the chain of
@@ -306,7 +306,7 @@ def failure_rate(
     if trials < 1 or size < 1:
         raise ValueError(f"trials and size must be >= 1, got {trials} and {size}")
     rng = np.random.default_rng(seed)
-    pch = effective_channel(family, eps, p_pi)
+    pch = family.eval(eps)
     bit_rates = np.zeros(trials)
     failures = 0
     for t in range(trials):

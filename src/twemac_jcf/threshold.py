@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelError, ChannelFamily, effective_channel
+from .channel import ChannelError, ChannelFamily
 from .de_core import SimplexError
 from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled
 
@@ -88,11 +88,12 @@ def find_threshold(
     e: Ensemble,
     family: ChannelFamily,
     caps: Caps = Caps(),
-    p_pi: float = 0.0,
     verify_scan: Optional[int] = None,
 ) -> ThresholdResult:
-    """Bisect for the largest decodable eps to a bracket width <= 2*tol, or
-    to two adjacent floats, under the settings `caps.for_ensemble(e)`.
+    """Bisect for the largest eps at which `family.eval(eps)` is decodable,
+    to a bracket width <= 2*tol, or to two adjacent floats, under the
+    settings `caps.for_ensemble(e)`.  A punctured family (its `p_pi`) gives
+    the punctured threshold.
 
     With verify_scan=n >= 2, an n-point grid is evaluated first and a
     non-monotone decodability pattern raises MonotonicityError; the bisection
@@ -118,11 +119,11 @@ def find_threshold(
             points = batch()
             memo.update(dict.fromkeys(points))
             try:
-                outcomes = de_batch(e, [effective_channel(family, x, p_pi) for x in points], caps)
+                outcomes = de_batch(e, [family.eval(x) for x in points], caps)
                 memo.update(zip(points, outcomes))
             except (ChannelError, SimplexError):
                 pass  # each point is evaluated alone when reached, and raises there
-        memo[eps] = memo[eps] or de_coupled(e, effective_channel(family, eps, p_pi), caps)
+        memo[eps] = memo[eps] or de_coupled(e, family.eval(eps), caps)
         evals.append((eps, memo[eps]))
         return memo[eps]
 
@@ -153,19 +154,16 @@ def find_threshold(
 
 
 def sweep(
-    ensembles: Sequence[Ensemble],
-    family: ChannelFamily,
-    puncture_grid: Sequence[float] = (0.0,),
+    pairs: Sequence[Tuple[Ensemble, ChannelFamily]],
     caps: Caps = Caps(),
     jobs: int = 1,
 ) -> List[ThresholdResult]:
-    """`find_threshold` of every (ensemble, p_pi) pair, in input order, each
-    bisected under `caps.for_ensemble` of its ensemble.  The pairs run on
-    min(jobs, pairs) worker processes, or serially when that is 1."""
-    es = [e for e in ensembles for _ in puncture_grid]
-    p_pis = [float(p_pi) for _ in ensembles for p_pi in puncture_grid]
-    args = (es, [family] * len(es), [caps] * len(es), p_pis)
-    workers = min(jobs, len(es))
+    """`find_threshold` of every (ensemble, family) pair, in input order,
+    each bisected under `caps.for_ensemble` of its ensemble; a punctured
+    family gives its punctured threshold.  The pairs run on min(jobs, pairs)
+    worker processes, or serially when that is 1."""
+    args = ([e for e, _ in pairs], [f for _, f in pairs], [caps] * len(pairs))
+    workers = min(jobs, len(pairs))
     if workers > 1:
         # imported here, since only a parallel sweep needs it and every CLI start
         # would pay for the import

@@ -9,11 +9,12 @@ default selection via the `slow` marker:
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, puncture
+from twemac_jcf.channel import BUILTINS
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled, nominal_rate
 from twemac_jcf.rates import rate_bounds
 from twemac_jcf.simulate import EtgInstance, failure_rate, peel_decode, sample_coupled_graph
@@ -167,7 +168,7 @@ def test_criterion_6_puncturing_coverage():
     ok = True
     details = []
     for p_pi in (0.0, 0.2, 0.4, 0.6, 0.8):
-        res = find_threshold(e, fam, caps=Caps(tol=1e-3), p_pi=p_pi)
+        res = find_threshold(e, replace(fam, p_pi=p_pi), caps=Caps(tol=1e-3))
         r_pi = rate / (1 - p_pi)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= r_pi <= curve + 0.02
@@ -258,8 +259,9 @@ def test_criterion_9_paper_scale_smoke():
     paper = Ensemble(9, 10, 10000, 100)
     p_pi_desk = 1.0 - nominal_rate(desk) / 0.5
     p_pi_paper = 1.0 - nominal_rate(paper) / 0.5
-    res_desk = find_threshold(desk, fam, caps=Caps(tol=1e-3), p_pi=p_pi_desk)
-    res_paper = find_threshold(paper, fam, caps=Caps(l_max=400000, tol=1e-3), p_pi=p_pi_paper)
+    res_desk = find_threshold(desk, replace(fam, p_pi=p_pi_desk), caps=Caps(tol=1e-3))
+    res_paper = find_threshold(paper, replace(fam, p_pi=p_pi_paper),
+                               caps=Caps(l_max=400000, tol=1e-3))
     ok = abs(res_paper.eps_thresh - res_desk.eps_thresh) <= 0.01
     _report(
         9,

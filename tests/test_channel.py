@@ -1,5 +1,7 @@
 """Channel families, puncturing, state sampling, and config parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from twemac_jcf.channel import (
     BUILTINS,
     ChannelError,
     ChannelFamily,
-    effective_channel,
     get_family,
     parse_channel_config,
     puncture,
@@ -83,7 +84,7 @@ def test_puncture_preserves_simplex_and_is_affine(raw, p_pi):
     np.testing.assert_allclose((q0 + q) / 2, mid, atol=1e-12)
 
 
-def test_effective_channel_punctures_only_at_nonzero_p_pi(monkeypatch):
+def test_family_eval_punctures_only_at_nonzero_p_pi(monkeypatch):
     # at p_pi = 0 the family's distribution is returned as it is, with no
     # validation; otherwise it is `puncture`'s, validated once
     from twemac_jcf import channel
@@ -92,10 +93,27 @@ def test_effective_channel_punctures_only_at_nonzero_p_pi(monkeypatch):
     punctured = puncture(fam.eval(0.3), 0.2)
     calls = []
     monkeypatch.setattr(channel, "validate_dist", lambda p: calls.append(p) or validate_dist(p))
-    assert effective_channel(fam, 0.3, 0.0).tobytes() == fam.eval(0.3).tobytes()
+    assert replace(fam, p_pi=0.0).eval(0.3).tobytes() == fam.eval(0.3).tobytes()
     assert not calls
-    assert effective_channel(fam, 0.3, 0.2).tobytes() == punctured.tobytes()
+    assert replace(fam, p_pi=0.2).eval(0.3).tobytes() == punctured.tobytes()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p_pi", [1.0, -0.1, float("nan")])
+def test_family_rejects_p_pi_out_of_range(p_pi):
+    with pytest.raises(ChannelError, match=r"p_pi must be in \[0, 1\)"):
+        ChannelFamily("primary", "primary", p_pi=p_pi)
+    with pytest.raises(ChannelError, match=r"p_pi must be in \[0, 1\)"):
+        replace(BUILTINS["xor-only"], p_pi=p_pi)
+
+
+def test_punctured_builtin_leaves_the_builtin_unpunctured():
+    # replace builds a new family; the shared built-in stays as it was
+    fam = replace(BUILTINS["primary"], p_pi=0.2)
+    assert fam.eval(0.3).tobytes() == puncture(BUILTINS["primary"].eval(0.3), 0.2).tobytes()
+    assert BUILTINS["primary"].p_pi == get_family("primary").p_pi == 0.0
+    unpunctured = ChannelFamily("primary", "primary").eval(0.3)
+    assert BUILTINS["primary"].eval(0.3).tobytes() == unpunctured.tobytes()
 
 
 def test_puncture_spec_validation():

@@ -125,6 +125,8 @@ REGULAR_THRESHOLDS = [
 ]
 PINNED_OUTPUTS = {  # case: (commands, sha256 prefix of what they write)
     "regular-thresholds": (REGULAR_THRESHOLDS, "ffe95c97d0b2249d"),
+    "threshold-punctured": ([["threshold", "--regular", "3", "6", "--channel", "primary",
+                              "--p-pi", "0.2", "--tol", "1e-3"]], "acdaaea5d9ec4bc7"),
     "threshold-chain": ([["threshold", "--coupled", "3", "6", "100", "5", "--channel", "xor-only",
                           "--tol", "1e-3"]], "80c3f2b5bf5489ff"),
     "threshold-scan": ([["threshold", "--regular", "3", "6", "--channel", "xor-only",
@@ -137,6 +139,9 @@ PINNED_OUTPUTS = {  # case: (commands, sha256 prefix of what they write)
                    "--lmax", "300", "--trace", "trace.csv"]], "7f2f239216c6c708"),
     "figure6": ([["figure6", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
                   "--curve-grid", "5", "--channel", "xor-only"]], "6da193896c75fe06"),
+    "figure6-punctured": ([["figure6", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
+                            "--p-pi", "0,0.2", "--curve-grid", "5", "--channel", "xor-only"]],
+                          "b53f0451a7633ac9"),
     "simulate": ([["simulate", "--dv", "3", "--dc", "6", "--N", "2000", "--eps", "0.42",
                    "--channel", "xor-only", "--trials", "3"]], "d68706545af36a45"),
     "simulate-chain-punctured": ([["simulate", "--dv", "3", "--dc", "6", "--L", "5", "--w", "3",
@@ -423,6 +428,27 @@ def test_simulate_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--regular", "3", "6", "--p-pi", "1"],
+    ["threshold", "--coupled", "3", "6", "4", "2", "--p-pi", "nan"],
+    ["simulate", "--dv", "3", "--dc", "6", "--N", "120", "--eps", "0.2", "--p-pi", "-0.1"],
+    ["simulate", "--dv", "3", "--dc", "6", "--L", "2", "--M", "12", "--eps", "0.2",
+     "--p-pi", "1.5"],
+], ids=["threshold-1", "threshold-chain-nan", "simulate-negative", "simulate-chain-1.5"])
+def test_p_pi_out_of_range_exits_2_before_any_work(argv, monkeypatch, capsys):
+    # the punctured family rejects p_pi on construction, before any
+    # evolution runs or any graph is sampled
+    from twemac_jcf import simulate, threshold
+
+    for module, name in ((threshold, "de_batch"), (threshold, "de_coupled"),
+                         (simulate, "sample_coupled_graph")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "p_pi must be in [0, 1)" in capsys.readouterr().err
 
 
 def test_simulate_coupled_default_window(capsys):

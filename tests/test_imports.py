@@ -230,3 +230,40 @@ def test_kernels_make_no_power_call():
     # which the kernels' roundoff remainders supply by the million; their
     # powers are products over stride-0 copies instead (de_core.copies)
     assert slow_powers((PACKAGE / "de_core.py").read_text()) == []
+
+
+def parameters_named(source: str, name: str) -> list:
+    """Functions, methods, nested functions and lambdas that declare a
+    parameter called name, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == name for p in params):
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return [f"{fn} (line {line})" for line, fn in sorted(found)]
+
+
+def test_parameter_scanner():
+    src = (
+        "def f(e, p_pi=0.0):\n"
+        "    return e\n"
+        "class A:\n"
+        "    def m(self, *, p_pi):\n"
+        "        return lambda p_pi: p_pi\n"
+        "def g(pch, **p_pi):\n"
+        "    return pch\n"
+        "def h(p_pi_grid, family):\n"
+        "    p_pi = family.p_pi\n"
+        "    return p_pi, p_pi_grid\n"
+    )
+    assert parameters_named(src, "p_pi") == [
+        "f (line 1)", "m (line 4)", "<lambda> (line 5)", "g (line 6)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "channel"])
+def test_puncturing_stays_in_the_channel_module(module):
+    # a punctured channel is a ChannelFamily with its p_pi field set, so the
+    # threshold, simulate and CLI layers take a family, never a p_pi
+    assert parameters_named((PACKAGE / f"{module}.py").read_text(), "p_pi") == []

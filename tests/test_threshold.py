@@ -1,11 +1,12 @@
 """Threshold bisection, monotonicity guard, and puncturing sweeps."""
 
 import concurrent.futures
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, effective_channel
+from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily
 from twemac_jcf import threshold
 from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
@@ -19,9 +20,9 @@ from twemac_jcf.threshold import (
 from oracles import scalar_bec_threshold, scalar_coupled_threshold
 
 
-def evolve(e, family, eps, caps=Caps(), p_pi=0.0):
-    """The outcome of one evolution at eps, punctured by p_pi."""
-    return de_coupled(e, effective_channel(family, eps, p_pi), caps)
+def evolve(e, family, eps, caps=Caps()):
+    """The outcome of one evolution of family's channel at eps."""
+    return de_coupled(e, family.eval(eps), caps)
 
 
 def test_is_decodable_examples():
@@ -37,9 +38,9 @@ def test_is_decodable_examples():
 def test_is_decodable_with_puncturing_harder():
     sys_ = Ensemble(3, 6)
     fam = BUILTINS["primary"]
-    assert evolve(sys_, fam, 0.2, p_pi=0.0).decodable
+    assert evolve(sys_, replace(fam, p_pi=0.0), 0.2).decodable
     # heavy puncturing at the same eps destroys decodability
-    assert not evolve(sys_, fam, 0.2, p_pi=0.5).decodable
+    assert not evolve(sys_, replace(fam, p_pi=0.5), 0.2).decodable
 
 
 def test_regular_36_xor_threshold_matches_scalar_oracle():
@@ -118,7 +119,7 @@ def test_verify_scan_reuses_endpoint_outcomes():
 def test_sweep_unpunctured_matches_find_threshold():
     systems = [Ensemble(3, 6)]
     fam = BUILTINS["primary"]
-    results = sweep(systems, fam, puncture_grid=(0.0,), caps=Caps(tol=1e-3))
+    results = sweep([(e, fam) for e in systems], caps=Caps(tol=1e-3))
     direct = find_threshold(Ensemble(3, 6), fam, caps=Caps(tol=1e-3))
     assert len(results) == 1
     assert results[0].eps_thresh == direct.eps_thresh
@@ -129,9 +130,7 @@ def test_sweep_thresholds_decrease_with_puncturing():
     # the punctured rates of these points are checked on figure6's rows
     # (tests/test_cli.py::test_figure6_rows_carry_ensemble_and_punctured_rate)
     results = sweep(
-        [Ensemble(3, 6)],
-        BUILTINS["primary"],
-        puncture_grid=(0.0, 0.1, 0.3),
+        [(Ensemble(3, 6), replace(BUILTINS["primary"], p_pi=p_pi)) for p_pi in (0.0, 0.1, 0.3)],
         caps=Caps(tol=1e-3),
     )
     threshs = [r.eps_thresh for r in results]
@@ -140,12 +139,12 @@ def test_sweep_thresholds_decrease_with_puncturing():
 
 def test_sweep_deterministic_and_ordered():
     systems, grid, caps = [Ensemble(3, 6), Ensemble(4, 8)], (0.0, 0.2), Caps(tol=1e-3)
-    a = sweep(systems, BUILTINS["xor-only"], puncture_grid=grid, caps=caps)
-    b = sweep(systems, BUILTINS["xor-only"], puncture_grid=grid, caps=caps)
+    pairs = [(e, replace(BUILTINS["xor-only"], p_pi=p_pi)) for e in systems for p_pi in grid]
+    a = sweep(pairs, caps=caps)
+    b = sweep(pairs, caps=caps)
     assert a == b
-    # ensemble-major: (3,6) at 0 and 0.2, then (4,8) at 0 and 0.2
-    assert a == [find_threshold(e, BUILTINS["xor-only"], caps, p_pi)
-                 for e in systems for p_pi in grid]
+    # in input order: (3,6) at 0 and 0.2, then (4,8) at 0 and 0.2
+    assert a == [find_threshold(e, f, caps) for e, f in pairs]
     assert a[0].eps_thresh > a[1].eps_thresh and a[2].eps_thresh > a[3].eps_thresh
 
 
@@ -155,7 +154,7 @@ def test_sweep_coupled_row_metadata():
     # row are checked on figure6's rows
     # (tests/test_cli.py::test_figure6_rows_carry_ensemble_and_punctured_rate)
     e = Ensemble(3, 6, 10, 3)
-    results = sweep([Ensemble(3, 6), e], BUILTINS["xor-only"])
+    results = sweep([(Ensemble(3, 6), BUILTINS["xor-only"]), (e, BUILTINS["xor-only"])])
     assert [r.tol for r in results] == [1e-4, 1e-3]
     assert results[1] == find_threshold(e, BUILTINS["xor-only"])
 
@@ -206,14 +205,15 @@ def test_sweep_starts_no_more_workers_than_points(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     fam, caps = BUILTINS["xor-only"], Caps(tol=1e-2)
-    one = sweep([Ensemble(3, 6)], fam, caps=caps, jobs=64)
+    one = sweep([(Ensemble(3, 6), fam)], caps=caps, jobs=64)
     assert sizes == []
-    systems, grid = [Ensemble(3, 6), Ensemble(4, 8)], (0.0, 0.2)
-    four = sweep(systems, fam, grid, caps=caps, jobs=64)
+    pairs = [(e, replace(fam, p_pi=p_pi)) for e in (Ensemble(3, 6), Ensemble(4, 8))
+             for p_pi in (0.0, 0.2)]
+    four = sweep(pairs, caps=caps, jobs=64)
     assert sizes == [4]
-    assert sweep(systems, fam, grid, caps=caps, jobs=3) == four
+    assert sweep(pairs, caps=caps, jobs=3) == four
     assert sizes == [4, 3]
-    assert sweep(systems, fam, grid, caps=caps, jobs=1) == four
+    assert sweep(pairs, caps=caps, jobs=1) == four
     assert sizes == [4, 3]
     assert one == four[:1]
 
@@ -221,16 +221,17 @@ def test_sweep_starts_no_more_workers_than_points(monkeypatch):
 XOR = BUILTINS["xor-only"]
 ALWAYS = ChannelFamily(name="always", kind="fixed-table", table=(0.0, 0.0, 0.0, 1.0, 0.0))
 NEVER = ChannelFamily(name="never", kind="fixed-table", table=(1.0, 0.0, 0.0, 0.0, 0.0))
+PUNCTURED = replace(BUILTINS["primary"], p_pi=0.2)
 
 
-def plain_bisection(e, family, caps=Caps(), p_pi=0.0, verify_scan=None):
+def plain_bisection(e, family, caps=Caps(), verify_scan=None):
     """The bisection one `de_coupled` evolution at a time, in the order it
     needs them."""
     caps = caps.for_ensemble(e)
     evals = []
 
     def check(eps):
-        evals.append((eps, de_coupled(e, effective_channel(family, eps, p_pi), caps)))
+        evals.append((eps, de_coupled(e, family.eval(eps), caps)))
         return evals[-1][1]
 
     ends = {}
@@ -266,8 +267,7 @@ SPECULATIVE_CASES = {  # ensemble, family, caps, keyword arguments
     "(3,6) xor-only 1e-4": (Ensemble(3, 6), XOR, Caps(tol=1e-4), {}),
     "(4,8) primary 1e-3": (Ensemble(4, 8), BUILTINS["primary"], Caps(tol=1e-3), {}),
     "(7,10) full-reveal 1e-4": (Ensemble(7, 10), BUILTINS["full-reveal"], Caps(tol=1e-4), {}),
-    "(3,6) primary punctured": (Ensemble(3, 6), BUILTINS["primary"], Caps(tol=1e-4),
-                                {"p_pi": 0.2}),
+    "(3,6) primary punctured": (Ensemble(3, 6), PUNCTURED, Caps(tol=1e-4), {}),
     "(3,6) xor-only scan 9": (Ensemble(3, 6), XOR, Caps(tol=1e-3), {"verify_scan": 9}),
     "(4,8) full-reveal scan 4": (Ensemble(4, 8), BUILTINS["full-reveal"], Caps(tol=1e-4),
                                  {"verify_scan": 4}),
@@ -275,8 +275,7 @@ SPECULATIVE_CASES = {  # ensemble, family, caps, keyword arguments
     "never decodable": (Ensemble(3, 6), NEVER, Caps(), {}),
     "(3,6) xor-only l_max 30": (Ensemble(3, 6), XOR, Caps(l_max=30, tol=1e-4), {}),
     "(3,6,10,3) xor-only": (Ensemble(3, 6, 10, 3), XOR, Caps(tol=5e-3), {}),
-    "(3,6,10,3) primary punctured": (Ensemble(3, 6, 10, 3), BUILTINS["primary"], Caps(),
-                                     {"p_pi": 0.2}),
+    "(3,6,10,3) primary punctured": (Ensemble(3, 6, 10, 3), PUNCTURED, Caps(), {}),
     "(3,6,10,3) xor-only l_max 30": (Ensemble(3, 6, 10, 3), XOR, Caps(l_max=30, tol=5e-3), {}),
     "(3,6,10,3) xor-only scan 9": (Ensemble(3, 6, 10, 3), XOR, Caps(), {"verify_scan": 9}),
     "(3,6,20,3) full-reveal": (Ensemble(3, 6, 20, 3), BUILTINS["full-reveal"], Caps(), {}),
