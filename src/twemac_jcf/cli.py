@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 from typing import List, Optional
@@ -279,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=200)
     p.add_argument("--w", type=int, default=10)
     p.add_argument("--p-pi", default="0", help="comma list of puncture probabilities")
+    # a list such as -0.1,0.2 is a value, not an option, so the range check sees it
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--curve-grid", type=int, default=201)

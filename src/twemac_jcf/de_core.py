@@ -4,6 +4,8 @@ Messages on a randomly chosen edge have one of five types, and both node
 updates combine iid messages under the knowledge lattice (types as defined
 in `simulate`).  Arrays are type-major: a (5, ...) array holds one
 distribution per index of its other axes, each type a contiguous block.
+The kernels treat types 2 and 3 alike, so where the two are equal a
+4-row array, types 1, 2 = 3, 4, 5, gives the same bits (`_remainder`).
 
 Check node, the meet of n = d_c - 1 iid messages p: the output is type 5
 iff every input is, and type t in {2, 3, 4} iff every input lies in {t, 5}
@@ -59,47 +61,61 @@ def copies(base: np.ndarray, n: int) -> np.ndarray:
 
 
 def chk_update(p: np.ndarray, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Distributions of the meet of n iid messages, one per index of p (5, ...)
-    past the first, written to out.  bases is `copies(base, n)`, n >= 1, of
-    (4, ...) scratch that shares no memory with p or out."""
+    """Distributions of the meet of n iid messages, one per index of p past
+    the first, from its last R - 1 rows (no p1), written to out (R = 5 or 4
+    rows).  bases is `copies(base, n)`, n >= 1, of (R - 1, ...) scratch that
+    shares no memory with p or out."""
     base = bases[0]
-    np.add(p[1:4], p[4], out=base[:3])
-    base[3] = p[4]
+    np.add(p[1 - len(out) : -1], p[-1], out=base[:-1])
+    base[-1] = p[-1]
     np.multiply.reduce(bases, axis=0, out=out[1:])
-    out[1:4] -= out[4]
-    np.subtract(1.0, np.add.reduce(out[1:], axis=0, out=out[0]), out=out[0])
+    out[1:-1] -= out[-1]
+    _remainder(out[1:], 0, out[0])
     return out
 
 
 def join_weights(c: np.ndarray) -> np.ndarray:
-    """The channel's weights in `var_update`: c1, then c1 + c_t for t = 2, 3, 4,
-    shaped (4, 1, B) for one channel c (5,) (B = 1) or one per column of
-    c (5, B), to broadcast over the (4, 2, k) powers (k = B, or any k when
-    B = 1), or with an axis appended over (4, 2, B, k): B blocks of k."""
-    weights = c[:4] + c[0]
+    """The channel's weights in `var_update`: c1, then c1 + c_t for t = 2..4,
+    shaped (R - 1, 1, B) for one channel c (R,) (B = 1) or one per column
+    of c (R, B), to broadcast over the (R - 1, 2, k) powers (k = B, or any k
+    when B = 1), or with an axis appended over (R - 1, 2, B, k)."""
+    weights = c[:-1] + c[0]
     weights[0] = c[0]
-    return weights.reshape(4, 1, -1)
+    return weights.reshape(len(weights), 1, -1)
 
 
 def var_update(
     weights: np.ndarray, q: np.ndarray, bases: np.ndarray, powers: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Distributions of the join of a channel (its `join_weights`) with n and
-    with n + 1 iid messages, one pair per index of q (5, ...) past the first,
-    written to out (5, 2, ...): [:, 0] holds the joins with n messages and
-    [:, 1] those with n + 1 (with n = d_v - 1, the outgoing message and the
-    decoder output).  powers is (2, 4, ...) scratch and bases is
-    `copies(powers[1], n)`, n >= 0."""
+    with n + 1 iid messages, one pair per index of q past the first, from its
+    first R - 1 rows (no q5), written to out (R, 2, ...), R = 5 or 4: [:, 0]
+    holds the joins with n messages and [:, 1] those with n + 1 (n = d_v - 1:
+    the outgoing message and the decoder output).  powers is (2, R - 1, ...)
+    scratch and bases is `copies(powers[1], n)`, n >= 0."""
     # the bases in powers[1], (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1]
     base = powers[1]
     base[0] = q[0]
-    np.add(q[1:4], q[0], out=base[1:])
+    np.add(q[1 : len(out) - 1], q[0], out=base[1:])
     np.multiply.reduce(bases, axis=0, out=powers[0])
     base *= powers[0]
-    np.multiply(weights, powers.swapaxes(0, 1), out=out[:4])
-    out[1:4] -= out[0]
-    np.subtract(1.0, np.add.reduce(out[:4], axis=0, out=out[4]), out=out[4])
+    np.multiply(weights, powers.swapaxes(0, 1), out=out[:-1])
+    out[1:-1] -= out[0]
+    _remainder(out[:-1], 1, out[-1])
     return out
+
+
+def _remainder(terms: np.ndarray, two: int, out: np.ndarray) -> None:
+    """out = 1 - the sum of the other four types in type order, one row of
+    terms each, or 3 rows with types 2 and 3 in terms[two], added twice in
+    place: ((o2 + o2) + o4) + o5 has the bits of ((o2 + o3) + o4) + o5."""
+    if len(terms) == 4:
+        np.add.reduce(terms, axis=0, out=out)
+    else:
+        np.add(terms[0], terms[two], out=out)
+        out += terms[1]
+        out += terms[2]
+    np.subtract(1.0, out, out=out)
 
 
 def check_simplex(entries: np.ndarray) -> None:

@@ -15,11 +15,13 @@ rows 0..L+w-1, the ones those variables read.  A check row near the centre
 reads variable row j > L as its mirror 2L-j, and j > 2L as the type-5 pad;
 the variable rows sit in one padded buffer with those mirror and pad
 columns, so a check window is a view on it.  Message rows are type-major
-(5, B, k) arrays, B blocks (one per channel; see `de_batch`) of k
-columns, so that each type is one contiguous row.
+(R, B, k) arrays, B blocks (one per channel; see `de_batch`) of k
+columns, so that each type is one contiguous row: R = 4 where types 2
+and 3 share one (`_type_rows`), else 5.  A window averages only the R - 1
+rows its kernel reads, with no type 1 at checks and no type 5 at variables.
 Snapshots unfold the half chain to all 2L+1 variable and 2L+w check
-rows; an outcome keeps only them, its status, its iteration count and
-its smallest p_dec.
+rows of 5 types; an outcome keeps only them, its status, its iteration
+count and its smallest p_dec.
 
 A regular (d_v, d_c) ensemble is the chain with L = 0 and w = 1: one
 position, no boundary, and no mirror.  One iteration applies the
@@ -152,6 +154,15 @@ def _window_mean(rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> n
     return out
 
 
+def _type_rows(e: Ensemble, pchs: np.ndarray) -> np.ndarray:
+    """Each type's row in the evolution: types 2 and 3 share one when every
+    channel gives them the same bits and w > 1 (at w = 1 no window averages,
+    and the 4-row remainders' extra calls cost a regular iteration 5-8%)."""
+    if e.w > 1 and pchs[:, 1].tobytes() == pchs[:, 2].tobytes():
+        return np.array([0, 1, 1, 2, 3])
+    return np.arange(5)
+
+
 def _unfold(half: np.ndarray, n: int) -> np.ndarray:
     """The n full-chain rows from the rows of the half chain, which run up to
     and past the centre: row j >= len(half) is the mirror of row n-1-j."""
@@ -217,6 +228,8 @@ def de_batch(
     if not len(pchs):
         return []
     pchs = np.array([validate_dist(p) for p in pchs])
+    type_rows = _type_rows(e, pchs)
+    pchs = pchs[:, np.unique(type_rows, return_index=True)[1]]  # each row's first type
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions
@@ -224,39 +237,40 @@ def de_batch(
     m = min(w - 1, L)  # variable rows past the centre that checks read
     # vbuf holds each block's padded variable rows -w+1..L+w-1: the type-5
     # pad, rows 0..L, their mirrors L+1..L+m, and the type-5 pad again
-    vbuf = np.empty((5, len(pchs), L + 2 * w - 1))
-    vbuf[:] = E5
+    vbuf = np.empty((pchs.shape[1], len(pchs), L + 2 * w - 1))
+    vbuf[:] = E5[-len(vbuf) :]
     vbuf[:, :, w - 1 : w + L + m] = pchs.T[:, :, None]
     pcv = np.repeat(pchs.T[:, :, None], kc, axis=2)
     p_dec = np.zeros((len(pchs), kv))
-    weights = join_weights(pchs.T)[..., None]  # each block's channel, (4, 1, B, 1)
+    weights = join_weights(pchs.T)[..., None]  # each block's channel, (R - 1, 1, B, 1)
     ids = np.arange(len(pchs))  # the channel of each block
 
     def bind():
         """One iteration over the running blocks, on scratch made and views
         cut once for these.  The step returns each block's smallest p_dec
         and largest change of a variable row."""
-        B = len(ids)
-        vc_cs, vc_mean = np.empty((5, B, kc + w)), np.empty((5, B, kc))
-        cv_cs, cv_mean = np.empty((5, B, kv + w)), np.empty((5, B, kv))
+        B, R = len(ids), len(vbuf)
+        vc_cs, vc_mean = np.empty((R - 1, B, kc + w)), np.empty((R - 1, B, kc))
+        cv_cs, cv_mean = np.empty((R - 1, B, kv + w)), np.empty((R - 1, B, kv))
         vc_cs[..., 0] = cv_cs[..., 0] = 0.0
-        powers, out = np.empty((2, 4, B, kv)), np.empty((5, 2, B, kv))
+        powers, out = np.empty((2, R - 1, B, kv)), np.empty((R, 2, B, kv))
         # the kernels' powers: products over stride-0 copies of their bases
-        chk_bases = copies(np.empty((4, B, kc)), e.d_c - 1)
+        chk_bases = copies(np.empty((R - 1, B, kc)), e.d_c - 1)
         var_bases = copies(powers[1], e.d_v - 1)
-        new, dec4, dec5 = out[:, 0], out[3, 1], out[4, 1]
-        change, block_min, block_change = np.empty((5, B, kv)), np.empty(B), np.empty(B)
+        new, dec4, dec5 = out[:, 0], out[-2, 1], out[-1, 1]
+        change, block_min, block_change = np.empty((R, B, kv)), np.empty(B), np.empty(B)
         pvc, mirror = vbuf[:, :, w - 1 : w + L], vbuf[:, :, w + L : w + L + m]
         mirror_src = new[..., kv - 1 - m : kv - 1][..., ::-1]
+        chk_in, var_in = vbuf[1:], pcv[:-1]  # the rows of types 2..5 and 1..4
 
         def step():
             # check half-iteration over check rows 0..L+w-1, whose windows
             # vbuf holds: variable rows -w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(vbuf, w, vc_cs, vc_mean), chk_bases, pcv)
+            chk_update(_window_mean(chk_in, w, vc_cs, vc_mean), chk_bases, pcv)
             check_simplex(pcv)
             # variable half-iteration and decoder output over variable rows
             # 0..L, whose windows pcv holds: check rows 0..L+w-1
-            q = _window_mean(pcv, w, cv_cs, cv_mean)
+            q = _window_mean(var_in, w, cv_cs, cv_mean)
             var_update(weights, q, var_bases, powers, out)
             check_simplex(out)
             np.add(dec4, dec5, out=p_dec)
@@ -273,8 +287,8 @@ def de_batch(
     outcomes: List[DeOutcome] = [None] * len(pchs)
 
     def snapshot(s: int) -> Snapshot:
-        pvc = vbuf[:, s, w - 1 : w + L]
-        return Snapshot(_unfold(pvc.T, nv), _unfold(pcv[:, s].T, nc), _unfold(p_dec[s], nv))
+        pvc, cv = vbuf[type_rows, s, w - 1 : w + L], pcv[type_rows, s]
+        return Snapshot(_unfold(pvc.T, nv), _unfold(cv.T, nc), _unfold(p_dec[s], nv))
 
     def finish(s: int, status: str) -> None:
         """Record the outcome of the evolution in block s."""

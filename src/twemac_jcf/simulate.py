@@ -220,7 +220,8 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
         raise ValueError(f"node degrees must be below 2**{_SHIFT}")
     v2c, c2v = ch[evar], np.zeros(evar.size, np.int8)  # message masks
     lack = np.zeros(g.n_checks, np.uint64)  # per check: sockets lacking each bit
-    np.add.at(lack, echeck, _PACK[7 ^ v2c])
+    # the sums over each check's run of edges; a check with none keeps 0
+    lack[cdeg > 0] = np.add.reduceat(_PACK[7 ^ v2c], g.cptr[:-1][cdeg > 0])
     has = np.zeros(g.n_vars, np.uint64)  # per variable: incoming messages with each bit
     vmark, cmark = np.zeros(g.n_vars, bool), np.zeros(g.n_checks, bool)
     nodes, e, deg = np.arange(g.n_checks), np.arange(evar.size), cdeg  # round 1 visits every check

@@ -41,13 +41,13 @@ from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled
 # 7 (5 interleaved runs, pinned to one CPU of a shared 2-core x86-64 VM).
 SPECULATIVE_DEPTH = 7
 # A chain's part per column is larger: one (5,10,200,10) primary iteration
-# costs about 65 us alone and 25 us more per chain in the batch, and
-# (3,6,100,5) xor-only 65 us and 12 us more (fastest of 15 runs of 300
+# costs about 52 us alone and 16 us more per chain in the batch, and
+# (3,6,100,5) xor-only 44 us and 8 us more (fastest of 6 x 15 runs of 300
 # iterations with 1, 3 and 7 chains, pinned as above).  A batch gains by
 # running the last levels, whose points lie nearest the threshold and run
 # longest, side by side.  The three bisections of the coupled-thresholds
-# benchmark took a median 3.34 s at depth 3, against 3.71 s at 2 and 3.76 s
-# at 4 (5 interleaved runs, pinned as above).
+# benchmark took a median 2.40 s at depth 3, against 2.79 s at 2 and 2.77 s
+# at 4 (6 interleaved runs, pinned as above).
 CHAIN_SPECULATIVE_DEPTH = 3
 
 

@@ -451,6 +451,19 @@ def test_p_pi_out_of_range_exits_2_before_any_work(argv, monkeypatch, capsys):
     assert "p_pi must be in [0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_pi", [["--p-pi", "-0.1,0.2"], ["--p-pi=-0.1,0.2"]],
+                         ids=["separate", "equals"])
+def test_figure6_negative_p_pi_list_exits_2_with_the_range_message(p_pi, monkeypatch, capsys):
+    # a list that starts with a minus sign is --p-pi's value, not an option
+    from twemac_jcf import threshold
+
+    monkeypatch.setattr(threshold, "de_batch", lambda *a, **k: pytest.fail("work ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["figure6", "--dv", "3", "--dc", "6", "--L", "5", "--w", "2", *p_pi])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: p_pi must be in [0, 1), got -0.1\n")
+
+
 def test_simulate_coupled_default_window(capsys):
     # --L without --w keeps the default w = 1
     code, out = run_cli(

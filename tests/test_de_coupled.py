@@ -1,12 +1,13 @@
 """Spatially coupled type distribution evolution."""
 
 import collections
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from twemac_jcf.channel import BUILTINS, ChannelError, puncture
+from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, puncture
 from twemac_jcf.de_core import SimplexError
 from twemac_jcf.de_coupled import (
     STALL_TOL,
@@ -21,6 +22,12 @@ from twemac_jcf.de_coupled import (
 from oracles import five_type_coupled_trajectory, half_chain_de, scalar_coupled_trajectory
 
 NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
+DE_COUPLED = importlib.import_module("twemac_jcf.de_coupled")  # the package exports a function of that name
+# the primary channel with eps_A = eps and eps_B = 3 eps / 4: types 2 and 3
+# differ at every eps > 0, so the evolution keeps a row for each
+RAY = ChannelFamily("ray-3/4", "custom-polynomial", coeffs=(
+    (0.0, 0.0, 0.75), (0.0, 0.75, -0.75), (0.0, 1.0, -0.75), (1.0, -1.75, 0.75), (0.0,)))
+FAMILIES = {**BUILTINS, RAY.name: RAY}
 E5 = np.array([0, 0, 0, 0, 1.0])
 EARLY = {1, 7}  # snapshots at early iterations, which keep the last one too
 
@@ -204,11 +211,11 @@ def assert_matches_frozen(e, pch, caps, snaps):
 
 
 @pytest.mark.parametrize("outcome", sorted(FROZEN_OUTCOMES))
-@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal"])
+@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal", RAY.name])
 @pytest.mark.parametrize("shape", list(FROZEN_SHAPES.values()), ids=list(FROZEN_SHAPES))
 def test_matches_frozen_half_chain(shape, channel, outcome):
     eps, caps = FROZEN_OUTCOMES[outcome]
-    res = assert_matches_frozen(Ensemble(*shape), BUILTINS[channel].eval(eps), caps,
+    res = assert_matches_frozen(Ensemble(*shape), FAMILIES[channel].eval(eps), caps,
                                 {1, 2, 7, 25})
     assert res.converged == outcome
 
@@ -291,6 +298,7 @@ BATCH_CHANNELS = {
     "xor-only": BUILTINS["xor-only"].eval,
     "full-reveal": BUILTINS["full-reveal"].eval,
     "punctured-primary": lambda eps: puncture(BUILTINS["primary"].eval(eps), 0.2),
+    RAY.name: RAY.eval,
 }
 # eps 0 and 1, a coarse grid, and points close to the (3,6) thresholds,
 # where columns run longest and end at different iterations
@@ -383,11 +391,11 @@ CHAIN_EPS = sorted({*np.linspace(0.0, 1.0, 9), 0.29, 0.3, 0.45, 0.47, 0.48, 0.49
 
 
 @pytest.mark.parametrize("caps", [Caps(), Caps(l_max=40)], ids=["default", "tight-cap"])
-@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal"])
+@pytest.mark.parametrize("channel", ["primary", "xor-only", "full-reveal", RAY.name])
 @pytest.mark.parametrize("shape", list(CHAIN_SHAPES.values()), ids=list(CHAIN_SHAPES))
 def test_batch_of_chains_equals_single_bit_for_bit(shape, channel, caps):
     e = Ensemble(*shape)
-    pchs = [BUILTINS[channel].eval(eps) for eps in CHAIN_EPS]
+    pchs = [FAMILIES[channel].eval(eps) for eps in CHAIN_EPS]
     batch = de_batch(e, pchs, caps, EARLY)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
@@ -411,6 +419,60 @@ def test_batch_of_saturating_primary_chains_equals_single_bit_for_bit(caps):
         [("success", 420), ("success", 2735), ("stall", 3708), ("stall", 266)]
         if caps.l_max is None else [("success", 420), ("cap", 1000), ("cap", 1000), ("stall", 266)])
     assert np.abs(final(batch[0]).pvc[0] - E5).max() < STALL_TOL
+
+
+FIVE_ROWS, FOUR_ROWS = [0, 1, 2, 3, 4], [0, 1, 1, 2, 3]  # each type's row in the two layouts
+
+
+def rows_used(monkeypatch):
+    """The number of rows of each later de_batch call's arrays, in order."""
+    used, choose = [], DE_COUPLED._type_rows
+
+    def spy(e, pchs):
+        rows = choose(e, pchs)
+        used.append(len(set(rows.tolist())))
+        return rows
+    monkeypatch.setattr(DE_COUPLED, "_type_rows", spy)
+    return used
+
+
+def test_mixed_batch_keeps_five_rows_and_equals_each_alone(monkeypatch):
+    # one asymmetric channel gives the whole batch a row per type; alone, the
+    # symmetric chain runs 4 rows, and both layouts give the same bits
+    e, caps = Ensemble(3, 6, 12, 3), Caps()
+    pchs = [BUILTINS["primary"].eval(0.3), RAY.eval(0.3)]
+    used = rows_used(monkeypatch)
+    batch = de_batch(e, pchs, caps, EARLY)
+    alone = [de_coupled(e, pch, caps, EARLY) for pch in pchs]
+    assert used == [5, 4, 5]
+    for got, want in zip(batch, alone):
+        assert_same_outcome(got, want)
+    assert [res.converged for res in batch] == ["stall", "success"]
+    assert_no_shared_memory(batch)
+
+
+@pytest.mark.parametrize("shape, channel, eps, caps", [
+    ((3, 6), "primary", BATCH_EPS, Caps()),
+    ((3, 6, 2, 5), "xor-only", CHAIN_EPS, Caps()),
+    ((5, 10, 4, 3), "primary", CHAIN_EPS, Caps(l_max=40)),
+    ((6, 10, 200, 10), "primary", (0.3, 0.45, 0.5), Caps(l_max=400)),
+], ids=["regular", "L<w", "odd-w", "saturating"])
+def test_four_rows_equal_five_rows_bit_for_bit(monkeypatch, shape, channel, eps, caps):
+    # on symmetric channels, types 2 and 3 sharing a row changes no bit of
+    # any outcome or snapshot, whichever layout the evolution would choose
+    e, pchs = Ensemble(*shape), [BUILTINS[channel].eval(x) for x in eps]
+    runs = {}
+    for rows in (FIVE_ROWS, FOUR_ROWS):
+        monkeypatch.setattr(DE_COUPLED, "_type_rows", lambda e, pchs, rows=rows: np.array(rows))
+        runs[len(set(rows))] = de_batch(e, pchs, caps, EARLY)
+    for got, want in zip(runs[4], runs[5]):
+        assert_same_outcome(got, want)
+        for snap in got.snapshots.values():
+            for x in snap[:2]:
+                assert x.shape[1] == 5 and x[:, 2].tobytes() == x[:, 1].tobytes()
+    if shape == (6, 10, 200, 10):  # the chain that succeeds decodes to the type-5 point mass
+        assert [res.converged for res in runs[4]] == ["success", "cap", "stall"]
+        assert np.abs(final(runs[4][0]).pvc[0] - E5).max() < STALL_TOL
 
 
 def test_saturating_chain_stays_in_its_batch():

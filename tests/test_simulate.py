@@ -234,6 +234,17 @@ def test_peel_single_parity_check_example():
     assert out[2] == 2
 
 
+def test_peel_checks_without_edges_lack_nothing():
+    # checks 0, 2 and 4 have no edges, before, between and after the others
+    g = EtgInstance(3, 5, [0, 1, 1, 2], [1, 1, 3, 3])
+    for types, want in (([5, 1, 4], [5, 5, 5]), ([2, 1, 2], [2, 2, 2]), ([1, 4, 1], [4, 4, 4])):
+        assert list(peel_decode(g, np.array(types))) == want
+        np.testing.assert_array_equal(peel_decode(g, np.array(types)), _flood(g, types))
+    # no edges at all: every variable keeps its channel type
+    none = np.array([], dtype=np.int64)
+    assert list(peel_decode(EtgInstance(2, 3, none, none), np.array([2, 4]))) == [2, 4]
+
+
 def test_peel_rejects_bad_type_arrays():
     g = EtgInstance(*tanner_edges(H_SMALL))
     assert list(peel_decode(g, [5, 5, 1, 4])) == [5, 5, 5, 5]
