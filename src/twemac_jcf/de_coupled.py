@@ -35,21 +35,22 @@ closed-form kernels of `de_core` to all rows at once:
 channels at once: the channels' chains sit side by side as blocks of
 columns, each with its own pads and mirror columns, and each block stops
 by its own rules and then leaves the batch: the loop's arrays are cut
-down to the running blocks, and its buffers and views are made once for
-each set of running blocks.  Every kernel acts on each column alone and
-every window's prefix sums run within its block, so each outcome is bit
-for bit the one `de_coupled`, a batch of one, gives for that channel.
+down to the running blocks, and its buffers are made and its kernels
+bound once for each set of running blocks.  Every kernel acts on each
+column alone and every window's prefix sums run within its block, so each
+outcome is bit for bit the one `de_coupled`, a batch of one, gives for
+that channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Collection, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import validate_dist
-from .de_core import check_simplex, chk_update, copies, join_weights, var_update
+from .de_core import bind_chk_update, bind_var_update, check_simplex, copies, join_weights
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
@@ -136,22 +137,28 @@ def nominal_rate(e: Ensemble) -> float:
     return (1 - ratio) - ratio * boundary
 
 
-def _window_mean(rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Means of w consecutive columns along the last axis into out
-    (..., k-w+1): out[..., i] = mean of rows[..., i..i+w-1], from prefix
-    sums in cs (..., k+1), whose first column must hold 0; rows itself when
-    w = 1.
+def _bind_window_mean(
+    rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray
+) -> Tuple[Callable[[], None], np.ndarray]:
+    """A closure that writes the means of w consecutive columns of rows, as
+    they are at the call, into out (..., k-w+1): out[..., i] = mean of
+    rows[..., i..i+w-1], from prefix sums in cs (..., k+1) whose first
+    column must hold 0; and where the means are: out, or rows when w = 1.
 
     Prefix sums run from the first column of each block (each index of the
     leading axes), so a column's mean depends only on the columns of its
     block up to its window's end.
     """
     if w == 1:
-        return rows
-    np.add.accumulate(rows, axis=-1, out=cs[..., 1:])
-    np.subtract(cs[..., w:], cs[..., :-w], out=out)
-    out /= w
-    return out
+        return lambda: None, rows
+    sums, hi, lo = cs[..., 1:], cs[..., w:], cs[..., :-w]
+
+    def window_mean():
+        np.add.accumulate(rows, axis=-1, out=sums)
+        np.subtract(hi, lo, out=out)
+        np.divide(out, w, out=out)
+
+    return window_mean, out
 
 
 def _type_rows(e: Ensemble, pchs: np.ndarray) -> np.ndarray:
@@ -222,8 +229,8 @@ def de_batch(
     (..., B, width): B running blocks side by side, each with L+1 variable
     and L+w check columns, and in the padded variable buffer its own
     type-5 pads and mirror columns.  Blocks that end are recorded, the
-    arrays are cut down to the others, and `bind` makes the scratch and
-    views for those.
+    arrays are cut down to the others, and `bind` makes the scratch, views
+    and bound kernels for those.
     """
     if not len(pchs):
         return []
@@ -246,12 +253,12 @@ def de_batch(
     ids = np.arange(len(pchs))  # the channel of each block
 
     def bind():
-        """One iteration over the running blocks, on scratch made and views
-        cut once for these.  The step returns each block's smallest p_dec
-        and largest change of a variable row."""
+        """One iteration over the running blocks, on scratch made, views cut
+        and kernels bound once for these.  The step returns each block's
+        smallest p_dec and largest change of a variable row."""
         B, R = len(ids), len(vbuf)
-        vc_cs, vc_mean = np.empty((R - 1, B, kc + w)), np.empty((R - 1, B, kc))
-        cv_cs, cv_mean = np.empty((R - 1, B, kv + w)), np.empty((R - 1, B, kv))
+        vc_cs, vc_buf = np.empty((R - 1, B, kc + w)), np.empty((R - 1, B, kc))
+        cv_cs, cv_buf = np.empty((R - 1, B, kv + w)), np.empty((R - 1, B, kv))
         vc_cs[..., 0] = cv_cs[..., 0] = 0.0
         powers, out = np.empty((2, R - 1, B, kv)), np.empty((R, 2, B, kv))
         # the kernels' powers: products over stride-0 copies of their bases
@@ -261,17 +268,20 @@ def de_batch(
         change, block_min, block_change = np.empty((R, B, kv)), np.empty(B), np.empty(B)
         pvc, mirror = vbuf[:, :, w - 1 : w + L], vbuf[:, :, w + L : w + L + m]
         mirror_src = new[..., kv - 1 - m : kv - 1][..., ::-1]
-        chk_in, var_in = vbuf[1:], pcv[:-1]  # the rows of types 2..5 and 1..4
+        # check rows 0..L+w-1 average variable rows -w+1..L+w-1 of types 2..5
+        # (vbuf, mirrors and pads included), variable rows 0..L check rows
+        # 0..L+w-1 of types 1..4 (pcv)
+        vc_window, vc_means = _bind_window_mean(vbuf[1:], w, vc_cs, vc_buf)
+        cv_window, cv_means = _bind_window_mean(pcv[:-1], w, cv_cs, cv_buf)
+        chk_update = bind_chk_update(vc_means, chk_bases, pcv)
+        var_update = bind_var_update(weights, cv_means, var_bases, powers, out)
 
         def step():
-            # check half-iteration over check rows 0..L+w-1, whose windows
-            # vbuf holds: variable rows -w+1..L+w-1, mirrors and pads included
-            chk_update(_window_mean(chk_in, w, vc_cs, vc_mean), chk_bases, pcv)
+            vc_window()
+            chk_update()
             check_simplex(pcv)
-            # variable half-iteration and decoder output over variable rows
-            # 0..L, whose windows pcv holds: check rows 0..L+w-1
-            q = _window_mean(var_in, w, cv_cs, cv_mean)
-            var_update(weights, q, var_bases, powers, out)
+            cv_window()
+            var_update()
             check_simplex(out)
             np.add(dec4, dec5, out=p_dec)
             np.abs(np.subtract(new, pvc, out=change), out=change)

@@ -92,9 +92,10 @@ class EtgInstance:
     var_edges lists the edges grouped by variable, variable 0's first, and
     variable v's are its entries vptr[v]..vptr[v+1] - 1; the sampler builds
     it from its socket ids, and an instance built by hand gets it from a
-    stable argsort of evar.  Construction raises ValueError on edge lists
-    of unequal lengths, on a node id outside 0..n - 1, and on an edge list
-    that is not check-major.
+    stable argsort of evar.  Construction raises ValueError on node ids that
+    are not integers, on edge lists of unequal lengths, on a node id outside
+    0..n - 1, and on an edge list that is not check-major; empty edge lists
+    make a graph with no edges.
     """
 
     n_vars: int
@@ -106,10 +107,15 @@ class EtgInstance:
     vptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.evar, self.echeck = evar, echeck = np.asarray(self.evar), np.asarray(self.echeck)
+        evar, echeck = np.asarray(self.evar), np.asarray(self.echeck)
         if evar.shape != echeck.shape:
             raise ValueError(f"evar has shape {evar.shape} but echeck {echeck.shape}")
+        if not evar.size:  # numpy reads [] as float64
+            evar, echeck = evar.astype(np.int64), echeck.astype(np.int64)
+        self.evar, self.echeck = evar, echeck
         for name, ids, n in (("evar", evar, self.n_vars), ("echeck", echeck, self.n_checks)):
+            if not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise ValueError(f"{name} must lie in 0..{n - 1}, got {ids.min()}..{ids.max()}")
         if np.any(echeck[1:] < echeck[:-1]):

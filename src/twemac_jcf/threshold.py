@@ -37,17 +37,18 @@ from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled
 # batch's iterations run with only the few points nearest the threshold
 # left.  The regular ensemble's fixed part dominates, so a deep batch pays:
 # the 18 regular thresholds at tol 1e-4 (3 channels, 6 degree pairs) took
-# medians of 1.68, 1.59 and 1.83 s at depths 6, 8 and 9, against 1.49 s at
-# 7 (5 interleaved runs, pinned to one CPU of a shared 2-core x86-64 VM).
+# medians of 0.84, 0.79 and 0.86 s at depths 6, 8 and 9, against 0.75 s at
+# 7 (7 interleaved runs, pinned to one CPU of a shared 2-core x86-64 VM).
 SPECULATIVE_DEPTH = 7
 # A chain's part per column is larger: one (5,10,200,10) primary iteration
-# costs about 52 us alone and 16 us more per chain in the batch, and
-# (3,6,100,5) xor-only 44 us and 8 us more (fastest of 6 x 15 runs of 300
-# iterations with 1, 3 and 7 chains, pinned as above).  A batch gains by
-# running the last levels, whose points lie nearest the threshold and run
-# longest, side by side.  The three bisections of the coupled-thresholds
-# benchmark took a median 2.40 s at depth 3, against 2.79 s at 2 and 2.77 s
-# at 4 (6 interleaved runs, pinned as above).
+# costs about 22 us plus 14 us per chain in the batch, and (3,6,100,5)
+# xor-only 25 us plus 7 us per chain (a fit over 1, 3 and 7 chains, each
+# the fastest of 15 runs of 300 iterations, median of 6 processes, pinned
+# as above).  A batch gains by running the last levels, whose points lie
+# nearest the threshold and run longest, side by side.  The three
+# bisections of the coupled-thresholds benchmark took a median 1.68 s at
+# depth 3, against 1.81 s at 2 and 1.89 s at 4 (7 interleaved runs, pinned
+# as above).
 CHAIN_SPECULATIVE_DEPTH = 3
 
 

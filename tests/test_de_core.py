@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from twemac_jcf.channel import BUILTINS
 from twemac_jcf.de_core import (
     SimplexError,
+    bind_chk_update,
+    bind_var_update,
     check_simplex,
-    chk_update,
     copies,
     join_weights,
-    var_update,
 )
 from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
 
@@ -56,6 +56,18 @@ OFF_SIMPLEX_DRAW = [0.0, 0.0, 0.0, 0.5, 1e-5]
 EYE = np.eye(5)
 E1, E5 = EYE[0], EYE[4]
 NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
+
+
+def chk_update(p, bases, out):
+    """One call of the check kernel bound to these arrays; out."""
+    bind_chk_update(p, bases, out)()
+    return out
+
+
+def var_update(weights, q, bases, powers, out):
+    """One call of the variable kernel bound to these arrays; out."""
+    bind_var_update(weights, q, bases, powers, out)()
+    return out
 
 
 def chk(p, n):

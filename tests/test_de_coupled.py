@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, puncture
-from twemac_jcf.de_core import SimplexError
+from twemac_jcf.de_core import (
+    SimplexError,
+    _bind_remainder,
+    bind_chk_update,
+    bind_var_update,
+    copies,
+    join_weights,
+)
 from twemac_jcf.de_coupled import (
     STALL_TOL,
     Caps,
     Ensemble,
-    _window_mean,
+    _bind_window_mean,
     de_batch,
     de_coupled,
     nominal_rate,
@@ -30,6 +37,13 @@ RAY = ChannelFamily("ray-3/4", "custom-polynomial", coeffs=(
 FAMILIES = {**BUILTINS, RAY.name: RAY}
 E5 = np.array([0, 0, 0, 0, 1.0])
 EARLY = {1, 7}  # snapshots at early iterations, which keep the last one too
+
+
+def _window_mean(rows, w, cs, out):
+    """One call of the window mean bound to these arrays; the means."""
+    mean, means = _bind_window_mean(rows, w, cs, out)
+    mean()
+    return means
 
 
 def final(res):
@@ -251,6 +265,58 @@ def test_outcomes_own_their_memory(shape):
         first.converged, first.iterations_used, first.min_p_dec)
     assert sorted(again.snapshots) == sorted(first.snapshots)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(_arrays(first), _arrays(again)))
+
+
+def random_dists(rng, shape):
+    """Random distributions over the first axis of shape, one per index of
+    the others."""
+    return np.moveaxis(rng.dirichlet(np.ones(shape[0]), size=shape[1:]), -1, 0)
+
+
+def bound_as_in_a_batch(binder, w, buf, weights):
+    """The closures `de_batch` would call for binder, in order, on fresh
+    scratch: the window mean of buf's rows that the kernel reads (a view of
+    buf at w = 1), then the kernel on those means, for a (R, B, k + w - 1)
+    buf and the channels' `join_weights` (R - 1, 1, B, 1); and the array
+    the last closure writes."""
+    R, B, width = buf.shape
+    k = width - w + 1
+    rows = buf[1:] if binder == "chk_update" else buf[:-1]
+    mean, means = _bind_window_mean(rows, w, np.zeros((R - 1, B, k + w)), np.empty((R - 1, B, k)))
+    if binder == "window_mean":
+        return [mean], means
+    if binder == "remainder":
+        out = np.empty((B, k))
+        return [mean, _bind_remainder(means, 1, out)], out
+    if binder == "chk_update":
+        out = np.empty((R, B, k))
+        return [mean, bind_chk_update(means, copies(np.empty((R - 1, B, k)), 3), out)], out
+    powers, out = np.empty((2, R - 1, B, k)), np.empty((R, 2, B, k))
+    return [mean, bind_var_update(weights, means, copies(powers[1], 2), powers, out)], out
+
+
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize("R", [4, 5])
+@pytest.mark.parametrize("binder", ["window_mean", "chk_update", "var_update", "remainder"])
+def test_bound_closures_read_live_views(binder, R, w):
+    # a closure that kept a copy of an input or of its output would pass one
+    # call: after its inputs change in place, a second call must give what
+    # closures bound to fresh arrays give on the new inputs
+    rng = np.random.default_rng([R, w])
+    buf, weights = random_dists(rng, (R, 2, 6 + w)), join_weights(random_dists(rng, (R, 2)))
+    calls, out = bound_as_in_a_batch(binder, w, buf, weights[..., None])
+    for call in calls:
+        call()
+    first = out.copy()
+    buf[...] = random_dists(rng, buf.shape)
+    weights[...] = join_weights(random_dists(rng, (R, 2)))
+    for call in calls:
+        call()
+    fresh_calls, fresh = bound_as_in_a_batch(binder, w, buf.copy(), weights[..., None].copy())
+    for call in fresh_calls:
+        call()
+    assert first.tobytes() != out.tobytes()
+    assert out.tobytes() == fresh.tobytes()
 
 
 def test_iterations_call_no_array_constructor(monkeypatch):

@@ -267,3 +267,53 @@ def test_puncturing_stays_in_the_channel_module(module):
     # a punctured channel is a ChannelFamily with its p_pi field set, so the
     # threshold, simulate and CLI layers take a family, never a p_pi
     assert parameters_named((PACKAGE / f"{module}.py").read_text(), "p_pi") == []
+
+
+def loop_slices(source: str) -> tuple:
+    """The functions an evolution calls on every iteration, by name in line
+    order: each function named `step` and each one nested in a top-level
+    binder (`bind_*` or `_bind_*`); and the slices written in them, as
+    `name (line n)`."""
+    tree = ast.parse(source)
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "step"]
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name.lstrip("_").startswith("bind_"):
+            loops += [node for node in ast.walk(top) if node is not top
+                      and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    loops.sort(key=lambda node: node.lineno)
+    names = [getattr(loop, "name", "<lambda>") for loop in loops]
+    slices = [f"{name} (line {node.lineno})" for name, loop in zip(names, loops)
+              for node in ast.walk(loop) if isinstance(node, ast.Slice)]
+    return names, slices
+
+
+def test_loop_slice_scanner():
+    src = (
+        "def bind_f(x, out):\n"
+        "    head = x[1:]\n"
+        "    def f():\n"
+        "        out[...] = head\n"
+        "        out[0] = x[:-1].sum()\n"
+        "    return f\n"
+        "def _bind_g(x):\n"
+        "    return lambda: x[::2]\n"
+        "def h(x):\n"
+        "    def step():\n"
+        "        return x[..., 1:]\n"
+        "    def other():\n"
+        "        return x[1:]\n"
+        "    return step, other\n"
+    )
+    assert loop_slices(src) == (
+        ["f", "<lambda>", "step"], ["f (line 5)", "<lambda> (line 8)", "step (line 11)"])
+
+
+@pytest.mark.parametrize("module, loops", [
+    ("de_core", ["chk_update", "var_update", "remainder", "remainder"]),
+    ("de_coupled", ["<lambda>", "window_mean", "step"]),
+])
+def test_evolution_loop_cuts_no_view(module, loops):
+    # a slice costs a few hundred ns on every call; the binders cut their
+    # views once per set of running blocks, and the loop only calls ufuncs
+    assert loop_slices((PACKAGE / f"{module}.py").read_text()) == (loops, [])

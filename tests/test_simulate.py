@@ -155,6 +155,23 @@ def test_hand_built_graph_is_checked_at_construction():
             EtgInstance(*args)
 
 
+def test_hand_built_graph_from_empty_lists_has_no_edges():
+    # numpy reads [] as float64; no id means no edge, and the peel keeps
+    # every variable's channel type
+    g = EtgInstance(2, 3, [], [])
+    assert g.evar.dtype == g.echeck.dtype == np.int64
+    np.testing.assert_array_equal(g.cptr, [0, 0, 0, 0])
+    np.testing.assert_array_equal(g.vptr, [0, 0, 0])
+    assert list(peel_decode(g, np.array([2, 4]))) == [2, 4]
+
+
+@pytest.mark.parametrize("evar, echeck, name", [
+    ([0.0], [0.0], "evar"), ([0, 1], [0.0, 0.0], "echeck"), ([True], [0], "evar")])
+def test_hand_built_graph_rejects_non_integer_ids(evar, echeck, name):
+    with pytest.raises(ValueError, match=f"{name} must hold integer node ids"):
+        EtgInstance(2, 3, evar, echeck)
+
+
 @pytest.mark.parametrize("e, m", [(Ensemble(3, 6), 600), (Ensemble(3, 6, 6, 3), 40)])
 def test_peel_same_types_for_any_edge_order(e, m):
     # the same graph with the edges of each check shuffled, built by hand so
