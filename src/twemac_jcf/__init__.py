@@ -11,7 +11,7 @@ from .channel import (
     puncture,
     validate_dist,
 )
-from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled, nominal_rate
+from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, nominal_rate
 from .rates import RateBundle, rate_bounds
 from .threshold import find_threshold, sweep
 
@@ -25,7 +25,6 @@ __all__ = [
     "DeOutcome",
     "Ensemble",
     "de_batch",
-    "de_coupled",
     "nominal_rate",
     "RateBundle",
     "rate_bounds",

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelError, get_family
 from .de_core import SimplexError
-from .de_coupled import Caps, Ensemble, de_coupled, nominal_rate
+from .de_coupled import Caps, Ensemble, de_batch, nominal_rate
 from .rates import rate_bounds
 from .simulate import failure_rate
 from .threshold import MonotonicityError, find_threshold, sweep
@@ -128,7 +128,7 @@ def cmd_de(args) -> int:
         snapshot_iters = range(1, caps.l_max + 1)
     else:
         snapshot_iters = {2**k for k in range(caps.l_max.bit_length())} if args.profile else ()
-    res = de_coupled(e, _family(args).eval(args.eps), caps, snapshot_iters)
+    (res,) = de_batch(e, [_family(args).eval(args.eps)], caps, snapshot_iters)
     if args.trace:
         rows = [
             {

@@ -38,8 +38,7 @@ by its own rules and then leaves the batch: the loop's arrays are cut
 down to the running blocks, and its buffers are made and its kernels
 bound once for each set of running blocks.  Every kernel acts on each
 column alone and every window's prefix sums run within its block, so each
-outcome is bit for bit the one `de_coupled`, a batch of one, gives for
-that channel.
+outcome is bit for bit the one a batch of that channel alone gives.
 """
 
 from __future__ import annotations
@@ -201,27 +200,20 @@ class DeOutcome:
         return self.converged == "success"
 
 
-def de_coupled(
-    e: Ensemble, pch, caps: Caps = Caps(), snapshot_iters: Collection[int] = ()
-) -> DeOutcome:
-    """Run type distribution evolution until success, stall, or cap.
-
-    The channel distribution is the first variable-to-check message.
-    Success means min-over-positions p_dec >= success_target, where p_dec
-    is the type-4 + type-5 mass of the decoder output; stall means the
-    sup-norm change of the variable-to-check rows fell below STALL_TOL.
-    Every iteration updates every row of the half chain.  A snapshot is
-    kept after each iteration in snapshot_iters and, when snapshot_iters
-    is non-empty, after the last one.
-    """
-    return de_batch(e, [pch], caps, snapshot_iters)[0]
-
-
 def de_batch(
     e: Ensemble, pchs: Sequence, caps: Caps = Caps(), snapshot_iters: Collection[int] = ()
 ) -> List[DeOutcome]:
-    """The ensemble evolved under every channel of pchs at once, one
-    outcome per channel.
+    """The ensemble evolved under every channel of pchs at once until
+    success, stall or cap, one outcome per channel; a channel evolves
+    alone as the batch [pch].
+
+    Each channel distribution is its chain's first variable-to-check
+    message.  Success means min-over-positions p_dec >= success_target,
+    where p_dec is the type-4 + type-5 mass of the decoder output; stall
+    means the sup-norm change of the variable-to-check rows fell below
+    STALL_TOL.  Every iteration updates every row of the half chain.  A
+    snapshot is kept after each iteration in snapshot_iters and, when
+    snapshot_iters is non-empty, after the last one.
 
     Each channel is one block of the loop, a chain of its own, and each
     block stops by its own success, stall or cap, at its own iteration

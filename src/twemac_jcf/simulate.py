@@ -92,10 +92,12 @@ class EtgInstance:
     var_edges lists the edges grouped by variable, variable 0's first, and
     variable v's are its entries vptr[v]..vptr[v+1] - 1; the sampler builds
     it from its socket ids, and an instance built by hand gets it from a
-    stable argsort of evar.  Construction raises ValueError on node ids that
-    are not integers, on edge lists of unequal lengths, on a node id outside
-    0..n - 1, and on an edge list that is not check-major; empty edge lists
-    make a graph with no edges.
+    stable argsort of evar.  Construction raises ValueError on a negative
+    node count, on evar, echeck and var_edges that are not flat arrays of
+    one length and of integers, on a node id outside 0..n - 1, on an edge
+    list that is not check-major, and on a var_edges that is not a
+    permutation of the edge ids grouped by variable; empty edge lists make
+    a graph with no edges.
     """
 
     n_vars: int
@@ -107,21 +109,27 @@ class EtgInstance:
     vptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if min(self.n_vars, self.n_checks) < 0:
+            raise ValueError(f"n_vars, n_checks must be >= 0, got {self.n_vars}, {self.n_checks}")
         evar, echeck = np.asarray(self.evar), np.asarray(self.echeck)
-        if evar.shape != echeck.shape:
-            raise ValueError(f"evar has shape {evar.shape} but echeck {echeck.shape}")
+        ve = np.asarray(np.argsort(evar, kind="stable") if self.var_edges is None
+                        else self.var_edges)
         if not evar.size:  # numpy reads [] as float64
-            evar, echeck = evar.astype(np.int64), echeck.astype(np.int64)
-        self.evar, self.echeck = evar, echeck
-        for name, ids, n in (("evar", evar, self.n_vars), ("echeck", echeck, self.n_checks)):
+            evar, echeck, ve = (a.astype(np.int64) for a in (evar, echeck, ve))
+        self.evar, self.echeck, self.var_edges = evar, echeck, ve
+        for name, ids, n, kind in (("evar", evar, self.n_vars, "node"),
+                                   ("echeck", echeck, self.n_checks, "node"),
+                                   ("var_edges", ve, evar.size, "edge")):
+            if ids.shape != (evar.size,):
+                raise ValueError(f"{name} has shape {ids.shape}, expected ({evar.size},)")
             if not np.issubdtype(ids.dtype, np.integer):
-                raise ValueError(f"{name} must hold integer node ids, got dtype {ids.dtype}")
+                raise ValueError(f"{name} must hold integer {kind} ids, got dtype {ids.dtype}")
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise ValueError(f"{name} must lie in 0..{n - 1}, got {ids.min()}..{ids.max()}")
         if np.any(echeck[1:] < echeck[:-1]):
             raise ValueError("echeck must be non-decreasing: edges are listed check-major")
-        if self.var_edges is None:
-            self.var_edges = np.argsort(evar, kind="stable")
+        if ve.size and (np.bincount(ve).max() > 1 or np.any((g := evar[ve])[1:] < g[:-1])):
+            raise ValueError("var_edges must list each edge once, grouped by variable")
         self.cptr, self.vptr = _offsets(echeck, self.n_checks), _offsets(evar, self.n_vars)
 
 

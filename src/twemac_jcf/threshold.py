@@ -13,7 +13,7 @@ path, or else eps 0 and 1 with the first SPECULATIVE_DEPTH levels of the
 bisection tree on the regular ensemble (CHAIN_SPECULATIVE_DEPTH levels on
 a chain); later the next levels below the point missed.  The points off
 the walk's path stay in the memo unread.  A batch that raises leaves its
-points unknown, and each is evaluated alone with `de_coupled` when the
+points unknown, and each is evaluated alone, as a batch of one, when the
 walk reaches it, and then kept, so an error surfaces only where the plain
 bisection would raise it.  The walk stops once the bracket is no wider
 than 2*tol, or once no float lies strictly between its ends, which then
@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import ChannelError, ChannelFamily
 from .de_core import SimplexError
-from .de_coupled import Caps, DeOutcome, Ensemble, de_batch, de_coupled
+from .de_coupled import Caps, DeOutcome, Ensemble, de_batch
 
 # Levels of the bisection tree that one batched evolution covers.  An
 # iteration costs a fixed part plus a part per column, and most of a
@@ -124,7 +124,7 @@ def find_threshold(
                 memo.update(zip(points, outcomes))
             except (ChannelError, SimplexError):
                 pass  # each point is evaluated alone when reached, and raises there
-        memo[eps] = memo[eps] or de_coupled(e, family.eval(eps), caps)
+        memo[eps] = memo[eps] or de_batch(e, [family.eval(eps)], caps)[0]
         evals.append((eps, memo[eps]))
         return memo[eps]
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS
-from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled, nominal_rate
+from twemac_jcf.de_coupled import Caps, Ensemble, de_batch, nominal_rate
 from twemac_jcf.rates import rate_bounds
 from twemac_jcf.simulate import EtgInstance, failure_rate, peel_decode, sample_coupled_graph
 from twemac_jcf.threshold import find_threshold
@@ -102,9 +102,9 @@ def test_criterion_3_bec_reduction():
     worst = 0.0
     for d_v, d_c in ((3, 6), (4, 8)):
         eps, iters = 0.41, 60
-        res = de_coupled(
+        (res,) = de_batch(
             Ensemble(d_v, d_c),
-            [eps, 0, 0, 1 - eps, 0],
+            [[eps, 0, 0, 1 - eps, 0]],
             Caps(l_max=iters, success_target=np.nextafter(1.0, 0.0)),
             snapshot_iters=range(1, iters + 1),
         )
@@ -240,7 +240,7 @@ def test_criterion_8_concentration():
     stats = failure_rate(Ensemble(3, 6), fam, eps, size=10**5, trials=20, seed=8)
     # peeling runs to its fixed point, so compare against the evolution's
     # own fixed-point residual
-    res = de_coupled(Ensemble(3, 6), fam.eval(eps), Caps(success_target=np.nextafter(1.0, 0.0)))
+    (res,) = de_batch(Ensemble(3, 6), [fam.eval(eps)], Caps(success_target=np.nextafter(1.0, 0.0)))
     residual = 1.0 - res.min_p_dec
     ok = abs(stats.bit_rate - residual) <= 0.01
     _report(

@@ -395,11 +395,11 @@ def test_only_numerical_failures_exit_3(monkeypatch, capsys):
             raise exc
         return run
 
-    monkeypatch.setattr(cli, "de_coupled", raising(SimplexError("entry -1e-3 below zero")))
+    monkeypatch.setattr(cli, "de_batch", raising(SimplexError("entry -1e-3 below zero")))
     assert main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
     for exc in (RuntimeError("boom"), BrokenProcessPool("a worker died"), RecursionError()):
-        monkeypatch.setattr(cli, "de_coupled", raising(exc))
+        monkeypatch.setattr(cli, "de_batch", raising(exc))
         with pytest.raises(type(exc)):
             main(argv)
 
@@ -442,8 +442,7 @@ def test_p_pi_out_of_range_exits_2_before_any_work(argv, monkeypatch, capsys):
     # evolution runs or any graph is sampled
     from twemac_jcf import simulate, threshold
 
-    for module, name in ((threshold, "de_batch"), (threshold, "de_coupled"),
-                         (simulate, "sample_coupled_graph")):
+    for module, name in ((threshold, "de_batch"), (simulate, "sample_coupled_graph")):
         monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -712,7 +711,7 @@ def test_output_in_a_missing_directory_exits_2(argv, flag, suffix, tmp_path, cap
     # the path is checked before any evolution, sweep or simulation runs; a
     # path that is an existing directory cannot be written either, nor can
     # the curves file that figure6 derives from --out
-    for name in ("rate_bounds", "de_coupled", "find_threshold", "sweep", "failure_rate"):
+    for name in ("rate_bounds", "de_batch", "find_threshold", "sweep", "failure_rate"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran before the check"))
     directory = tmp_path / f"x.csv{suffix}"
     directory.mkdir()

@@ -23,7 +23,7 @@ from twemac_jcf.de_core import (
     copies,
     join_weights,
 )
-from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
+from twemac_jcf.de_coupled import Caps, Ensemble, de_batch
 
 from oracles import (
     explicit_chk_matrix,
@@ -90,7 +90,8 @@ def var(c, q, n):
 
 def regular(d_v, d_c, pch, l_max=None, target=None, snapshots=()):
     caps = Caps(l_max=l_max, **({} if target is None else {"success_target": target}))
-    return de_coupled(Ensemble(d_v, d_c), pch, caps, snapshots)
+    (res,) = de_batch(Ensemble(d_v, d_c), [pch], caps, snapshots)
+    return res
 
 
 def test_var_matrix_identity_and_absorbing():

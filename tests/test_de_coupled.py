@@ -1,12 +1,12 @@
 """Spatially coupled type distribution evolution."""
 
 import collections
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import twemac_jcf.de_coupled as coupled
 from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, puncture
 from twemac_jcf.de_core import (
     SimplexError,
@@ -22,14 +22,12 @@ from twemac_jcf.de_coupled import (
     Ensemble,
     _bind_window_mean,
     de_batch,
-    de_coupled,
     nominal_rate,
 )
 
 from oracles import five_type_coupled_trajectory, half_chain_de, scalar_coupled_trajectory
 
 NOT_FINAL = math.nextafter(1.0, 0.0)  # a target no finite run reaches before its cap
-DE_COUPLED = importlib.import_module("twemac_jcf.de_coupled")  # the package exports a function of that name
 # the primary channel with eps_A = eps and eps_B = 3 eps / 4: types 2 and 3
 # differ at every eps > 0, so the evolution keeps a row for each
 RAY = ChannelFamily("ray-3/4", "custom-polynomial", coeffs=(
@@ -147,7 +145,7 @@ def test_effective_dists_boundary_formula():
 
 def oracle_outcome(e, pch, caps, iters):
     """(status, iterations, pvc, pcv, p_dec, trajectory) of the full-chain
-    oracle under the stopping rules of de_coupled: success when min p_dec
+    oracle under the stopping rules of de_batch: success when min p_dec
     reaches the target, stall when the sup-norm change of the variable rows
     falls below STALL_TOL, cap after l_max iterations."""
     traj = five_type_coupled_trajectory(pch, e.d_v, e.d_c, e.L, e.w, iters)
@@ -182,7 +180,7 @@ def test_half_chain_matches_full_chain_oracle(channel, shape, target):
     e, pch = Ensemble(*shape), CHANNELS[channel]
     caps = Caps() if target == "default" else Caps(l_max=40, success_target=NOT_FINAL)
     snaps = {1, 2, 7, 25}
-    res = de_coupled(e, pch, caps, snapshot_iters=snaps)
+    (res,) = de_batch(e, [pch], caps, snapshot_iters=snaps)
     status, iters, pvc, pcv, p_dec, traj = oracle_outcome(e, pch, caps, 400)
     assert (res.converged, res.iterations_used) == (status, iters)
     assert res.min_p_dec == pytest.approx(p_dec.min(), abs=1e-12)
@@ -208,10 +206,10 @@ FROZEN_OUTCOMES = {  # eps, caps
 
 
 def assert_matches_frozen(e, pch, caps, snaps):
-    """de_coupled's outcome, after checking it bit for bit against the
-    frozen half chain."""
+    """The outcome of a batch of one, after checking it bit for bit
+    against the frozen half chain."""
     c = caps.for_ensemble(e)
-    res = de_coupled(e, pch, caps, snaps)
+    (res,) = de_batch(e, [pch], caps, snaps)
     status, iters, p_dec, min_p_dec, pvc, pcv, snapshots = half_chain_de(
         pch, e.d_v, e.d_c, e.L, e.w, c.l_max, c.success_target, STALL_TOL, snaps)
     assert (res.converged, res.iterations_used, res.min_p_dec) == (status, iters, min_p_dec)
@@ -256,7 +254,7 @@ def test_outcomes_own_their_memory(shape):
     # or of a later call, and A's second outcome repeats its first
     e, snaps = Ensemble(*shape), {1, 60}
     a, b = BUILTINS["full-reveal"].eval(0.46), BUILTINS["primary"].eval(0.3)
-    first, second, again = (de_coupled(e, pch, Caps(), snaps) for pch in (a, b, a))
+    (first,), (second,), (again,) = (de_batch(e, [pch], Caps(), snaps) for pch in (a, b, a))
     ours, later = _arrays(first), _arrays(second) + _arrays(again)
     for i, x in enumerate(ours):
         assert x.flags.owndata
@@ -331,7 +329,7 @@ def test_iterations_call_no_array_constructor(monkeypatch):
         monkeypatch.setattr(np, name, counted)
     e, pch = Ensemble(5, 10, 20, 4), BUILTINS["primary"].eval(0.27)
     pchs = [pch, BUILTINS["xor-only"].eval(0.45), BUILTINS["full-reveal"].eval(0.0), pch]
-    for run, early in ((lambda caps: [de_coupled(e, pch, caps)], {}),
+    for run, early in ((lambda caps: de_batch(e, [pch], caps), {}),
                        (lambda caps: de_batch(e, pchs, caps), {2: ("success", 1)})):
         counts = []
         for l_max in (5, 50):
@@ -381,7 +379,8 @@ def test_batch_equals_single_bit_for_bit(channel, degrees, caps):
     batch = de_batch(e, pchs, caps, EARLY)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+        (alone,) = de_batch(e, [pch], caps, EARLY)
+        assert_same_outcome(got, alone)
     assert_no_shared_memory(batch)
     statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
@@ -410,7 +409,7 @@ BAD_ROWS = {
 def test_batch_rejects_a_bad_channel_as_it_would_alone(bad):
     e, good = Ensemble(3, 6), BUILTINS["xor-only"].eval(0.4)
     with pytest.raises(ChannelError) as alone:
-        de_coupled(e, bad)
+        de_batch(e, [bad])
     with pytest.raises(ChannelError) as batched:
         de_batch(e, [good, bad, good, [0.1, 0.2, 0.3, 0.4, 0.5]])
     assert str(batched.value) == str(alone.value)
@@ -431,7 +430,7 @@ CHECK_HALF_ERRORS = [
 @pytest.mark.parametrize("bad, shape, entry", CHECK_HALF_ERRORS)
 def test_check_half_error_comes_first(bad, shape, entry):
     e, good = Ensemble(*shape), BUILTINS["xor-only"].eval(0.4)
-    for run in (lambda: de_coupled(e, bad), lambda: de_batch(e, [good, bad]),
+    for run in (lambda: de_batch(e, [bad]), lambda: de_batch(e, [good, bad]),
                 lambda: de_batch(e, [bad, good])):
         with pytest.raises(SimplexError) as err:
             run()
@@ -445,7 +444,7 @@ def test_check_half_error_comes_first(bad, shape, entry):
 def test_long_chain_stays_on_the_simplex(shape, channel, eps, status, iters):
     # the kernels' remainders keep every distribution's sum at 1 over
     # thousands of iterations, with no renormalization
-    res = de_coupled(Ensemble(*shape), BUILTINS[channel].eval(eps), Caps(), EARLY)
+    (res,) = de_batch(Ensemble(*shape), [BUILTINS[channel].eval(eps)], Caps(), EARLY)
     assert (res.converged, res.iterations_used) == (status, iters)
     for rows in final(res)[:2]:
         assert np.abs(np.add.reduce(rows, axis=1) - 1.0).max() <= 1e-14
@@ -465,7 +464,8 @@ def test_batch_of_chains_equals_single_bit_for_bit(shape, channel, caps):
     batch = de_batch(e, pchs, caps, EARLY)
     assert len(batch) == len(pchs)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+        (alone,) = de_batch(e, [pch], caps, EARLY)
+        assert_same_outcome(got, alone)
     statuses = collections.Counter(res.converged for res in batch)
     assert statuses["success"] and statuses["stall" if caps.l_max is None else "cap"]
     assert_no_shared_memory(batch)
@@ -479,7 +479,8 @@ def test_batch_of_saturating_primary_chains_equals_single_bit_for_bit(caps):
     pchs = [BUILTINS["primary"].eval(eps) for eps in (0.55, 0.62, 0.64, 0.66)]
     batch = de_batch(e, pchs, caps, EARLY)
     for got, pch in zip(batch, pchs):
-        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+        (alone,) = de_batch(e, [pch], caps, EARLY)
+        assert_same_outcome(got, alone)
     assert_no_shared_memory(batch)
     assert [(res.converged, res.iterations_used) for res in batch] == (
         [("success", 420), ("success", 2735), ("stall", 3708), ("stall", 266)]
@@ -492,13 +493,13 @@ FIVE_ROWS, FOUR_ROWS = [0, 1, 2, 3, 4], [0, 1, 1, 2, 3]  # each type's row in th
 
 def rows_used(monkeypatch):
     """The number of rows of each later de_batch call's arrays, in order."""
-    used, choose = [], DE_COUPLED._type_rows
+    used, choose = [], coupled._type_rows
 
     def spy(e, pchs):
         rows = choose(e, pchs)
         used.append(len(set(rows.tolist())))
         return rows
-    monkeypatch.setattr(DE_COUPLED, "_type_rows", spy)
+    monkeypatch.setattr(coupled, "_type_rows", spy)
     return used
 
 
@@ -509,7 +510,7 @@ def test_mixed_batch_keeps_five_rows_and_equals_each_alone(monkeypatch):
     pchs = [BUILTINS["primary"].eval(0.3), RAY.eval(0.3)]
     used = rows_used(monkeypatch)
     batch = de_batch(e, pchs, caps, EARLY)
-    alone = [de_coupled(e, pch, caps, EARLY) for pch in pchs]
+    alone = [de_batch(e, [pch], caps, EARLY)[0] for pch in pchs]
     assert used == [5, 4, 5]
     for got, want in zip(batch, alone):
         assert_same_outcome(got, want)
@@ -529,7 +530,7 @@ def test_four_rows_equal_five_rows_bit_for_bit(monkeypatch, shape, channel, eps,
     e, pchs = Ensemble(*shape), [BUILTINS[channel].eval(x) for x in eps]
     runs = {}
     for rows in (FIVE_ROWS, FOUR_ROWS):
-        monkeypatch.setattr(DE_COUPLED, "_type_rows", lambda e, pchs, rows=rows: np.array(rows))
+        monkeypatch.setattr(coupled, "_type_rows", lambda e, pchs, rows=rows: np.array(rows))
         runs[len(set(rows))] = de_batch(e, pchs, caps, EARLY)
     for got, want in zip(runs[4], runs[5]):
         assert_same_outcome(got, want)
@@ -546,13 +547,14 @@ def test_saturating_chain_stays_in_its_batch():
     # runs longer, the chain keeps its batch and its outcome is its own
     e, caps = Ensemble(3, 6, 20, 3), Caps()
     sat, xor = BUILTINS["full-reveal"].eval(0.46), BUILTINS["xor-only"].eval(0.49)
-    alone = de_coupled(e, sat, caps, EARLY)
+    (alone,) = de_batch(e, [sat], caps, EARLY)
     assert alone.converged == "success"
     assert np.abs(final(alone).pvc[0] - E5).max() < STALL_TOL
     batch = de_batch(e, [sat, xor, sat], caps, EARLY)
     assert batch[1].iterations_used > alone.iterations_used
     for got, pch in zip(batch, [sat, xor, sat]):
-        assert_same_outcome(got, de_coupled(e, pch, caps, EARLY))
+        (alone,) = de_batch(e, [pch], caps, EARLY)
+        assert_same_outcome(got, alone)
     assert_no_shared_memory(batch)
     # eps 0 is the type-5 point mass: every row decoded by iteration 1
     zero = de_batch(e, [BUILTINS["full-reveal"].eval(0.0), xor], caps)[0]
@@ -564,8 +566,8 @@ def test_coupled_equals_regular_at_w1():
     pch = BUILTINS["primary"].eval(0.25)
     e = Ensemble(3, 6, 3, 1)
     caps = Caps(l_max=50, success_target=math.nextafter(1.0, 0.0))
-    cres = final(de_coupled(e, pch, caps, EARLY))
-    rres = de_coupled(Ensemble(3, 6), pch, caps, EARLY)
+    cres = final(*de_batch(e, [pch], caps, EARLY))
+    (rres,) = de_batch(Ensemble(3, 6), [pch], caps, EARLY)
     assert final(rres).pvc.shape == final(rres).pcv.shape == (1, 5)
     for i in range(e.n_var_positions):
         np.testing.assert_allclose(cres.pvc[i], final(rres).pvc[0], atol=1e-12)
@@ -576,9 +578,9 @@ def test_coupled_equals_regular_at_w1():
 def test_xor_only_matches_scalar_coupled_oracle(L, w):
     eps, d_v, d_c, iters = 0.45, 3, 6, 30
     e = Ensemble(d_v, d_c, L, w)
-    res = de_coupled(
+    (res,) = de_batch(
         e,
-        [eps, 0, 0, 1 - eps, 0],
+        [[eps, 0, 0, 1 - eps, 0]],
         Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
         {iters},
     )
@@ -598,9 +600,9 @@ def test_saturated_rows_match_scalar_oracle():
     # rows at the type-5 point mass; the evolution and the scalar oracle
     # both keep updating them
     eps, d_v, d_c, L, w, iters = 0.46, 3, 6, 20, 3, 120
-    res = de_coupled(
+    (res,) = de_batch(
         Ensemble(d_v, d_c, L, w),
-        BUILTINS["full-reveal"].eval(eps),
+        [BUILTINS["full-reveal"].eval(eps)],
         Caps(l_max=iters, success_target=math.nextafter(1.0, 0.0)),
         {iters},
     )
@@ -618,7 +620,7 @@ def test_saturated_rows_match_scalar_oracle():
 
 
 def test_zero_erasure_succeeds_immediately():
-    res = de_coupled(Ensemble(3, 6, 5, 3), [0, 0, 0, 1, 0])
+    (res,) = de_batch(Ensemble(3, 6, 5, 3), [[0, 0, 0, 1, 0]])
     assert res.converged == "success"
     assert res.min_p_dec == pytest.approx(1.0)
 
@@ -626,15 +628,15 @@ def test_zero_erasure_succeeds_immediately():
 def test_profile_symmetric_about_center():
     pch = BUILTINS["xor-only"].eval(0.46)
     e = Ensemble(3, 6, 10, 3)
-    res = de_coupled(e, pch, Caps(l_max=40, success_target=math.nextafter(1.0, 0.0)),
-                     snapshot_iters={10, 30})
+    (res,) = de_batch(e, [pch], Caps(l_max=40, success_target=math.nextafter(1.0, 0.0)),
+                      snapshot_iters={10, 30})
     assert sorted(res.snapshots) == [10, 30, 40]
     for snap in res.snapshots.values():
         np.testing.assert_allclose(snap.p_dec, snap.p_dec[::-1], atol=1e-12)
 
 
 def test_above_threshold_stalls():
-    res = de_coupled(Ensemble(3, 6, 20, 5), BUILTINS["xor-only"].eval(0.6))
+    (res,) = de_batch(Ensemble(3, 6, 20, 5), [BUILTINS["xor-only"].eval(0.6)])
     assert res.converged == "stall"
     assert res.min_p_dec < 1.0
 
@@ -644,9 +646,9 @@ def test_wave_propagates_between_thresholds():
     # must sweep inward from the boundaries
     eps = 0.46  # above 0.4294 (uncoupled), below 0.4873 (coupled, L=100 w=5)
     e = Ensemble(3, 6, 30, 5)
-    res = de_coupled(e, BUILTINS["xor-only"].eval(eps))
+    (res,) = de_batch(e, [BUILTINS["xor-only"].eval(eps)])
     assert res.converged == "success"
-    reg = de_coupled(Ensemble(3, 6), BUILTINS["xor-only"].eval(eps))
+    (reg,) = de_batch(Ensemble(3, 6), [BUILTINS["xor-only"].eval(eps)])
     assert reg.converged == "stall"
 
 

@@ -1,11 +1,15 @@
 """Every name a package module imports is used in it or re-exported, every
-module is imported by the package, and every function, class and method
-is used by the package (test-only code lives in tests/)."""
+module is imported by the package, no exported name shadows a module, and
+every function, class and method is used by the package (test-only code
+lives in tests/)."""
 
 import ast
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import twemac_jcf
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twemac_jcf"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -75,6 +79,13 @@ def test_every_module_is_imported_by_another():
                     importers[dep].add(module)
     dead = [m for m in MODULES if m not in ("__init__", "cli") and not importers[m]]
     assert dead == []
+
+
+def test_no_export_shadows_a_module():
+    # `import twemac_jcf.x as m` binds the package's attribute x, so an
+    # exported name equal to a module's would hide that module
+    modules = {m.name for m in pkgutil.iter_modules(twemac_jcf.__path__)}
+    assert sorted(modules & set(twemac_jcf.__all__)) == []
 
 
 def definitions(source: str) -> list:

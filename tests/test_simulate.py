@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twemac_jcf.channel import BUILTINS, sample_states
-from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
+from twemac_jcf.de_coupled import Caps, Ensemble, de_batch
 from twemac_jcf.simulate import (
     EtgInstance,
     _masks,
@@ -170,6 +170,50 @@ def test_hand_built_graph_from_empty_lists_has_no_edges():
 def test_hand_built_graph_rejects_non_integer_ids(evar, echeck, name):
     with pytest.raises(ValueError, match=f"{name} must hold integer node ids"):
         EtgInstance(2, 3, evar, echeck)
+
+
+def test_hand_built_graph_rejects_a_nested_edge_list():
+    # the peeler reads one flat edge list; numpy would reject a nested one
+    # only inside np.bincount
+    with pytest.raises(ValueError, match=r"evar has shape \(1, 2\), expected \(2,\)"):
+        EtgInstance(2, 1, [[0, 1]], [[0, 0]])
+
+
+BAD_VAR_EDGES = {  # edges, variable table, the problem named
+    "reversed": ((2, 2, [0, 1, 1], [0, 0, 1]), [2, 1, 0], "must list each edge once, grouped by"),
+    "repeated": ((2, 2, [0, 1, 1], [0, 0, 1]), [1, 1, 2], "must list each edge once"),
+    "twice": ((2, 1, [0, 1], [0, 0]), [1, 1], "must list each edge once"),
+    "short": ((2, 1, [0, 1], [0, 0]), [0], r"has shape \(1,\), expected \(2,\)"),
+    "outside": ((2, 1, [0, 1], [0, 0]), [5, 0], r"must lie in 0\.\.1"),
+    "negative": ((2, 1, [0, 1], [0, 0]), [-1, 0], r"must lie in 0\.\.1"),
+    "float": ((2, 1, [0, 1], [0, 0]), [0.0, 1.0], "must hold integer edge ids"),
+}
+
+
+@pytest.mark.parametrize("args, var_edges, problem", list(BAD_VAR_EDGES.values()),
+                         ids=list(BAD_VAR_EDGES))
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_hand_built_variable_table_is_checked(args, var_edges, problem, kind):
+    # a variable table that is not the edge ids grouped by variable would
+    # mis-group edges in the peeler, or fail deep inside it
+    with pytest.raises(ValueError, match=f"var_edges {problem}"):
+        EtgInstance(*args, var_edges=kind(var_edges))
+
+
+def test_hand_given_variable_table_is_an_array():
+    # any order of a variable's own edges groups them; a list is stored as
+    # an array
+    g = EtgInstance(2, 2, [0, 1, 1], [0, 0, 1], var_edges=[0, 2, 1])
+    np.testing.assert_array_equal(g.var_edges, [0, 2, 1])
+    types, sorted_table = np.array([5, 1]), EtgInstance(2, 2, [0, 1, 1], [0, 0, 1])
+    assert list(peel_decode(g, types)) == list(peel_decode(sorted_table, types)) == [5, 5]
+    assert EtgInstance(2, 3, [], [], var_edges=[]).var_edges.dtype == np.int64
+
+
+@pytest.mark.parametrize("n_vars, n_checks", [(-1, 1), (2, -1)])
+def test_negative_node_counts_are_rejected(n_vars, n_checks):
+    with pytest.raises(ValueError, match="n_vars, n_checks must be >= 0"):
+        EtgInstance(n_vars, n_checks, [], [])
 
 
 @pytest.mark.parametrize("e, m", [(Ensemble(3, 6), 600), (Ensemble(3, 6, 6, 3), 40)])
@@ -450,7 +494,7 @@ def test_bit_rate_concentrates_on_de_residual():
         g = sample_coupled_graph(Ensemble(3, 6), 10**5, rng)
         out = peel_decode(g, sample_states(pch, g.n_vars, rng))
         rates.append(np.mean((out != 4) & (out != 5)))
-    res = de_coupled(Ensemble(3, 6), pch, Caps(success_target=np.nextafter(1.0, 0.0)))
+    (res,) = de_batch(Ensemble(3, 6), [pch], Caps(success_target=np.nextafter(1.0, 0.0)))
     residual = 1.0 - res.min_p_dec
     stderr = np.std(rates, ddof=1) / np.sqrt(len(rates))
     assert residual > 0.4

@@ -1,6 +1,7 @@
 """Threshold bisection, monotonicity guard, and puncturing sweeps."""
 
 import concurrent.futures
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily
 from twemac_jcf import threshold
 from twemac_jcf.de_core import SimplexError
-from twemac_jcf.de_coupled import Caps, Ensemble, de_coupled
+from twemac_jcf.de_coupled import Caps, Ensemble, de_batch
 from twemac_jcf.threshold import (
     MonotonicityError,
     ThresholdResult,
@@ -22,7 +23,8 @@ from oracles import scalar_bec_threshold, scalar_coupled_threshold
 
 def evolve(e, family, eps, caps=Caps()):
     """The outcome of one evolution of family's channel at eps."""
-    return de_coupled(e, family.eval(eps), caps)
+    (res,) = de_batch(e, [family.eval(eps)], caps)
+    return res
 
 
 def test_is_decodable_examples():
@@ -225,14 +227,15 @@ PUNCTURED = replace(BUILTINS["primary"], p_pi=0.2)
 
 
 def plain_bisection(e, family, caps=Caps(), verify_scan=None):
-    """The bisection one `de_coupled` evolution at a time, in the order it
-    needs them."""
+    """The bisection one evolution, a batch of one, at a time, in the order
+    it needs them."""
     caps = caps.for_ensemble(e)
     evals = []
 
     def check(eps):
-        evals.append((eps, de_coupled(e, family.eval(eps), caps)))
-        return evals[-1][1]
+        (res,) = de_batch(e, [family.eval(eps)], caps)
+        evals.append((eps, res))
+        return res
 
     ends = {}
     if verify_scan is not None:
@@ -292,14 +295,21 @@ def test_speculative_bisection_equals_plain_bisection(case):
 
 
 def record_evolutions(monkeypatch):
-    """Sizes of the batches that find_threshold evaluates, and its count of
-    one-channel evolutions."""
+    """Sizes of the batches that find_threshold evaluates ahead, and the
+    channels it evaluates alone, one point of a batch that raised at a
+    time: those calls are the ones made from its line that evolves the
+    batch [family.eval(eps)]."""
     sizes, singles = [], []
-    de_batch, de_coupled = threshold.de_batch, threshold.de_coupled
-    monkeypatch.setattr(threshold, "de_batch",
-                        lambda e, pchs, caps: sizes.append(len(pchs)) or de_batch(e, pchs, caps))
-    monkeypatch.setattr(threshold, "de_coupled",
-                        lambda e, pch, caps: singles.append(pch) or de_coupled(e, pch, caps))
+    de_batch = threshold.de_batch
+
+    def spy(e, pchs, caps):
+        if "[family.eval(eps)]" in traceback.extract_stack(limit=2)[0].line:
+            singles.append(pchs[0])
+        else:
+            sizes.append(len(pchs))
+        return de_batch(e, pchs, caps)
+
+    monkeypatch.setattr(threshold, "de_batch", spy)
     return sizes, singles
 
 
