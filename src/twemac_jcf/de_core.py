@@ -60,7 +60,10 @@ def copies(base: np.ndarray, n: int) -> np.ndarray:
     stride-0 view): what is written to base shows in every copy, and
     np.multiply.reduce over the first axis is base^n as the product
     base*base*...*base (1 when n = 0)."""
-    return np.lib.stride_tricks.as_strided(base, (n, *base.shape), (0, *base.strides))
+    shape, strides = (n, *base.shape), (0, *base.strides)
+    if base.flags.c_contiguous:  # as evolutions bind it; ~4x faster than as_strided
+        return np.ndarray(shape, base.dtype, base, 0, strides)
+    return np.lib.stride_tricks.as_strided(base, shape, strides)
 
 
 def bind_chk_update(p: np.ndarray, bases: np.ndarray, out: np.ndarray) -> Callable[[], None]:

@@ -48,7 +48,7 @@ from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Seque
 
 import numpy as np
 
-from .channel import validate_dist
+from .channel import SIMPLEX_ATOL, validate_dist
 from .de_core import bind_chk_update, bind_var_update, check_simplex, copies, join_weights
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
@@ -226,9 +226,15 @@ def de_batch(
     """
     if not len(pchs):
         return []
-    pchs = np.array([validate_dist(p) for p in pchs])
-    type_rows = _type_rows(e, pchs)
-    pchs = pchs[:, np.unique(type_rows, return_index=True)[1]]  # each row's first type
+    try:  # the batch at once; channel by channel, for the first bad one's error, if that fails
+        batch = np.array(pchs, dtype=float)
+        off = batch.shape[1:] != (5,) or np.abs(batch.sum(1) - 1.0).max() > SIMPLEX_ATOL
+    except (TypeError, ValueError):  # ragged, or not numbers
+        off = True
+    if off or not -SIMPLEX_ATOL <= batch.min() <= batch.max() <= 1 + SIMPLEX_ATOL:
+        batch = np.array([validate_dist(p) for p in pchs])
+    type_rows = _type_rows(e, batch)
+    pchs = batch[:, np.unique(type_rows, return_index=True)[1]]  # each row's first type
     l_max = caps.for_ensemble(e).l_max
     L, w = e.L, e.w
     nv, nc = e.n_var_positions, e.n_chk_positions

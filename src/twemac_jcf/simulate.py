@@ -18,11 +18,12 @@ depends only on the type pattern.  `peel_decode` runs type-level message
 passing to its fixed point in flooding rounds in which only the nodes whose
 inputs changed recompute, so each round sends a full flooding round's
 messages (knowledge only grows, so the fixed point is schedule-independent).
-A round costs the edges of the nodes that changed: the nodes whose inputs
-gained a bit are marked in a bool array, the graph's node->edge tables (a
-check's edges are a run of the check-major list, a variable's a run of
-`var_edges`) turn them into edges, and each such node turns its packed bit
-counts into two masks once, from which every edge's message follows.
+A round costs the edges of the nodes that changed (round 1's check half,
+before anything is sent, takes the whole edge list): the nodes whose inputs
+gained a bit are marked in a bool array, the node->edge tables (a check's
+edges are a run of the check-major list, a variable's a run of `var_edges`)
+turn them into edges, each such node turns its bit counts into one mask
+byte, and index lists, not bool masks, keep the edges whose message gained.
 The exact reference decoder, which enumerates the codeword pairs consistent
 with an observation of a small code, is test code (`tests/oracles.py`).
 
@@ -62,14 +63,14 @@ _PACK = np.array([sum(1 << (_SHIFT * i) for i, b in enumerate(_BITS) if m & b) f
 # per field: its low 20 bits, and its top bit
 _LOW = np.uint64(sum(((1 << (_SHIFT - 1)) - 1) << (_SHIFT * i) for i in range(3)))
 _TOP = np.uint64(sum(1 << (_SHIFT * i + _SHIFT - 1) for i in range(3)))
-# times _GATHER, the top bits of fields 0, 1, 2 land on bits 61, 62, 63, and no
-# other product reaches those bits
+# times _GATHER, the top bits of fields 0, 1, 2 land on bits 61, 62, 63, those 3
+# bits lower on 58, 59, 60, and no other product reaches those bits
 _GATHER = np.uint64(sum(1 << (2 * _SHIFT - 1 - (_SHIFT - 1) * i) for i in range(3)))
 _CLOSE = closure(np.arange(8)).astype(np.int8)
 
 
-def _masks(q: np.ndarray):
-    """Masks of the bits whose packed count in q is >= 1 and >= 2.
+def _masks(q: np.ndarray) -> np.ndarray:
+    """Per packed count in q, ge1 | ge2 << 3: the bits counted >= 1 and >= 2.
 
     A field is nonzero iff its top bit is set or its low 20 bits plus
     2**20 - 1 carry into the top bit; the sum stays within the field.  A
@@ -77,7 +78,7 @@ def _masks(q: np.ndarray):
     """
     ge1 = (((q & _LOW) + _LOW) | q) & _TOP
     ge2 = (((q >> np.uint64(1)) & _LOW) + _LOW) & _TOP
-    return tuple(((m * _GATHER) >> np.uint64(3 * _SHIFT - 2)).astype(np.int8) for m in (ge1, ge2))
+    return (((ge1 >> np.uint64(3) | ge2) * _GATHER) >> np.uint64(3 * _SHIFT - 5)).astype(np.int8)
 
 
 @dataclass
@@ -207,6 +208,15 @@ def _expand(ptr: np.ndarray, nodes: np.ndarray):
     return np.arange(deg.sum()) + np.repeat(start + deg - np.cumsum(deg), deg), deg
 
 
+def _send(msgs: np.ndarray, e: np.ndarray, new: np.ndarray):
+    """Write the messages new on edges e; the edges whose message gained, and the gains."""
+    gain = new ^ msgs[e]
+    k = np.flatnonzero(gain)
+    e = e[k]
+    msgs[e] = new[k]
+    return e, gain[k]
+
+
 def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     """Type-level message passing to the fixed point; returns per-variable types.
 
@@ -218,56 +228,55 @@ def peel_decode(g: EtgInstance, types: np.ndarray) -> np.ndarray:
     Each round equals a flooding round, but only nodes with a changed input
     recompute.  Per-node bit counts grow by the bits the changed messages
     gain, and only the edges whose message gained update them.  A
-    recomputing node turns its counts into ge1 and ge2, the masks of the
-    bits counted at least once and at least twice; the bits that some other
-    edge counts are then ge2 | (ge1 & ~own) for the edge's own bits.  The
-    nodes that gained are marked in a bool array, and the graph's tables
-    give their edges: a check's are a run of the check-major edge list,
-    found through g.cptr, and a variable's a run of g.var_edges, found
-    through g.vptr.  So a round costs the edges of the nodes that changed,
-    not the whole graph; the peeler itself sorts and counts nothing.
+    recomputing node turns its counts into one byte ge1 | ge2 << 3, the
+    masks of the bits counted at least once and twice, repeated per edge;
+    the bits some other edge counts are then ge2 | (ge1 & ~own) for the
+    edge's own bits.  Round 1's check half takes the whole edge list; later
+    halves mark the nodes that gained in a bool array and take their edges
+    from the graph's tables: a check's are a run of the check-major list,
+    found through g.cptr, a variable's a run of g.var_edges, found through
+    g.vptr.  np.flatnonzero, not a bool mask, keeps the edges whose message
+    gained.  A round costs the edges of the nodes that changed, not the
+    whole graph; the peeler itself sorts and counts nothing.
     """
     ch = TYPE_TO_MASK[_type_array(types, g.n_vars)].astype(np.int8)
     evar, echeck = g.evar, g.echeck
     cdeg = np.diff(g.cptr)
     if max(cdeg.max(initial=0), np.diff(g.vptr).max(initial=0)) >> _SHIFT:
         raise ValueError(f"node degrees must be below 2**{_SHIFT}")
-    v2c, c2v = ch[evar], np.zeros(evar.size, np.int8)  # message masks
+    v2c = ch[evar]  # message masks
     lack = np.zeros(g.n_checks, np.uint64)  # per check: sockets lacking each bit
-    # the sums over each check's run of edges; a check with none keeps 0
+    # sums over each check's run of edges, 0 for a check with none; not .take (intp index copy)
     lack[cdeg > 0] = np.add.reduceat(_PACK[7 ^ v2c], g.cptr[:-1][cdeg > 0])
     has = np.zeros(g.n_vars, np.uint64)  # per variable: incoming messages with each bit
     vmark, cmark = np.zeros(g.n_vars, bool), np.zeros(g.n_checks, bool)
-    nodes, e, deg = np.arange(g.n_checks), np.arange(evar.size), cdeg  # round 1 visits every check
-    while e.size:
-        # check half: a socket gets the bits that no other socket lacks
-        ge1, ge2 = _masks(lack[nodes])
-        new = 7 ^ (np.repeat(ge2, deg) | (np.repeat(ge1, deg) & v2c[e]))
-        gain = new ^ c2v[e]
-        keep = gain != 0
-        e, gain = e[keep], gain[keep]
-        c2v[e] ^= gain
+    m = np.repeat(_masks(lack), cdeg)  # round 1's check half: every check, nothing sent yet
+    c2v = 7 ^ ((m >> 3) | (m & v2c))
+    e = np.flatnonzero(c2v)
+    gain = c2v[e]
+    while True:
         far = evar[e]
-        np.add.at(has, far, _PACK[gain])
+        np.add.at(has, far, _PACK.take(gain))
         vmark[far] = True
         nodes = np.flatnonzero(vmark)
         vmark[nodes] = False
-        i, deg = _expand(g.vptr, nodes)
-        e = g.var_edges[i]
+        e, deg = _expand(g.vptr, nodes)
+        e = g.var_edges[e]  # the edge ids at those positions; the positions go at once
         # variable half: the channel's bits and those of some other message, closed
-        ge1, ge2 = _masks(has[nodes])
-        new = _CLOSE[np.repeat(ch[nodes] | ge2, deg) | (np.repeat(ge1, deg) & ~c2v[e])]
-        gain = new ^ v2c[e]
-        keep = gain != 0
-        e, gain = e[keep], gain[keep]
-        v2c[e] ^= gain
+        m = np.repeat(_masks(has[nodes]) | ch[nodes] << 3, deg)
+        e, gain = _send(v2c, e, _CLOSE.take((m >> 3) | (m & (7 ^ c2v[e]))))
         far = echeck[e]
-        np.subtract.at(lack, far, _PACK[gain])
+        np.subtract.at(lack, far, _PACK.take(gain))
         cmark[far] = True
         nodes = np.flatnonzero(cmark)
         cmark[nodes] = False
         e, deg = _expand(g.cptr, nodes)
-    return MASK_TO_TYPE[_CLOSE[ch | _masks(has)[0]]]
+        if not e.size:  # no check gained an input: the fixed point
+            break
+        # check half: a socket gets the bits that no other socket lacks
+        m = np.repeat(_masks(lack[nodes]), deg)
+        e, gain = _send(c2v, e, 7 ^ ((m >> 3) | (m & v2c[e])))
+    return MASK_TO_TYPE[_CLOSE[ch | (_masks(has) & 7)]]
 
 
 def wilson_interval(failures: int, trials: int):

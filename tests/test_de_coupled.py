@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twemac_jcf.de_coupled as coupled
-from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily, puncture
+from twemac_jcf.channel import BUILTINS, SIMPLEX_ATOL, ChannelError, ChannelFamily, puncture
 from twemac_jcf.de_core import (
     SimplexError,
     _bind_remainder,
@@ -413,6 +413,53 @@ def test_batch_rejects_a_bad_channel_as_it_would_alone(bad):
     with pytest.raises(ChannelError) as batched:
         de_batch(e, [good, bad, good, [0.1, 0.2, 0.3, 0.4, 0.5]])
     assert str(batched.value) == str(alone.value)
+
+
+def _edge_rows():
+    """Channels on either side of each bound of `validate_dist`, a few ulps
+    apart: an entry at -SIMPLEX_ATOL and at 1 + SIMPLEX_ATOL, and sums at
+    1 +- SIMPLEX_ATOL, over two and over five nonzero entries."""
+    def near(x):
+        return [x] + [np.nextafter(x, s * np.inf) for s in (-1, 1)]
+
+    rows = [[x, 0.0, 0.0, 1.0 - x, 0.0] for x in near(-SIMPLEX_ATOL)]
+    rows += [[0.0, -x + 1.0, 0.0, x, 0.0] for x in near(1.0 + SIMPLEX_ATOL)]
+    for head in ([0.5, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.15]):
+        rest = 1.0 - sum(head)
+        rows += [head + [x] for d in (SIMPLEX_ATOL, -SIMPLEX_ATOL) for x in near(rest + d)]
+    return rows
+
+
+def test_batch_checks_channels_at_once_as_each_alone(monkeypatch):
+    # a batch is checked as one array, and only a batch that fails that is
+    # checked channel by channel; a channel passes in a batch iff it passes
+    # alone, also a few ulps from a bound
+    e, caps, good = Ensemble(3, 6), Caps(l_max=1), BUILTINS["xor-only"].eval(0.4)
+    calls = []
+    check = coupled.validate_dist
+    monkeypatch.setattr(coupled, "validate_dist", lambda p: calls.append(p) or check(p))
+    verdicts = collections.Counter()
+    for row in _edge_rows():
+        try:
+            check(row)
+            passes = True
+        except ChannelError as err:
+            passes = False
+            want = str(err)
+        for batch, at in (([row], 0), ([good, row, good], 1)):
+            calls.clear()
+            if passes:
+                try:
+                    de_batch(e, batch, caps)
+                except SimplexError:  # a valid channel whose evolution strays
+                    pass
+                assert calls == []
+            else:
+                with pytest.raises(ChannelError) as got:
+                    de_batch(e, batch, caps)
+                assert str(got.value) == want and len(calls) == at + 1
+        verdicts[passes] += 1
+    assert verdicts[True] >= 5 and verdicts[False] >= 5
 
 
 # valid channels whose first check update leaves an entry below -1e-9

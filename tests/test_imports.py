@@ -328,3 +328,84 @@ def test_evolution_loop_cuts_no_view(module, loops):
     # a slice costs a few hundred ns on every call; the binders cut their
     # views once per set of running blocks, and the loop only calls ufuncs
     assert loop_slices((PACKAGE / f"{module}.py").read_text()) == (loops, [])
+
+
+def _is_mask(node, masks: set) -> bool:
+    """Whether an index expression is a comparison result: a comparison, a
+    name bound to one, or ~, &, | or ^ over one."""
+    if isinstance(node, ast.Compare):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in masks
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.Invert, ast.Not)) and _is_mask(node.operand, masks)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.BitXor)):
+        return _is_mask(node.left, masks) or _is_mask(node.right, masks)
+    return isinstance(node, ast.Tuple) and any(_is_mask(elt, masks) for elt in node.elts)
+
+
+def mask_subscripts(source: str, function: str) -> tuple:
+    """The subscripts inside the loops of the named top-level function, and
+    in the whole of each top-level function those loops call, and those
+    among them indexed by a bool mask (`_is_mask`, with the names each
+    function binds to masks, in tuple assignments too), as `text (line n)`."""
+    tops = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(tops[function])
+             if isinstance(node, (ast.For, ast.While))]
+    called = {node.func.id for loop in loops for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    subscripts, masked = set(), []
+    helpers = [(tops[name], [tops[name]]) for name in sorted(called & set(tops))]
+    for fn, scopes in [(tops[function], loops)] + helpers:
+        pairs = [(target, value) for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 for target in node.targets for target, value in (
+                     zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(node.value, ast.Tuple) else [(target, node.value)])]
+        masks: set = set()
+        while True:  # a mask made from a mask is one too
+            more = {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_mask(v, masks)}
+            if more <= masks:
+                break
+            masks |= more
+        found = {node for scope in scopes for node in ast.walk(scope)
+                 if isinstance(node, ast.Subscript)}
+        subscripts |= found
+        masked += [(node.lineno, ast.unparse(node)) for node in found
+                   if _is_mask(node.slice, masks)]
+    return len(subscripts), [f"{text} (line {line})" for line, text in sorted(masked)]
+
+
+def test_mask_subscript_scanner():
+    src = (
+        "def peel(a, e, g):\n"
+        "    keep = g != 0\n"
+        "    a[keep] = 1\n"
+        "    while e.size:\n"
+        "        e, gain = e[keep], g[e]\n"
+        "        e = e[g > 0]\n"
+        "        e = e[np.flatnonzero(g)]\n"
+        "        both, k = keep & (e < 3), 0\n"
+        "        a[e] = a[both]\n"
+        "        for j in range(3):\n"
+        "            a[~keep, j] = g[k]\n"
+        "        e = send(a, e) + np.sum(e)\n"
+        "    return a[g == 1]\n"
+        "def send(a, e):\n"
+        "    kept = a[e] > 0\n"
+        "    return e[kept], a[0]\n"
+        "def other(a, e):\n"
+        "    while True:\n"
+        "        a = a[e > 0]\n"
+    )
+    assert mask_subscripts(src, "peel") == (11, [
+        "e[keep] (line 5)", "e[g > 0] (line 6)", "a[both] (line 9)", "a[~keep, j] (line 11)",
+        "e[kept] (line 16)"])
+
+
+def test_peeler_loop_compacts_by_index_lists():
+    # a ~50% bool-mask compaction, e[keep], costs ~8 ns per element, and
+    # np.flatnonzero plus a gather ~1.5 ns: the peeler's rounds, and the
+    # helpers they call, keep the edges whose message gained by index lists
+    count, masked = mask_subscripts((PACKAGE / "simulate.py").read_text(), "peel_decode")
+    assert count > 10 and masked == []

@@ -1,13 +1,16 @@
 """Graph sampling, peel decoding against the exhaustive reference decoder
 of the oracles, and Monte Carlo failure rates."""
 
+import collections
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import twemac_jcf.simulate as simulate
 from twemac_jcf.channel import BUILTINS, sample_states
 from twemac_jcf.de_coupled import Caps, Ensemble, de_batch
 from twemac_jcf.simulate import (
@@ -251,13 +254,16 @@ def test_peel_sorts_and_counts_nothing(monkeypatch):
 
 def test_masks_match_per_field_counts():
     # each 21-bit field of a packed count at 0, 1, 2 and 2**21 - 1, the others
-    # at extreme values: no carry or borrow may cross a field
+    # at extreme values: no carry or borrow may cross a field, and the byte
+    # ge1 | ge2 << 3 has nothing else set
     top = 2**21 - 1
     counts = np.array(list(itertools.product([0, 1, 2, 3, 2**20 - 1, 2**20, top - 1, top],
                                              repeat=3)), dtype=np.uint64)
     assert {0, 1, 2, top} <= set(counts[:, 0].tolist())
     packed = (counts << np.uint64(21) * np.arange(3, dtype=np.uint64)).sum(1, dtype=np.uint64)
-    ge1, ge2 = _masks(packed)
+    byte = _masks(packed)
+    assert byte.dtype == np.int8 and byte.min() >= 0 and byte.max() < 64
+    ge1, ge2 = byte & 7, byte >> 3
     bits = np.array([1, 2, 4])
     np.testing.assert_array_equal(ge1, ((counts >= 1) * bits).sum(1))
     np.testing.assert_array_equal(ge2, ((counts >= 2) * bits).sum(1))
@@ -450,6 +456,83 @@ def test_peel_matches_flooding_and_sequential_on_random_graphs():
         np.testing.assert_array_equal(out, naive_peel(g, types, rng=rng, pad_to=pad))
     assert seen == {1, 2, 3, 4, 5}
     assert multi_edges > 50 and short_chains > 20
+
+
+def _irregular_random_graph(rng):
+    """A hand-built graph of up to 30 variables and 15 checks of random
+    degrees 0..5, each edge on a variable drawn with replacement: isolated
+    variables, checks of degree 0 and 1 and multi-edges are likely, and about
+    one graph in ten has no edges (or no checks)."""
+    n_vars, n_checks = int(rng.integers(1, 31)), int(rng.integers(0, 16))
+    cdeg = rng.integers(0, 6, size=n_checks) * (rng.random() > 0.1)
+    echeck = np.repeat(np.arange(n_checks), cdeg)
+    return EtgInstance(n_vars, n_checks, rng.integers(0, n_vars, size=echeck.size), echeck)
+
+
+def test_peel_matches_flooding_and_sequential_on_irregular_graphs():
+    # round 1's check half runs on the whole edge list at once, and later
+    # rounds on the edges of the nodes that changed: the same fixed point on
+    # graphs whose shapes the samplers never give
+    rng = np.random.default_rng(21)
+    seen = collections.Counter()
+    for _ in range(400):
+        g = _irregular_random_graph(rng)
+        types = rng.choice(np.arange(1, 6), size=g.n_vars, p=rng.dirichlet(np.full(5, 0.5)))
+        cdeg, vdeg = np.diff(g.cptr), np.diff(g.vptr)
+        seen.update({"isolated variable": int(np.any(vdeg == 0)),
+                     "check of degree 0": int(np.any(cdeg == 0)),
+                     "check of degree 1": int(np.any(cdeg == 1)), "no edges": int(g.evar.size == 0),
+                     "multi-edge": int(len(set(zip(g.evar, g.echeck))) < g.evar.size)})
+        out = peel_decode(g, types)
+        np.testing.assert_array_equal(out, _flood(g, types))
+        np.testing.assert_array_equal(out, naive_peel(g, types, rng=rng))
+        np.testing.assert_array_equal(out[vdeg == 0], types[vdeg == 0])
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("e, m, eps, expansions, last", [
+    (Ensemble(3, 6), 2000, 0.42, 54, [45, 0]), (Ensemble(3, 6, 10, 3), 120, 0.46, 36, [0, 0]),
+])
+def test_peel_schedule_is_pinned(monkeypatch, e, m, eps, expansions, last):
+    # the peeler's rounds, two node->edge expansions each (variables, then
+    # checks), counted on fixed graphs: the regular run ends when a variable
+    # half sends nothing, the stalled chain when a check half does, with one
+    # more round of empty expansions; same rounds, same messages
+    calls = []
+    expand = simulate._expand
+    monkeypatch.setattr(simulate, "_expand", lambda *args: calls.append(args) or expand(*args))
+    rng = np.random.default_rng(29)
+    g = sample_coupled_graph(e, m, rng)
+    types = sample_states(BUILTINS["xor-only"].eval(eps), g.n_vars, rng)
+    np.testing.assert_array_equal(peel_decode(g, types), _flood(g, types))
+    assert len(calls) == expansions
+    assert [ptr is g.vptr for ptr, _ in calls] == [True, False] * (expansions // 2)
+    assert [nodes.size for _, nodes in calls[-2:]] == last
+
+
+# the tracemalloc peak per edge on the graph below of the peeler that ran
+# round 1 like the others and compacted by bool masks: 779301 bytes over
+# 30000 edges when this test runs alone, 776715 after the rest of the suite
+# (numpy 2.4.6, CPython 3.11.7); the bound is the larger
+PEEL_PEAK_BYTES_PER_EDGE = 779301 / 30000
+
+
+def test_peel_peak_memory_per_edge():
+    # what the peeler allocates at once on a (3,6) N = 1e4 xor-only graph at
+    # eps 0.40, per edge, may not grow: the finite-length runs at N = 1e5
+    # and above pay it in resident memory
+    rng = np.random.default_rng(40)
+    g = sample_coupled_graph(Ensemble(3, 6), 10**4, rng)
+    types = sample_states(BUILTINS["xor-only"].eval(0.40), g.n_vars, rng)
+    peel_decode(g, types)  # numpy's first-call allocations are not the peeler's
+    tracemalloc.start()
+    try:
+        out = peel_decode(g, types)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(out >= 4)
+    assert peak / g.evar.size <= PEEL_PEAK_BYTES_PER_EDGE
 
 
 @pytest.mark.parametrize("channel, below, above", [
