@@ -166,10 +166,13 @@ def cmd_threshold(args) -> int:
 
 
 def _parse_dv_list(spec: str) -> List[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"--dv takes a range 3..9 or a list 3,5,7, got {spec!r}") from None
 
 
 def cmd_figure6(args) -> int:

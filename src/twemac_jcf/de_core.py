@@ -28,13 +28,13 @@ Each kernel fills one entry as the remainder 1 - (the others), so every
 output sums to 1 within roundoff and an evolution uses it as written;
 roundoff shows instead as an entry slightly below 0, which `check_simplex`
 bounds after each half-iteration.  The kernels are bound once per batch:
-a binder takes the arrays an evolution made for its running chains, cuts
-its views and picks the 4- or 5-row remainder once, and returns a closure
-that only calls ufuncs on those views, on every iteration.
+a binder takes an evolution's arrays and the degree, makes its scratch,
+cuts its views and picks the 4- or 5-row remainder once, and returns a
+closure that only calls ufuncs on those views, on every iteration.
 
 A power x^n is the product x*x*...*x, one multiply after another: one
 `np.multiply.reduce` over n copies of the bases, which `copies` stacks as
-a stride-0 view that the caller cuts once with its other views.
+a stride-0 view on the binder's contiguous scratch.
 `np.power` takes a slow scalar path on every negative or zero base, and
 the remainders, the next half's bases, supply many of those.  A product
 has no special case, and IEEE products round the same in SIMD and scalar
@@ -59,21 +59,18 @@ def copies(base: np.ndarray, n: int) -> np.ndarray:
     """n copies of base along a new first axis, all on base's memory (a
     stride-0 view): what is written to base shows in every copy, and
     np.multiply.reduce over the first axis is base^n as the product
-    base*base*...*base (1 when n = 0)."""
-    shape, strides = (n, *base.shape), (0, *base.strides)
-    if base.flags.c_contiguous:  # as evolutions bind it; ~4x faster than as_strided
-        return np.ndarray(shape, base.dtype, base, 0, strides)
-    return np.lib.stride_tricks.as_strided(base, shape, strides)
+    base*base*...*base (1 when n = 0).  base must be contiguous: numpy
+    raises ValueError on any other base, never giving a wrong view."""
+    return np.ndarray((n, *base.shape), base.dtype, base, 0, (0, *base.strides))
 
 
-def bind_chk_update(p: np.ndarray, bases: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+def bind_chk_update(p: np.ndarray, n: int, out: np.ndarray) -> Callable[[], None]:
     """The check kernel on these arrays: a closure that writes to out (R = 5
-    or 4 rows) the distributions of the meet of n iid messages, one per index
-    of p past the first, from its last R - 1 rows (no p1) as they are at the
-    call.  bases is `copies(base, n)`, n >= 1, of (R - 1, ...) scratch that
-    shares no memory with p or out."""
-    base = bases[0]
-    sums, p5, base_sums, base5 = p[1 - len(out) : -1], p[-1], base[:-1], base[-1]
+    or 4 rows) the distributions of the meet of n >= 1 iid messages, one per
+    index of p past the first, from its last R - 1 rows (no p1) as they are
+    at the call."""
+    bases = copies(np.empty((len(out) - 1, *out.shape[1:])), n)
+    sums, p5, base_sums, base5 = p[1 - len(out) : -1], p[-1], bases[0, :-1], bases[0, -1]
     meets, inner, out5 = out[1:], out[1:-1], out[-1]
     remainder = _bind_remainder(out[1:], 0, out[0])
 
@@ -98,17 +95,17 @@ def join_weights(c: np.ndarray) -> np.ndarray:
 
 
 def bind_var_update(
-    weights: np.ndarray, q: np.ndarray, bases: np.ndarray, powers: np.ndarray, out: np.ndarray
+    weights: np.ndarray, q: np.ndarray, n: int, out: np.ndarray
 ) -> Callable[[], None]:
     """The variable kernel on these arrays: a closure that writes to out
     (R, 2, ...), R = 5 or 4, the distributions of the join of a channel (its
-    `join_weights`) with n and with n + 1 iid messages, one pair per index of
-    q past the first, from its first R - 1 rows (no q5) as they are at the
-    call: [:, 0] holds the joins with n messages and [:, 1] those with n + 1
-    (n = d_v - 1: the outgoing message and the decoder output).  powers is
-    (2, R - 1, ...) scratch and bases is `copies(powers[1], n)`, n >= 0."""
+    `join_weights`) with n >= 0 and with n + 1 iid messages, one pair per
+    index of q past the first, from its first R - 1 rows (no q5) as they are
+    at the call: [:, 0] holds the joins with n messages and [:, 1] those with
+    n + 1 (n = d_v - 1: the outgoing message and the decoder output)."""
+    powers = np.empty((2, len(out) - 1, *out.shape[2:]))
     # the bases in powers[1], (q1 + q_t)^n in powers[0], then ^(n+1) in powers[1]
-    base, nth = powers[1], powers[0]
+    base, nth, bases = powers[1], powers[0], copies(powers[1], n)
     q1, qt, base1, base_sums = q[0], q[1 : len(out) - 1], base[0], base[1:]
     pairs, joins, inner, out1 = powers.swapaxes(0, 1), out[:-1], out[1:-1], out[0]
     remainder = _bind_remainder(out[:-1], 1, out[-1])

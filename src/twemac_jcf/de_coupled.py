@@ -35,8 +35,8 @@ closed-form kernels of `de_core` to all rows at once:
 channels at once: the channels' chains sit side by side as blocks of
 columns, each with its own pads and mirror columns, and each block stops
 by its own rules and then leaves the batch: the loop's arrays are cut
-down to the running blocks, and its buffers are made and its kernels
-bound once for each set of running blocks.  Every kernel acts on each
+down to the running blocks, and its kernels, each making its own scratch,
+are bound once for each set of running blocks.  Every kernel acts on each
 column alone and every window's prefix sums run within its block, so each
 outcome is bit for bit the one a batch of that channel alone gives.
 """
@@ -49,7 +49,7 @@ from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Seque
 import numpy as np
 
 from .channel import SIMPLEX_ATOL, validate_dist
-from .de_core import bind_chk_update, bind_var_update, check_simplex, copies, join_weights
+from .de_core import bind_chk_update, bind_var_update, check_simplex, join_weights
 
 E5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])[:, None, None]  # the type-5 point mass, (5, 1, 1)
 
@@ -136,13 +136,12 @@ def nominal_rate(e: Ensemble) -> float:
     return (1 - ratio) - ratio * boundary
 
 
-def _bind_window_mean(
-    rows: np.ndarray, w: int, cs: np.ndarray, out: np.ndarray
-) -> Tuple[Callable[[], None], np.ndarray]:
-    """A closure that writes the means of w consecutive columns of rows, as
-    they are at the call, into out (..., k-w+1): out[..., i] = mean of
-    rows[..., i..i+w-1], from prefix sums in cs (..., k+1) whose first
-    column must hold 0; and where the means are: out, or rows when w = 1.
+def _bind_window_mean(rows: np.ndarray, w: int) -> Tuple[Callable[[], None], np.ndarray]:
+    """A closure that writes the means of w consecutive columns of rows
+    (..., k), as they are at the call, into an array (..., k-w+1) of its
+    own: its [..., i] is the mean of rows[..., i..i+w-1], from prefix sums
+    in scratch of its own; and where the means are: that array, or rows
+    itself when w = 1.
 
     Prefix sums run from the first column of each block (each index of the
     leading axes), so a column's mean depends only on the columns of its
@@ -150,6 +149,8 @@ def _bind_window_mean(
     """
     if w == 1:
         return lambda: None, rows
+    *lead, k = rows.shape
+    cs, out = np.zeros((*lead, k + 1)), np.empty((*lead, k - w + 1))  # cs[..., 0] stays 0
     sums, hi, lo = cs[..., 1:], cs[..., w:], cs[..., :-w]
 
     def window_mean():
@@ -221,8 +222,8 @@ def de_batch(
     (..., B, width): B running blocks side by side, each with L+1 variable
     and L+w check columns, and in the padded variable buffer its own
     type-5 pads and mirror columns.  Blocks that end are recorded, the
-    arrays are cut down to the others, and `bind` makes the scratch, views
-    and bound kernels for those.
+    arrays are cut down to the others, and `bind` cuts the views and binds
+    the kernels for those.
     """
     if not len(pchs):
         return []
@@ -251,17 +252,11 @@ def de_batch(
     ids = np.arange(len(pchs))  # the channel of each block
 
     def bind():
-        """One iteration over the running blocks, on scratch made, views cut
-        and kernels bound once for these.  The step returns each block's
-        smallest p_dec and largest change of a variable row."""
+        """One iteration over the running blocks, on views cut and kernels
+        bound once for these.  The step returns each block's smallest p_dec
+        and largest change of a variable row."""
         B, R = len(ids), len(vbuf)
-        vc_cs, vc_buf = np.empty((R - 1, B, kc + w)), np.empty((R - 1, B, kc))
-        cv_cs, cv_buf = np.empty((R - 1, B, kv + w)), np.empty((R - 1, B, kv))
-        vc_cs[..., 0] = cv_cs[..., 0] = 0.0
-        powers, out = np.empty((2, R - 1, B, kv)), np.empty((R, 2, B, kv))
-        # the kernels' powers: products over stride-0 copies of their bases
-        chk_bases = copies(np.empty((R - 1, B, kc)), e.d_c - 1)
-        var_bases = copies(powers[1], e.d_v - 1)
+        out = np.empty((R, 2, B, kv))
         new, dec4, dec5 = out[:, 0], out[-2, 1], out[-1, 1]
         change, block_min, block_change = np.empty((R, B, kv)), np.empty(B), np.empty(B)
         pvc, mirror = vbuf[:, :, w - 1 : w + L], vbuf[:, :, w + L : w + L + m]
@@ -269,10 +264,10 @@ def de_batch(
         # check rows 0..L+w-1 average variable rows -w+1..L+w-1 of types 2..5
         # (vbuf, mirrors and pads included), variable rows 0..L check rows
         # 0..L+w-1 of types 1..4 (pcv)
-        vc_window, vc_means = _bind_window_mean(vbuf[1:], w, vc_cs, vc_buf)
-        cv_window, cv_means = _bind_window_mean(pcv[:-1], w, cv_cs, cv_buf)
-        chk_update = bind_chk_update(vc_means, chk_bases, pcv)
-        var_update = bind_var_update(weights, cv_means, var_bases, powers, out)
+        vc_window, vc_means = _bind_window_mean(vbuf[1:], w)
+        cv_window, cv_means = _bind_window_mean(pcv[:-1], w)
+        chk_update = bind_chk_update(vc_means, e.d_c - 1, pcv)
+        var_update = bind_var_update(weights, cv_means, e.d_v - 1, out)
 
         def step():
             vc_window()

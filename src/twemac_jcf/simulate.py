@@ -93,12 +93,12 @@ class EtgInstance:
     var_edges lists the edges grouped by variable, variable 0's first, and
     variable v's are its entries vptr[v]..vptr[v+1] - 1; the sampler builds
     it from its socket ids, and an instance built by hand gets it from a
-    stable argsort of evar.  Construction raises ValueError on a negative
-    node count, on evar, echeck and var_edges that are not flat arrays of
-    one length and of integers, on a node id outside 0..n - 1, on an edge
-    list that is not check-major, and on a var_edges that is not a
-    permutation of the edge ids grouped by variable; empty edge lists make
-    a graph with no edges.
+    stable argsort of evar.  Construction raises ValueError on a node count
+    that is negative or not an integer, on evar, echeck and var_edges that
+    are not flat arrays of one length and of integers, on a node id outside
+    0..n - 1, on an edge list that is not check-major, and on a var_edges
+    that is not a permutation of the edge ids grouped by variable; empty
+    edge lists make a graph with no edges.
     """
 
     n_vars: int
@@ -110,7 +110,10 @@ class EtgInstance:
     vptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if min(self.n_vars, self.n_checks) < 0:
+        counts = (self.n_vars, self.n_checks)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError(f"n_vars, n_checks must be integers, got {counts}")
+        if min(counts) < 0:
             raise ValueError(f"n_vars, n_checks must be >= 0, got {self.n_vars}, {self.n_checks}")
         evar, echeck = np.asarray(self.evar), np.asarray(self.echeck)
         ve = np.asarray(np.argsort(evar, kind="stable") if self.var_edges is None

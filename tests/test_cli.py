@@ -463,6 +463,15 @@ def test_figure6_negative_p_pi_list_exits_2_with_the_range_message(p_pi, monkeyp
     assert capsys.readouterr().err.endswith("error: p_pi must be in [0, 1), got -0.1\n")
 
 
+@pytest.mark.parametrize("spec", ["3..x", "3,,5", "3..5..7"])
+def test_figure6_malformed_dv_exits_2_naming_its_forms(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure6", "--dv", spec, "--dc", "6", "--L", "5", "--w", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --dv takes a range 3..9 or a list 3,5,7, got '{spec}'\n")
+
+
 def test_simulate_coupled_default_window(capsys):
     # --L without --w keeps the default w = 1
     code, out = run_cli(

@@ -13,7 +13,6 @@ from twemac_jcf.de_core import (
     _bind_remainder,
     bind_chk_update,
     bind_var_update,
-    copies,
     join_weights,
 )
 from twemac_jcf.de_coupled import (
@@ -37,9 +36,9 @@ E5 = np.array([0, 0, 0, 0, 1.0])
 EARLY = {1, 7}  # snapshots at early iterations, which keep the last one too
 
 
-def _window_mean(rows, w, cs, out):
-    """One call of the window mean bound to these arrays; the means."""
-    mean, means = _bind_window_mean(rows, w, cs, out)
+def _window_mean(rows, w):
+    """One call of the window mean bound to rows; the means."""
+    mean, means = _bind_window_mean(rows, w)
     mean()
     return means
 
@@ -58,15 +57,11 @@ def padded(pvc, L, w):
 
 
 def eff_vc(pvc, L, w, lo):
-    rows = padded(pvc, L, w)[:, lo:]
-    k = rows.shape[1]
-    return _window_mean(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
+    return _window_mean(padded(pvc, L, w)[:, lo:], w)
 
 
 def eff_cv(pcv, w, lo):
-    rows = pcv[:, lo:]
-    k = rows.shape[1]
-    return _window_mean(rows, w, np.zeros((5, k + 1)), np.empty((5, k - w + 1)))
+    return _window_mean(pcv[:, lo:], w)
 
 
 def test_nominal_rate_frozen_values():
@@ -272,15 +267,15 @@ def random_dists(rng, shape):
 
 
 def bound_as_in_a_batch(binder, w, buf, weights):
-    """The closures `de_batch` would call for binder, in order, on fresh
-    scratch: the window mean of buf's rows that the kernel reads (a view of
-    buf at w = 1), then the kernel on those means, for a (R, B, k + w - 1)
-    buf and the channels' `join_weights` (R - 1, 1, B, 1); and the array
-    the last closure writes."""
+    """The closures `de_batch` would call for binder, in order, each on
+    scratch of its own: the window mean of buf's rows that the kernel reads
+    (a view of buf at w = 1), then the kernel on those means, for a
+    (R, B, k + w - 1) buf and the channels' `join_weights` (R - 1, 1, B, 1);
+    and the array the last closure writes."""
     R, B, width = buf.shape
     k = width - w + 1
     rows = buf[1:] if binder == "chk_update" else buf[:-1]
-    mean, means = _bind_window_mean(rows, w, np.zeros((R - 1, B, k + w)), np.empty((R - 1, B, k)))
+    mean, means = _bind_window_mean(rows, w)
     if binder == "window_mean":
         return [mean], means
     if binder == "remainder":
@@ -288,9 +283,9 @@ def bound_as_in_a_batch(binder, w, buf, weights):
         return [mean, _bind_remainder(means, 1, out)], out
     if binder == "chk_update":
         out = np.empty((R, B, k))
-        return [mean, bind_chk_update(means, copies(np.empty((R - 1, B, k)), 3), out)], out
-    powers, out = np.empty((2, R - 1, B, k)), np.empty((R, 2, B, k))
-    return [mean, bind_var_update(weights, means, copies(powers[1], 2), powers, out)], out
+        return [mean, bind_chk_update(means, 3, out)], out
+    out = np.empty((R, 2, B, k))
+    return [mean, bind_var_update(weights, means, 2, out)], out
 
 
 @pytest.mark.parametrize("w", [1, 3])

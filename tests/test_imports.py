@@ -280,6 +280,14 @@ def test_puncturing_stays_in_the_channel_module(module):
     assert parameters_named((PACKAGE / f"{module}.py").read_text(), "p_pi") == []
 
 
+@pytest.mark.parametrize("module", ["de_core", "de_coupled"])
+@pytest.mark.parametrize("name", ["bases", "powers", "cs"])
+def test_binders_take_no_scratch(module, name):
+    # each binder makes the scratch its kernel reads, in the layout the
+    # kernel needs, so no caller builds it and no caller can get it wrong
+    assert parameters_named((PACKAGE / f"{module}.py").read_text(), name) == []
+
+
 def loop_slices(source: str) -> tuple:
     """The functions an evolution calls on every iteration, by name in line
     order: each function named `step` and each one nested in a top-level

@@ -219,6 +219,16 @@ def test_negative_node_counts_are_rejected(n_vars, n_checks):
         EtgInstance(n_vars, n_checks, [], [])
 
 
+@pytest.mark.parametrize("n_vars, n_checks", [(2.5, 1), (2, 1.0), (True, 1), ("2", 1)],
+                         ids=["float", "float-checks", "bool", "str"])
+def test_non_integer_node_counts_are_rejected(n_vars, n_checks):
+    # min() or numpy, sizing the offset tables, would raise a TypeError instead
+    with pytest.raises(ValueError, match="n_vars, n_checks must be integers"):
+        EtgInstance(n_vars, n_checks, [0], [0])
+    g = EtgInstance(np.int64(2), np.int64(1), [0], [0])
+    np.testing.assert_array_equal(g.vptr, [0, 1, 1])
+
+
 @pytest.mark.parametrize("e, m", [(Ensemble(3, 6), 600), (Ensemble(3, 6, 6, 3), 40)])
 def test_peel_same_types_for_any_edge_order(e, m):
     # the same graph with the edges of each check shuffled, built by hand so
