@@ -6,11 +6,11 @@
 Every output starts with a metadata header (version, full config, seed) so
 that identical configs reproduce identical files.  CSV is the default
 format; --format json mirrors the same fields (figure6 needs --out with it,
-since it writes two documents).  Exit codes: 2 for usage
-errors, 3 for numerical failures (a distribution off the simplex, or
-decodability that is not monotone on a --verify-scan grid).  The header
-of `de` echoes the iteration cap in force, and those of `threshold` and
-`figure6` the cap and the bisection tolerance, defaults included.
+since it writes two documents).  Exit codes: 2 for usage errors, 3 for
+numerical failures (a distribution off the simplex, or decodability not
+monotone among the eps a bisection evaluated).  The header of `de` echoes
+the iteration cap in force, and those of `threshold` and `figure6` the cap
+and the bisection tolerance, defaults included.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--p-pi", type=float, default=0.0)
     p.add_argument("--verify-scan", type=int, default=None,
-                   help="first check monotone decodability on an N-point eps grid, N >= 2")
+                   help="evaluate an N-point eps grid first, N >= 2")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("figure6", help="rate-vs-threshold sweep with analytic curves")

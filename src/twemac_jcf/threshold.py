@@ -2,23 +2,23 @@
 
 The threshold is the largest eps at which the evolution drives the
 per-position success probability past the target (1 - 1e-5 by default)
-within the iteration cap.  Bisection assumes decodability is monotone in
-eps; a scan mode can verify this on a grid for unfamiliar channels.
+within the iteration cap.  Bisection is sound only if the decodable eps
+form a prefix [0, eps*]: by degradation on xor-only, only empirically on
+the other families.  `find_threshold` checks this on every outcome it
+evaluated, and a family that breaks it raises MonotonicityError.
 
 The bisection is one walk over one memo, which keeps every outcome
 computed, each the engine's `DeOutcome`.  Where the walk meets an eps that
 the memo lacks, one `de_batch` evolution evaluates a new batch in its
-place: first the scan grid, whose outcomes the walk then reads on its
-path, or else eps 0 and 1 with the first SPECULATIVE_DEPTH levels of the
-bisection tree on the regular ensemble (CHAIN_SPECULATIVE_DEPTH levels on
-a chain); later the next levels below the point missed.  The points off
-the walk's path stay in the memo unread.  A batch that raises leaves its
-points unknown, and each is evaluated alone, as a batch of one, when the
-walk reaches it, and then kept, so an error surfaces only where the plain
-bisection would raise it.  The walk stops once the bracket is no wider
-than 2*tol, or once no float lies strictly between its ends, which then
-are adjacent floats.  The result, `evals` included, is the plain
-bisection's.
+place: first the scan grid, or else eps 0 and 1 with the first
+SPECULATIVE_DEPTH levels of the bisection tree on the regular ensemble
+(CHAIN_SPECULATIVE_DEPTH levels on a chain); later the next levels below
+the point missed.  A batch that raises leaves its points unknown, and each
+is evaluated alone, as a batch of one, when the walk reaches it, and then
+kept, so an error surfaces only where the plain bisection would raise it.
+The walk stops once the bracket is no wider than 2*tol, or once no float
+lies strictly between its ends, which then are adjacent floats.  On a
+monotone family the result, `evals` included, is the plain bisection's.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ CHAIN_SPECULATIVE_DEPTH = 3
 
 
 class MonotonicityError(RuntimeError):
-    """Decodability is not monotone in eps on a verification grid."""
+    """The decodable eps that a bisection evaluated do not form a prefix."""
 
 
 @dataclass
@@ -96,16 +96,17 @@ def find_threshold(
     settings `caps.for_ensemble(e)`.  A punctured family (its `p_pi`) gives
     the punctured threshold.
 
-    With verify_scan=n >= 2, an n-point grid is evaluated first and a
-    non-monotone decodability pattern raises MonotonicityError; the bisection
-    reads the grid's outcomes, its ends included, wherever its path meets
-    them.  A grid of fewer than two points cannot show a non-monotone
-    pattern and raises ValueError.
+    Whenever the memo gains outcomes, the decodable ones, skipping points
+    whose batch raised, must form a prefix in eps order, or MonotonicityError
+    names the lowest undecodable eps and the highest decodable one above it.
+    verify_scan=n >= 2 (else ValueError) makes an n-point grid the first
+    batch, read in order; the walk reads its outcomes, its ends included,
+    wherever its path meets them.
 
     The points are evaluated ahead, in batches (see the module docstring);
-    the result is the plain bisection's all the same.  Its `evals` lists the
-    path's (eps, DeOutcome) pairs, and an outcome is decodable when its
-    evolution ended in success.
+    on a monotone family the result is the plain bisection's.  Its `evals`
+    lists the path's (eps, DeOutcome) pairs, and an outcome is decodable
+    when its evolution ended in success.
     """
     if verify_scan is not None and verify_scan < 2:
         raise ValueError(f"verify_scan must be >= 2 grid points, got {verify_scan}")
@@ -116,35 +117,32 @@ def find_threshold(
     memo: Dict[float, Optional[DeOutcome]] = {}  # every outcome so far; None: its batch raised
 
     def check(eps: float, batch: Callable[[], List[float]]) -> DeOutcome:
-        if eps not in memo:
-            points = batch()
-            memo.update(dict.fromkeys(points))
-            try:
-                outcomes = de_batch(e, [family.eval(x) for x in points], caps)
-                memo.update(zip(points, outcomes))
-            except (ChannelError, SimplexError):
-                pass  # each point is evaluated alone when reached, and raises there
-        memo[eps] = memo[eps] or de_batch(e, [family.eval(eps)], caps)[0]
+        if memo.get(eps) is None:  # the memo gains outcomes
+            if eps not in memo:
+                points = batch()
+                memo.update(dict.fromkeys(points))
+                try:
+                    memo.update(zip(points, de_batch(e, [family.eval(x) for x in points], caps)))
+                except (ChannelError, SimplexError):
+                    pass  # each point is evaluated alone when reached, and raises there
+            memo[eps] = memo[eps] or de_batch(e, [family.eval(eps)], caps)[0]
+            bad = min((x for x, out in memo.items() if out and not out.decodable), default=2.0)
+            good = max((x for x, out in memo.items() if out and out.decodable), default=-1.0)
+            if good > bad:
+                raise MonotonicityError(f"decodability is not monotone in eps: eps {bad} does "
+                                        f"not decode, but eps {good} above it does")
         evals.append((eps, memo[eps]))
         return memo[eps]
 
-    if verify_scan is None:
-        first = [0.0, 1.0] + _subtree(0.0, 1.0, depth, width)
-        if check(0.0, lambda: first).decodable:
-            check(1.0, lambda: first)
-    else:
-        grid = [float(x) for x in np.linspace(0.0, 1.0, verify_scan)]
-        decodable = [check(x, lambda: grid).decodable for x in grid]  # True on a prefix
-        if decodable != sorted(decodable, reverse=True):
-            raise MonotonicityError("decodability is not monotone in eps on the scan grid; "
-                                    "bisection would be unsound for this channel family")
+    # every point of the scan in order; else eps 0, and eps 1 if eps 0 decodes
+    start = [float(x) for x in np.linspace(0.0, 1.0, verify_scan or 2)]
+    first = start if verify_scan else start + _subtree(0.0, 1.0, depth, width)
+    for x in start:
+        if not (check(x, lambda: first).decodable or verify_scan):
+            break
     # eps 0 undecodable leaves the bracket [0, 0], eps 1 decodable [1, 1]
     degenerate = not memo[0.0].decodable
-    lo, hi = 0.0, 1.0
-    if degenerate:
-        hi = 0.0
-    elif memo[1.0].decodable:
-        lo = 1.0
+    lo, hi = (0.0, 0.0) if degenerate else (1.0, 1.0) if memo[1.0].decodable else (0.0, 1.0)
     while (mid := _midpoint(lo, hi, width)) is not None:
         if check(mid, lambda: _subtree(lo, hi, depth, width)).decodable:
             lo = mid

@@ -8,6 +8,7 @@ default selection via the `slow` marker:
     pytest -m slow tests/test_acceptance.py -k criterion_9
 """
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -140,13 +141,20 @@ def _max_curve(family, eps):
     return max(rb.r_df, rb.r_cf)
 
 
+@functools.cache
+def _threshold(e, family, caps):
+    """find_threshold, once per set of equal arguments: criterion 5's d_v = 9
+    row and criterion 6's p_pi = 0 row bisect the same chain."""
+    return find_threshold(e, family, caps=caps)
+
+
 def test_criterion_5_desk_scale_rate_thresholds():
     fam = BUILTINS["primary"]
     ok = True
     details = []
     for d_v in (3, 5, 7, 9):
         e = Ensemble(d_v, 10, 200, 10)
-        res = find_threshold(e, fam, caps=Caps(tol=1e-3))
+        res = _threshold(e, fam, Caps(tol=1e-3))
         rate = nominal_rate(e)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= rate <= curve + 0.02
@@ -168,7 +176,7 @@ def test_criterion_6_puncturing_coverage():
     ok = True
     details = []
     for p_pi in (0.0, 0.2, 0.4, 0.6, 0.8):
-        res = find_threshold(e, replace(fam, p_pi=p_pi), caps=Caps(tol=1e-3))
+        res = _threshold(e, replace(fam, p_pi=p_pi), Caps(tol=1e-3))
         r_pi = rate / (1 - p_pi)
         curve = _max_curve(fam, res.eps_thresh)
         ok &= curve - 0.05 <= r_pi <= curve + 0.02

@@ -385,6 +385,41 @@ def test_nonmonotone_verify_scan_exits_3(tmp_path, capsys):
     assert "not monotone" in err
 
 
+BUMP_CONFIG = ("[bump]\nkind = custom-polynomial\n"
+               "p1 = 0 2.4 -2.4\np2 = 0\np3 = 0\np4 = 1 -2.4 2.4\np5 = 0\n")
+
+
+def test_nonmonotone_threshold_exits_3_without_a_scan(tmp_path, capsys):
+    # the bump decodes at eps 0 and 1 but not on (0.2334, 0.7666); the first
+    # batch's midpoints show it, so no --verify-scan is needed
+    cfg = tmp_path / "bump.ini"
+    cfg.write_text(BUMP_CONFIG)
+    code = main(["threshold", "--regular", "3", "6", "--channel", "bump",
+                 "--channel-config", str(cfg)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "not monotone" in line
+    assert "eps 0.234375 does not decode" in line and "eps 1.0 above it" in line
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_nonmonotone_figure6_exits_3_and_writes_nothing(jobs, tmp_path, capsys):
+    # with --jobs 2 the two p_pi rows run in worker processes, and the
+    # error crosses back from them
+    cfg = tmp_path / "bump.ini"
+    cfg.write_text(BUMP_CONFIG)
+    out_path = tmp_path / "f6.csv"
+    code = main(["figure6", "--dv", "3", "--dc", "6", "--L", "10", "--w", "3",
+                 "--p-pi", "0,0.1", "--curve-grid", "3", "--channel", "bump",
+                 "--channel-config", str(cfg), "--jobs", jobs, "--out", str(out_path)])
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "not monotone" in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bump.ini"]
+
+
 def test_only_numerical_failures_exit_3(monkeypatch, capsys):
     # a killed --jobs worker or a recursion overflow is a crash, not a
     # numerical verdict on the ensemble

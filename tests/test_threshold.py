@@ -1,11 +1,14 @@
 """Threshold bisection, monotonicity guard, and puncturing sweeps."""
 
 import concurrent.futures
+import math
 import traceback
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twemac_jcf.channel import BUILTINS, ChannelError, ChannelFamily
 from twemac_jcf import threshold
@@ -404,3 +407,58 @@ def test_off_path_failures_do_not_surface(error, e, scan, monkeypatch):
             plain_bisection(e, on, caps, verify_scan=scan)
         with pytest.raises(error):
             find_threshold(e, on, caps, verify_scan=scan)
+
+
+# xor-only at the bump-shaped parameter p1 = 2.4 eps (1 - eps): erasure
+# worst at eps 1/2, and none at either end
+BUMP = ChannelFamily(name="bump", kind="custom-polynomial",
+                     coeffs=((0.0, 2.4, -2.4), (0.0,), (0.0,), (1.0, -2.4, 2.4), (0.0,)))
+EPS_BP_36 = 0.42944  # the (3,6) ensemble's BEC threshold
+# where 2.4 eps (1 - eps) = EPS_BP_36: about 0.2334 and 0.7666
+BUMP_EDGES = tuple(0.5 * (1 + s * math.sqrt(1 - 4 * EPS_BP_36 / 2.4)) for s in (-1, 1))
+
+
+def test_bump_decodable_set_follows_from_the_bp_threshold():
+    # on (3,6) the bump decodes on [0, 0.2334] and [0.7666, 1], and nowhere
+    # between: a set of two intervals, not a prefix
+    lo_edge, hi_edge = BUMP_EDGES
+    assert (round(lo_edge, 4), round(hi_edge, 4)) == (0.2334, 0.7666)
+    inside = [0.22, 0.233, 0.767, 0.78]
+    outside = [0.234, 0.25, 0.75, 0.766]
+    assert all(x < lo_edge or x > hi_edge for x in inside)
+    assert all(lo_edge < x < hi_edge for x in outside)
+    outcomes = de_batch(Ensemble(3, 6), [BUMP.eval(x) for x in inside + outside], Caps())
+    assert [out.decodable for out in outcomes] == [True] * 4 + [False] * 4
+    assert [out.converged for out in outcomes[4:]] == ["stall"] * 4
+
+
+@pytest.mark.parametrize("e", [Ensemble(3, 6), Ensemble(3, 6, 10, 3)], ids=["regular", "chain"])
+def test_nonmonotone_family_raises_without_a_scan(e, monkeypatch):
+    # eps 0 and eps 1 both decode, so a bisection that trusts its ends would
+    # return 1.0; the first batch's midpoints already show the gap, and no
+    # point is evaluated beyond that batch
+    sizes, singles = record_evolutions(monkeypatch)
+    with pytest.raises(MonotonicityError, match="not monotone") as exc:
+        find_threshold(e, BUMP)
+    depth = threshold.CHAIN_SPECULATIVE_DEPTH if e.coupled else threshold.SPECULATIVE_DEPTH
+    assert (sizes, singles) == ([2 + 2**depth - 1], [])
+    # the lowest undecodable point of the first batch and the highest
+    # decodable one, eps 1
+    message = str(exc.value)
+    assert "eps 1.0 above it" in message
+    if not e.coupled:
+        lowest = math.ceil(BUMP_EDGES[0] * 2**depth) / 2**depth  # 0.234375
+        assert f"eps {lowest} does not decode" in message
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(1.0)
+@settings(max_examples=40, deadline=None)
+def test_monotone_families_pass_the_check(a):
+    # p1 = a eps + (1 - a) eps^2 grows with eps, so every such family is
+    # xor-only degraded in eps and its decodable set is a prefix
+    family = ChannelFamily(name="mono", kind="custom-polynomial",
+                           coeffs=((0.0, a, 1.0 - a), (0.0,), (0.0,), (1.0, -a, a - 1.0), (0.0,)))
+    e, caps = Ensemble(3, 6), Caps(tol=1e-3)
+    assert find_threshold(e, family, caps) == plain_bisection(e, family, caps)
